@@ -10,33 +10,34 @@ its forward context mirrors that over the chunks after it.
 
 import numpy as np
 
-from chunkfuse import BoundarySet, backward_context, forward_context, fuse, with_contexts
+from chunkfuse import contexts, fuse
 
-lefts = tuple(np.array([[v]]) for v in (1.0, 3.0, 5.0))
-rights = tuple(np.array([[v]]) for v in (2.0, 4.0, 6.0))
-bset = BoundarySet(boundary_width=1, lefts=lefts, rights=rights)
+# (chunks, boundary rows, width): one scalar boundary per side and chunk
+lefts = np.array([1.0, 3.0, 5.0]).reshape(3, 1, 1)
+rights = np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1)
+back, fwd = contexts(lefts, rights)
 
 print("chunk   left  right")
 for i in range(3):
     print(f"{i + 1:>5}   {lefts[i][0, 0]:>4}  {rights[i][0, 0]:>5}")
 
 print("\nbackward context (own left averaged with all earlier boundaries):")
-print("  chunk 1: just its left boundary ->", backward_context(bset, 1)[0, 0])
-print("  chunk 2: (3 + 1 + 2) / 3        ->", backward_context(bset, 2)[0, 0])
-print("  chunk 3: (5 + 1+2+3+4) / 5      ->", backward_context(bset, 3)[0, 0])
+print("  chunk 1: just its left boundary ->", back[0, 0, 0])
+print("  chunk 2: (3 + 1 + 2) / 3        ->", back[1, 0, 0])
+print("  chunk 3: (5 + 1+2+3+4) / 5      ->", back[2, 0, 0])
 
 print("\nforward context (own right averaged with all later boundaries):")
-print("  chunk 1: (2 + 3+4+5+6) / 5      ->", forward_context(bset, 1)[0, 0])
-print("  chunk 2: (4 + 5 + 6) / 3        ->", forward_context(bset, 2)[0, 0])
-print("  chunk 3: just its right boundary ->", forward_context(bset, 3)[0, 0])
+print("  chunk 1: (2 + 3+4+5+6) / 5      ->", fwd[0, 0, 0])
+print("  chunk 2: (4 + 5 + 6) / 3        ->", fwd[1, 0, 0])
+print("  chunk 3: just its right boundary ->", fwd[2, 0, 0])
 
 # a 50/50 blend of local boundary and directional context
-fused = fuse(with_contexts(bset), alpha=0.5)
+fused_lefts, _ = fuse(lefts, rights, alpha=0.5)
 print("\nfused left boundaries at alpha = 0.5:")
 for i in range(3):
     print(f"  chunk {i + 1}: 0.5*{lefts[i][0, 0]} + 0.5*ctx ->",
-          fused.fused_lefts[i][0, 0])
+          fused_lefts[i, 0, 0])
 
 print("\nalpha = 1 keeps boundaries local; alpha = 0 uses pure context:")
-print("  alpha=1, chunk 2 left:", fuse(with_contexts(bset), 1.0).fused_lefts[1][0, 0])
-print("  alpha=0, chunk 2 left:", fuse(with_contexts(bset), 0.0).fused_lefts[1][0, 0])
+print("  alpha=1, chunk 2 left:", fuse(lefts, rights, 1.0)[0][1, 0, 0])
+print("  alpha=0, chunk 2 left:", fuse(lefts, rights, 0.0)[0][1, 0, 0])

@@ -9,7 +9,7 @@ one greedy decode step over it.
 
 import numpy as np
 
-from chunkfuse import attention_mass_by_chunk, decode_step
+from chunkfuse import ROLES, attention_mass_by_chunk, decode_step
 from chunkfuse.metrics import make_random_doc
 from chunkfuse.pipeline import PipelineConfig, greedy_decode, run_document
 
@@ -32,8 +32,8 @@ print(f"memory: {segs.count} chunks x {rows_per_chunk} rows = "
       "rows if every encoded token were handed to the decoder")
 
 print("\nfirst chunk's rows in the assembled memory:")
-for row in run.fused.provenance[:rows_per_chunk]:
-    print(f"  chunk {row.chunk}  {row.role:<6}  source position {row.position}")
+for chunk, role, position in run.fused.provenance[:rows_per_chunk].tolist():
+    print(f"  chunk {chunk}  {ROLES[role]:<6}  source position {position}")
 
 # one decode step: cross-attention spans every memory row
 dec_cfg = cfg.decoder_config(max_len=24)

@@ -9,20 +9,14 @@ instead of every encoded token.
 
 from .bench import ScalingReport, compare_naive_concat, run_scaling
 from .cumulation import (
-    BoundarySet,
+    ROLES,
     FusedSequence,
-    FusionConfig,
     assemble,
-    backward_context,
     boundaries_from_encodings,
-    extract_boundaries,
-    forward_context,
+    contexts,
     fuse,
     fused_sequence_manifest,
-    fusion_jacobian,
-    sample_middle,
     sample_middle_indices,
-    with_contexts,
 )
 from .decoder import DecoderConfig, attention_mass_by_chunk, decode_step, init_decoder_weights
 from .encoder import (
@@ -55,16 +49,20 @@ from .metrics import (
 )
 from .numerics import (
     SeededRng,
-    layer_norm,
     load_matrix,
-    matmul,
     matrix_from_text,
     matrix_to_text,
     mean_of,
-    row_softmax,
     save_matrix,
 )
-from .pipeline import DocumentRun, PipelineConfig, greedy_decode, run_document
+from .pipeline import (
+    DocumentRun,
+    PipelineConfig,
+    encode_document,
+    fuse_document,
+    greedy_decode,
+    run_document,
+)
 from .segmenter import Segment, SegmentSet, reconstruct, segment, segment_count
 
 __version__ = "0.1.0"

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cumulation
-from .encoder import encode_all, init_weights
+from .encoder import init_weights
 from .errors import ConfigError
 from .metrics import make_random_doc
-from .pipeline import PipelineConfig, middle_rng_for, sample_document_middles
-from .segmenter import segment, segment_count
+from .pipeline import PipelineConfig, encode_document, fuse_document
+from .segmenter import segment_count
 
 # totals under this at the smallest point are too close to timer noise
 MIN_RELIABLE_SECONDS = 0.05
@@ -72,24 +71,6 @@ def compare_naive_concat(n_tokens: int, cfg: PipelineConfig) -> tuple[int, int]:
     return scale_rows, naive_rows
 
 
-def timed_run(tokens, cfg: PipelineConfig, weights, doc_id: str) -> tuple[float, float, int]:
-    """One pipeline pass returning (encode seconds, fuse seconds, rows)."""
-    t0 = time.perf_counter()
-    segs = segment(tokens, cfg.chunk_len, cfg.overlap)
-    encodings = encode_all(segs, weights, cfg.encoder_config())
-    t1 = time.perf_counter()
-
-    bset = cumulation.boundaries_from_encodings(
-        encodings, cfg.boundary_width, segments=segs, allow_short=True)
-    bset = cumulation.fuse(cumulation.with_contexts(bset), cfg.alpha)
-    middles, indices = sample_document_middles(
-        encodings, cfg, middle_rng_for(cfg, doc_id))
-    fused = cumulation.assemble(bset, middles, middle_indices=indices,
-                                middle_requested=cfg.middle_count, alpha=cfg.alpha)
-    t2 = time.perf_counter()
-    return t1 - t0, t2 - t1, fused.rows
-
-
 def fit_loglog_slope(ns, times) -> float:
     return float(np.polyfit(np.log(np.asarray(ns, dtype=np.float64)),
                             np.log(np.asarray(times, dtype=np.float64)), 1)[0])
@@ -117,15 +98,23 @@ def run_scaling(
     weights = init_weights(cfg.encoder_config())
     docs = {n: make_random_doc(n, cfg.vocab_size, doc_seed + n) for n in lengths}
 
+    def one_pass(tokens, doc_id: str) -> tuple[float, float, int]:
+        """(encode seconds, fuse seconds, rows) of one pass through both stages."""
+        t0 = time.perf_counter()
+        segs, encodings = encode_document(tokens, cfg, weights)
+        t1 = time.perf_counter()
+        rows = fuse_document(segs, encodings, cfg, doc_id).rows
+        return t1 - t0, time.perf_counter() - t1, rows
+
     if warmup:
-        timed_run(docs[lengths[0]], cfg, weights, "warmup")
+        one_pass(docs[lengths[0]], "warmup")
 
     # interleave repeats across lengths so machine-load drift during the
     # benchmark biases every point alike instead of tilting the slope
     runs: dict[int, list[tuple[float, float, int]]] = {n: [] for n in lengths}
     for _ in range(repeats):
         for n in lengths:
-            runs[n].append(timed_run(docs[n], cfg, weights, f"bench-{n}"))
+            runs[n].append(one_pass(docs[n], f"bench-{n}"))
 
     points = []
     for n in lengths:

@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +30,13 @@ from .decoder import attention_mass_by_chunk, decode_step
 from .errors import ConfigError, ContractError, InputError
 from .metrics import make_repeated_chunk_doc, position_probe, rouge_l, rouge_n
 from .numerics import save_matrix
-from .pipeline import PipelineConfig, greedy_decode, run_document
+from .pipeline import (
+    PipelineConfig,
+    encode_document,
+    fuse_document,
+    greedy_decode,
+    run_document,
+)
 from .encoder import init_weights
 from .segmenter import segment, segment_set_to_dict
 
@@ -143,6 +150,10 @@ def load_corpus(path: Path) -> tuple[list[tuple[str, tuple[int, ...]]], dict | N
         docs_raw.append((lineno, str(obj["id"]), obj))
 
     if kind == "text":
+        for lineno, doc_id, obj in docs_raw:
+            if not isinstance(obj["text"], str) or not obj["text"].split():
+                raise InputError(
+                    f"{path}:{lineno}: document {doc_id!r}: text must be a non-empty string")
         words = sorted({w for _, _, obj in docs_raw for w in obj["text"].split()})
         vocab = {w: i for i, w in enumerate(words)}
         docs = [(doc_id, tuple(vocab[w] for w in obj["text"].split()))
@@ -152,10 +163,12 @@ def load_corpus(path: Path) -> tuple[list[tuple[str, tuple[int, ...]]], dict | N
     docs = []
     for lineno, doc_id, obj in docs_raw:
         toks = obj["tokens"]
-        if (not isinstance(toks, list)
-                or any(not isinstance(t, int) or t < 0 for t in toks)):
+        # type(t) is int rejects bools, which isinstance would take as 0 and 1
+        if (not isinstance(toks, list) or not toks
+                or any(type(t) is not int or t < 0 for t in toks)):
             raise InputError(
-                f"{path}:{lineno}: tokens must be a list of non-negative ints")
+                f"{path}:{lineno}: document {doc_id!r}: tokens must be a non-empty "
+                "list of non-negative ints")
         docs.append((doc_id, tuple(toks)))
     return docs, None
 
@@ -318,9 +331,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         fuse_seconds = 0.0
         scale_rows = 0
         for doc_id, tokens in docs:
-            _, fuse_s, rows_n = bench_mod.timed_run(tokens, variant, weights, doc_id)
-            fuse_seconds += fuse_s
-            scale_rows += rows_n
+            segs, encodings = encode_document(tokens, variant, weights)
+            started = time.perf_counter()
+            scale_rows += fuse_document(segs, encodings, variant, doc_id).rows
+            fuse_seconds += time.perf_counter() - started
         probe = position_probe([t for _, t in docs], variant.alpha, variant,
                                weights=weights)
         rows.append([repr(float(value)) if field == "alpha" else value,

@@ -1,114 +1,61 @@
 """Boundary extraction, cumulative directional context, and fusion.
 
-Each encoded chunk i contributes a left and a right boundary block of
-``boundary_width`` rows. The backward context of chunk i averages its
-own left boundary with every boundary block of earlier chunks, dividing
-by the block count 2i-1; the forward context mirrors this over later
-chunks with count 2(C-i)+1. The first chunk's backward context and the
-last chunk's forward context are the local boundaries themselves.
+Boundaries are two stacked ``(C, k, d)`` arrays: ``lefts[i - 1]`` and
+``rights[i - 1]`` hold the first and last ``k = boundary_width`` rows
+of chunk i. The PAPER.md formulas map onto :func:`contexts` and
+:func:`fuse` line for line:
 
-Fusion blends local and directional views with a single scalar
-``alpha``: fused_left = alpha * left + (1 - alpha) * backward context,
-and likewise on the right. The mechanism has no learned parameters.
+- ``backward_ctx_i = (L_i + sum_{j<i} (L_j + R_j)) / (2i - 1)`` is the
+  ``back = ...`` line: ``before`` is the exclusive prefix sum of
+  ``L + R``, so row i holds the sum over j < i.
+- ``forward_ctx_i = (R_i + sum_{j>i} (L_j + R_j)) / (2(C-i) + 1)`` is
+  the ``fwd = ...`` line, with ``after`` the exclusive suffix sum.
+- ``= L_1 at i=1`` and ``= R_C at i=C`` are the two assignments after
+  them. Copying the blocks, rather than adding a zero sum, keeps the
+  edge identities bitwise even where a block holds -0.0.
+- ``fused_left_i = alpha * L_i + (1 - alpha) * backward_ctx_i`` and
+  ``fused_right_i = alpha * R_i + (1 - alpha) * forward_ctx_i`` are the
+  two expressions :func:`fuse` returns.
 
-The assembled decoder input interleaves, per chunk, the fused left
-block, sampled interior rows, and the fused right block, giving
-C * (2 * boundary_width + middle_count) rows when every chunk is long
-enough.
+The mechanism has no learned parameters. The assembled decoder input
+holds, per chunk, the fused left block, the sampled interior rows, and
+the fused right block, giving C * (2 * boundary_width + middle_count)
+rows when every chunk is long enough.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .encoder import ChunkEncoding
 from .errors import ConfigError, ContractError, DegenerateChunkError
-from .numerics import SeededRng, as_matrix, check_finite
+from .numerics import SeededRng, check_finite
 from .segmenter import SegmentSet
 
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Hyperparameters of the fusion stage."""
-
-    boundary_width: int = 1
-    middle_count: int = 300
-    alpha: float = 0.5
-    middle_seed: int = 0
-
-    def __post_init__(self):
-        if self.boundary_width < 1:
-            raise ConfigError("boundary_width must be >= 1")
-        if self.middle_count < 0:
-            raise ConfigError("middle_count must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class BoundarySet:
-    """Per-chunk boundary blocks plus optional derived context/fusion.
-
-    All blocks share shape (boundary_width x d). ``starts`` and
-    ``lengths`` carry source offsets when the set was built from real
-    segments; synthetic sets leave them as None. ``short_chunks`` lists
-    1-based indices whose left and right blocks share rows.
-    """
-
-    boundary_width: int
-    lefts: tuple[np.ndarray, ...]
-    rights: tuple[np.ndarray, ...]
-    starts: tuple[int, ...] | None = None
-    lengths: tuple[int, ...] | None = None
-    back_ctx: tuple[np.ndarray, ...] | None = None
-    fwd_ctx: tuple[np.ndarray, ...] | None = None
-    fused_lefts: tuple[np.ndarray, ...] | None = None
-    fused_rights: tuple[np.ndarray, ...] | None = None
-    short_chunks: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if len(self.lefts) == 0 or len(self.lefts) != len(self.rights):
-            raise ConfigError("boundary set needs matching non-empty left/right lists")
-        shape = self.lefts[0].shape
-        if shape[0] != self.boundary_width:
-            raise ConfigError(
-                f"boundary blocks have {shape[0]} rows, expected {self.boundary_width}"
-            )
-        for block in (*self.lefts, *self.rights):
-            if block.shape != shape:
-                raise ConfigError(f"boundary block shape {block.shape} != {shape}")
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self.lefts)
-
-    @property
-    def width(self) -> int:
-        return self.lefts[0].shape[1]
-
-
-class RowProvenance(NamedTuple):
-    """Origin of one assembled row; position is -1 when unknown."""
-
-    chunk: int
-    role: str  # "left" | "middle" | "right"
-    position: int
+# provenance columns, and the role codes stored in the ROLE column
+CHUNK, ROLE, POSITION = 0, 1, 2
+LEFT, MIDDLE, RIGHT = 0, 1, 2
+ROLES = ("left", "middle", "right")
 
 
 @dataclass(frozen=True)
 class FusedSequence:
-    """Assembled decoder input and its row-level bookkeeping."""
+    """Assembled decoder input and its row-level bookkeeping.
 
-    blocks: tuple[np.ndarray, ...]
+    ``provenance`` is an int array of shape (rows, 3): the 1-based
+    chunk, the role code (an index into ``ROLES``) and the document
+    position each row was encoded at. ``short_chunks`` lists 1-based
+    chunks whose left and right blocks share rows.
+    """
+
     flattened: np.ndarray
-    provenance: tuple[RowProvenance, ...]
+    provenance: np.ndarray
     boundary_width: int
     middle_requested: int
     alpha: float
-    positions_are_global: bool = False
     short_chunks: tuple[int, ...] = ()
 
     @property
@@ -121,150 +68,60 @@ class FusedSequence:
 
     @property
     def chunk_count(self) -> int:
-        return len(self.blocks) // 3
+        return int(self.provenance[-1, CHUNK])
 
     def middle_counts(self) -> list[int]:
-        counts = [0] * self.chunk_count
-        for row in self.provenance:
-            if row.role == "middle":
-                counts[row.chunk - 1] += 1
-        return counts
+        chunks = self.provenance[self.provenance[:, ROLE] == MIDDLE, CHUNK]
+        return np.bincount(chunks, minlength=self.chunk_count + 1)[1:].tolist()
 
     def middle_shortfall(self) -> dict[int, int]:
         """Chunks that could not supply the requested interior rows."""
-        out = {}
-        for chunk, got in enumerate(self.middle_counts(), start=1):
-            if got < self.middle_requested:
-                out[chunk] = self.middle_requested - got
-        return out
-
-
-def extract_boundaries(
-    enc: ChunkEncoding,
-    boundary_width: int,
-    allow_short: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and last ``boundary_width`` rows of a chunk encoding.
-
-    Chunks shorter than twice the width normally raise; with
-    ``allow_short`` the two blocks are taken anyway and may share rows.
-    Chunks shorter than the width itself cannot be represented at all.
-    """
-    if boundary_width < 1:
-        raise ConfigError("boundary_width must be >= 1")
-    hidden = as_matrix(enc.hidden)
-    n = hidden.shape[0]
-    if n < boundary_width:
-        raise DegenerateChunkError(
-            f"chunk {enc.chunk_index} has {n} rows, needs at least {boundary_width}"
-        )
-    if n < 2 * boundary_width and not allow_short:
-        raise DegenerateChunkError(
-            f"chunk {enc.chunk_index} has {n} rows, needs {2 * boundary_width} "
-            "for disjoint boundaries (enable the short-chunk policy to share rows)"
-        )
-    left = hidden[:boundary_width].copy()
-    right = hidden[n - boundary_width:].copy()
-    return left, right
+        return {chunk: self.middle_requested - got
+                for chunk, got in enumerate(self.middle_counts(), start=1)
+                if got < self.middle_requested}
 
 
 def boundaries_from_encodings(
     encodings: Sequence[ChunkEncoding],
     boundary_width: int,
-    segments: SegmentSet | None = None,
-    allow_short: bool = False,
-) -> BoundarySet:
-    """Build a BoundarySet from chunk encodings, keeping source offsets."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and last ``boundary_width`` rows of every chunk, as (C, k, d) arrays.
+
+    A chunk shorter than twice the width gives blocks that share rows;
+    one shorter than the width itself cannot be represented at all.
+    """
+    if boundary_width < 1:
+        raise ConfigError("boundary_width must be >= 1")
     if len(encodings) == 0:
         raise ContractError("no chunk encodings supplied")
-    lefts, rights, short = [], [], []
     for enc in encodings:
-        left, right = extract_boundaries(enc, boundary_width, allow_short=allow_short)
-        lefts.append(left)
-        rights.append(right)
-        if len(enc) < 2 * boundary_width:
-            short.append(enc.chunk_index)
-    starts = lengths = None
-    if segments is not None:
-        if segments.count != len(encodings):
-            raise ContractError(
-                f"{segments.count} segments vs {len(encodings)} encodings"
+        if len(enc) < boundary_width:
+            raise DegenerateChunkError(
+                f"chunk {enc.chunk_index} has {len(enc)} rows, "
+                f"needs at least {boundary_width}"
             )
-        starts = tuple(s.start for s in segments)
-        lengths = tuple(len(s) for s in segments)
-    return BoundarySet(
-        boundary_width=boundary_width,
-        lefts=tuple(lefts),
-        rights=tuple(rights),
-        starts=starts,
-        lengths=lengths,
-        short_chunks=tuple(short),
-    )
+    lefts = np.stack([enc.hidden[:boundary_width] for enc in encodings])
+    rights = np.stack([enc.hidden[len(enc) - boundary_width:] for enc in encodings])
+    return lefts, rights
 
 
-def _check_index(boundaries: BoundarySet, index: int) -> None:
-    if not 1 <= index <= boundaries.chunk_count:
-        raise ContractError(
-            f"chunk index {index} outside [1, {boundaries.chunk_count}]"
-        )
+def contexts(lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backward and forward contexts of every chunk, one O(C) scan each."""
+    c = lefts.shape[0]
+    pairs = lefts + rights
+    before = np.zeros_like(pairs)
+    before[1:] = np.cumsum(pairs[:-1], axis=0)
+    after = np.zeros_like(pairs)
+    after[:-1] = np.cumsum(pairs[:0:-1], axis=0)[::-1]
+    i = np.arange(1, c + 1, dtype=np.float64)[:, None, None]
+    back = (lefts + before) / (2 * i - 1)
+    fwd = (rights + after) / (2 * (c - i) + 1)
+    back[0] = lefts[0]
+    fwd[-1] = rights[-1]
+    return back, fwd
 
 
-def backward_context(boundaries: BoundarySet, index: int) -> np.ndarray:
-    """Average of chunk ``index``'s left boundary with all earlier blocks.
-
-    For the first chunk this is exactly the left boundary. Otherwise the
-    left boundary plus both boundaries of each earlier chunk are summed
-    and divided by their count, 2*index - 1.
-    """
-    _check_index(boundaries, index)
-    if index == 1:
-        return boundaries.lefts[0].copy()
-    total = boundaries.lefts[index - 1].copy()
-    for j in range(index - 1):
-        total += boundaries.lefts[j]
-        total += boundaries.rights[j]
-    return total / (2 * index - 1)
-
-
-def forward_context(boundaries: BoundarySet, index: int) -> np.ndarray:
-    """Mirror of :func:`backward_context` over succeeding chunks.
-
-    For the last chunk this is exactly the right boundary; otherwise the
-    divisor is 2*(C - index) + 1.
-    """
-    _check_index(boundaries, index)
-    c = boundaries.chunk_count
-    if index == c:
-        return boundaries.rights[c - 1].copy()
-    total = boundaries.rights[index - 1].copy()
-    for j in range(index, c):
-        total += boundaries.lefts[j]
-        total += boundaries.rights[j]
-    return total / (2 * (c - index) + 1)
-
-
-def with_contexts(boundaries: BoundarySet) -> BoundarySet:
-    """Fill both context fields with a single O(C) prefix/suffix scan."""
-    c = boundaries.chunk_count
-    pair_sums = [boundaries.lefts[j] + boundaries.rights[j] for j in range(c)]
-
-    back: list[np.ndarray] = [boundaries.lefts[0].copy()]
-    prefix = np.zeros_like(pair_sums[0])
-    for i in range(2, c + 1):
-        prefix = prefix + pair_sums[i - 2]
-        back.append((boundaries.lefts[i - 1] + prefix) / (2 * i - 1))
-
-    fwd_rev: list[np.ndarray] = [boundaries.rights[c - 1].copy()]
-    suffix = np.zeros_like(pair_sums[0])
-    for i in range(c - 1, 0, -1):
-        suffix = suffix + pair_sums[i]
-        fwd_rev.append((boundaries.rights[i - 1] + suffix) / (2 * (c - i) + 1))
-    fwd = list(reversed(fwd_rev))
-
-    return replace(boundaries, back_ctx=tuple(back), fwd_ctx=tuple(fwd))
-
-
-def fuse(boundaries: BoundarySet, alpha: float) -> BoundarySet:
+def fuse(lefts: np.ndarray, rights: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Blend local boundaries with their directional contexts.
 
     alpha = 1 keeps the local boundaries untouched; alpha = 0 replaces
@@ -272,68 +129,9 @@ def fuse(boundaries: BoundarySet, alpha: float) -> BoundarySet:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    if boundaries.back_ctx is None or boundaries.fwd_ctx is None:
-        raise ContractError("contexts not computed; call with_contexts first")
-    fused_lefts = tuple(
-        check_finite(alpha * L + (1.0 - alpha) * ctx, "fused left")
-        for L, ctx in zip(boundaries.lefts, boundaries.back_ctx)
-    )
-    fused_rights = tuple(
-        check_finite(alpha * R + (1.0 - alpha) * ctx, "fused right")
-        for R, ctx in zip(boundaries.rights, boundaries.fwd_ctx)
-    )
-    return replace(boundaries, fused_lefts=fused_lefts, fused_rights=fused_rights)
-
-
-@dataclass(frozen=True)
-class FusionJacobian:
-    """Exact per-block sensitivities of one chunk's fused boundaries.
-
-    Fusion is linear and acts entrywise, so the derivative of any fused
-    entry with respect to the matching entry of a source block is a
-    scalar. Keys are ("L", j) or ("R", j) with 1-based j; every source
-    block of the set appears, zeros included.
-    """
-
-    chunk: int
-    alpha: float
-    d_fused_left: dict[tuple[str, int], float]
-    d_fused_right: dict[tuple[str, int], float]
-
-
-def fusion_jacobian(boundaries: BoundarySet, alpha: float, index: int) -> FusionJacobian:
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    _check_index(boundaries, index)
-    c = boundaries.chunk_count
-
-    d_left = {key: 0.0 for side in ("L", "R") for key in ((side, j) for j in range(1, c + 1))}
-    d_right = dict(d_left)
-
-    if index == 1:
-        d_left[("L", 1)] = 1.0
-    else:
-        spread = (1.0 - alpha) / (2 * index - 1)
-        d_left[("L", index)] = alpha + spread
-        for j in range(1, index):
-            d_left[("L", j)] = spread
-            d_left[("R", j)] = spread
-
-    if index == c:
-        d_right[("R", c)] = 1.0
-    else:
-        spread = (1.0 - alpha) / (2 * (c - index) + 1)
-        d_right[("R", index)] = alpha + spread
-        for j in range(index + 1, c + 1):
-            d_right[("L", j)] = spread
-            d_right[("R", j)] = spread
-
-    return FusionJacobian(chunk=index, alpha=alpha,
-                          d_fused_left=d_left, d_fused_right=d_right)
-
-
-# ---------------------------------------------------------------------------
-# middle sampling
+    back, fwd = contexts(lefts, rights)
+    return (check_finite(alpha * lefts + (1.0 - alpha) * back, "fused left"),
+            check_finite(alpha * rights + (1.0 - alpha) * fwd, "fused right"))
 
 
 def sample_middle_indices(
@@ -359,99 +157,49 @@ def sample_middle_indices(
     return sorted(boundary_width + idx for idx in chosen)
 
 
-def sample_middle(
-    enc: ChunkEncoding,
-    middle_count: int,
-    boundary_width: int,
-    rng: SeededRng,
-) -> np.ndarray:
-    """Uniform without-replacement sample of interior rows, in source order."""
-    idx = sample_middle_indices(len(enc), middle_count, boundary_width, rng)
-    hidden = as_matrix(enc.hidden)
-    if not idx:
-        return np.empty((0, hidden.shape[1]), dtype=np.float64)
-    return hidden[idx].copy()
-
-
-# ---------------------------------------------------------------------------
-# assembly
-
-
 def assemble(
-    boundaries: BoundarySet,
-    middles: Sequence[np.ndarray],
-    middle_indices: Sequence[Sequence[int]] | None = None,
-    middle_requested: int | None = None,
-    alpha: float | None = None,
+    fused_lefts: np.ndarray,
+    fused_rights: np.ndarray,
+    encodings: Sequence[ChunkEncoding],
+    middle_indices: Sequence[Sequence[int]],
+    segments: SegmentSet,
+    middle_requested: int,
+    alpha: float,
 ) -> FusedSequence:
-    """Interleave fused boundaries and middles into the decoder input.
+    """Gather fused boundaries and sampled interior rows into the decoder input.
 
     Block order per chunk is fused-left, middle, fused-right, chunks in
-    document order. ``middle_indices`` (chunk-local row indices, one
-    list per chunk) lets provenance name each middle row's source; when
-    absent those positions are recorded as unknown.
+    document order. ``middle_indices`` holds chunk-local row indices,
+    one list per chunk; provenance records every row's document position.
     """
-    if boundaries.fused_lefts is None or boundaries.fused_rights is None:
-        raise ContractError("fused boundaries missing; call fuse first")
-    c = boundaries.chunk_count
-    if len(middles) != c:
-        raise ContractError(f"{len(middles)} middle blocks for {c} chunks")
-    if middle_indices is not None and len(middle_indices) != c:
-        raise ContractError(f"{len(middle_indices)} index lists for {c} chunks")
-
-    width = boundaries.width
-    k = boundaries.boundary_width
-    global_pos = boundaries.starts is not None and boundaries.lengths is not None
-
-    blocks: list[np.ndarray] = []
-    provenance: list[RowProvenance] = []
-    inferred_m = 0
-    for i in range(c):
-        middle = as_matrix(middles[i]) if np.size(middles[i]) else \
-            np.asarray(middles[i], dtype=np.float64).reshape(-1, width)
-        if middle.shape[1] != width:
-            raise ContractError(
-                f"middle block {i + 1} has width {middle.shape[1]}, expected {width}"
-            )
-        inferred_m = max(inferred_m, middle.shape[0])
-        start = boundaries.starts[i] if global_pos else 0
-        length = boundaries.lengths[i] if global_pos else None
-
-        blocks.append(boundaries.fused_lefts[i])
-        for r in range(k):
-            provenance.append(RowProvenance(i + 1, "left", start + r if global_pos else r))
-
-        blocks.append(middle)
-        idx = list(middle_indices[i]) if middle_indices is not None else None
-        if idx is not None and len(idx) != middle.shape[0]:
-            raise ContractError(
-                f"chunk {i + 1}: {len(idx)} middle indices for {middle.shape[0]} rows"
-            )
-        for r in range(middle.shape[0]):
-            if idx is None:
-                provenance.append(RowProvenance(i + 1, "middle", -1))
-            else:
-                provenance.append(RowProvenance(
-                    i + 1, "middle", start + idx[r] if global_pos else idx[r]))
-
-        blocks.append(boundaries.fused_rights[i])
-        for r in range(k):
-            # right rows sit at length - k + r, unknowable without the length
-            if length is None:
-                provenance.append(RowProvenance(i + 1, "right", -1))
-            else:
-                provenance.append(RowProvenance(i + 1, "right", start + length - k + r))
-
-    flattened = check_finite(np.vstack(blocks), "assembled sequence")
+    c, k, d = fused_lefts.shape
+    if not len(encodings) == len(middle_indices) == segments.count == c:
+        raise ContractError(
+            f"{c} boundary pairs, {len(encodings)} encodings, "
+            f"{len(middle_indices)} index lists, {segments.count} segments"
+        )
+    rows = sum(2 * k + len(idx) for idx in middle_indices)
+    flattened = np.empty((rows, d), dtype=np.float64)
+    provenance = np.empty((rows, 3), dtype=np.int64)
+    r = 0
+    for i, (enc, idx, seg) in enumerate(zip(encodings, middle_indices, segments)):
+        n, m = len(enc), len(idx)
+        end = r + 2 * k + m
+        flattened[r:r + k] = fused_lefts[i]
+        flattened[r + k:end - k] = enc.hidden[idx]
+        flattened[end - k:end] = fused_rights[i]
+        provenance[r:end, CHUNK] = i + 1
+        provenance[r:end, ROLE] = [LEFT] * k + [MIDDLE] * m + [RIGHT] * k
+        provenance[r:end, POSITION] = [*range(k), *idx, *range(n - k, n)]
+        provenance[r:end, POSITION] += seg.start
+        r = end
     return FusedSequence(
-        blocks=tuple(blocks),
-        flattened=flattened,
-        provenance=tuple(provenance),
+        flattened=check_finite(flattened, "assembled sequence"),
+        provenance=provenance,
         boundary_width=k,
-        middle_requested=inferred_m if middle_requested is None else middle_requested,
-        alpha=float("nan") if alpha is None else alpha,
-        positions_are_global=global_pos,
-        short_chunks=boundaries.short_chunks,
+        middle_requested=middle_requested,
+        alpha=alpha,
+        short_chunks=tuple(enc.chunk_index for enc in encodings if len(enc) < 2 * k),
     )
 
 
@@ -461,11 +209,12 @@ def fused_sequence_manifest(fused: FusedSequence) -> dict:
         "chunks": fused.chunk_count,
         "boundary_width": fused.boundary_width,
         "middle_count": fused.middle_requested,
-        "alpha": None if np.isnan(fused.alpha) else fused.alpha,
+        "alpha": fused.alpha,
         "rows": fused.rows,
         "width": fused.width,
-        "positions_are_global": fused.positions_are_global,
+        "positions_are_global": True,
         "short_chunks": list(fused.short_chunks),
         "middle_shortfall": {str(k): v for k, v in fused.middle_shortfall().items()},
-        "provenance": [[row.chunk, row.role, row.position] for row in fused.provenance],
+        "provenance": [[chunk, ROLES[role], pos]
+                       for chunk, role, pos in fused.provenance.tolist()],
     }

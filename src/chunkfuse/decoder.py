@@ -16,13 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cumulation import FusedSequence, RowProvenance
+from .cumulation import CHUNK, FusedSequence
 from .encoder import (
     LayerWeights,
+    _feed_forward,
     _layer_norm,
     _merge_heads,
     _softmax_last,
     _split_heads,
+    multi_head_self_attention,
     sinusoidal_positions,
 )
 from .errors import ConfigError, ContractError, InputError
@@ -147,13 +149,8 @@ def decode_step(
     h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:n]
     cross_attention: np.ndarray | None = None
     for lw in weights.layers:
-        # masked self-attention
-        x = _layer_norm(h)
-        q = _split_heads(x @ lw.self_attn.wq, cfg.n_heads)
-        k = _split_heads(x @ lw.self_attn.wk, cfg.n_heads)
-        v = _split_heads(x @ lw.self_attn.wv, cfg.n_heads)
-        attn = _softmax_last(q @ k.transpose(0, 2, 1) / math.sqrt(head_dim) + mask)
-        h = h + _merge_heads(attn @ v) @ lw.self_attn.wo
+        h = h + multi_head_self_attention(_layer_norm(h), lw.self_attn, cfg.n_heads,
+                                          mask=mask)
 
         # cross-attention over the raw memory rows
         x = _layer_norm(h)
@@ -164,9 +161,7 @@ def decode_step(
         cross_attention = cross.mean(axis=0)
         h = h + _merge_heads(cross @ v) @ lw.cross_o
 
-        # feed-forward
-        x = _layer_norm(h)
-        h = h + np.maximum(x @ lw.self_attn.w1, 0.0) @ lw.self_attn.w2
+        h = h + _feed_forward(_layer_norm(h), lw.self_attn)
 
     logits = _layer_norm(h) @ weights.out_proj
     check_finite(logits, "decoder logits")
@@ -176,11 +171,11 @@ def decode_step(
 
 def attention_mass_by_chunk(
     cross_attention: np.ndarray,
-    provenance: tuple[RowProvenance, ...] | list[RowProvenance],
+    provenance: np.ndarray,
 ) -> np.ndarray:
     """Attention mass per source chunk, averaged over query positions.
 
-    Columns are grouped by the provenance chunk index; each query row's
+    Columns are grouped by the provenance chunk column; each query row's
     grouped sums must still total 1, which guards against misaligned
     provenance.
     """
@@ -191,10 +186,12 @@ def attention_mass_by_chunk(
         raise ContractError(
             f"{attn.shape[1]} attention columns vs {len(provenance)} provenance rows"
         )
-    n_chunks = max(row.chunk for row in provenance)
-    per_row = np.zeros((attn.shape[0], n_chunks), dtype=np.float64)
-    for col, row in enumerate(provenance):
-        per_row[:, row.chunk - 1] += attn[:, col]
+    chunks = np.asarray(provenance)[:, CHUNK]
+    per_chunk = np.zeros((chunks.max(), attn.shape[0]), dtype=np.float64)
+    # np.add.at applies the columns in order, so each chunk's sum rounds
+    # exactly as a left-to-right loop over its columns would
+    np.add.at(per_chunk, chunks - 1, attn.T)
+    per_row = np.ascontiguousarray(per_chunk.T)
     totals = per_row.sum(axis=1)
     if not np.allclose(totals, 1.0, atol=1e-9):
         raise ContractError("per-query attention mass does not sum to 1")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -212,18 +211,9 @@ def encode_all(
     segments: SegmentSet,
     weights: EncoderWeights,
     cfg: EncoderConfig,
-    workers: int = 1,
 ) -> list[ChunkEncoding]:
-    """Encode every segment, results in segment order.
-
-    ``workers > 1`` runs chunk encodes on a thread pool; encode is pure
-    and outputs are keyed by index, so the result is value-identical to
-    the sequential map.
-    """
-    if workers <= 1:
-        return [encode(seg, weights, cfg) for seg in segments]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: encode(s, weights, cfg), segments.segments))
+    """Encode every segment, results in segment order."""
+    return [encode(seg, weights, cfg) for seg in segments]
 
 
 # ---------------------------------------------------------------------------

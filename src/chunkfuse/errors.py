@@ -19,7 +19,7 @@ class InputError(ChunkfuseError, ValueError):
 
 
 class DegenerateChunkError(InputError):
-    """A chunk is too short to yield disjoint boundary blocks."""
+    """A chunk has fewer rows than one boundary block."""
 
 
 class ContractError(ChunkfuseError, RuntimeError):

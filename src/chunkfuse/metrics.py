@@ -14,16 +14,17 @@ mean squared error on the fitted set.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from . import cumulation
-from .encoder import EncoderWeights, encode_all, init_weights
+from .cumulation import LEFT, ROLE
+from .encoder import EncoderWeights, init_weights
 from .errors import InputError, NumericalError
 from .numerics import SeededRng
-from .segmenter import segment
+from .pipeline import run_document
+from .segmenter import segment_count
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,9 @@ def position_probe(
 ) -> ProbeResult:
     """Linear readout from fused left boundaries to chunk position.
 
-    Every document is segmented and encoded under ``cfg`` (a
-    PipelineConfig), boundaries are fused at the given ``alpha``, and
-    the flattened fused left blocks become feature rows. Targets are
+    Every document runs through the pipeline under ``cfg`` (a
+    PipelineConfig) with its alpha replaced by ``alpha``, and the
+    flattened fused left blocks become feature rows. Targets are
     the 1-based chunk indices, centered per document so the error is
     comparable across chunk counts. The readout is solved in closed
     form from the ridge normal equations.
@@ -112,25 +113,20 @@ def position_probe(
         raise InputError("position_probe needs at least one document")
     if weights is None:
         weights = init_weights(cfg.encoder_config())
+    cfg = replace(cfg, alpha=alpha)
 
     features: list[np.ndarray] = []
     targets: list[float] = []
     chunk_indices: list[int] = []
     for doc in docs:
-        segs = segment(doc, cfg.chunk_len, cfg.overlap)
-        if segs.count < 3:
-            raise InputError(
-                f"probe documents need at least 3 chunks, got {segs.count}"
-            )
-        encodings = encode_all(segs, weights, cfg.encoder_config())
-        bset = cumulation.boundaries_from_encodings(
-            encodings, cfg.boundary_width, segments=segs)
-        fused = cumulation.fuse(cumulation.with_contexts(bset), alpha)
-        center = (segs.count + 1) / 2.0
-        for i, block in enumerate(fused.fused_lefts, start=1):
-            features.append(block.reshape(-1))
-            targets.append(i - center)
-            chunk_indices.append(i)
+        count = segment_count(len(doc), cfg.chunk_len, cfg.overlap)
+        if count < 3:
+            raise InputError(f"probe documents need at least 3 chunks, got {count}")
+        fused = run_document(doc, cfg, weights=weights).fused
+        features.append(fused.flattened[fused.provenance[:, ROLE] == LEFT].reshape(count, -1))
+        center = (count + 1) / 2.0
+        targets.extend(i - center for i in range(1, count + 1))
+        chunk_indices.extend(range(1, count + 1))
 
     x = np.vstack(features)
     y = np.asarray(targets, dtype=np.float64)

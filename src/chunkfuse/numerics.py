@@ -38,29 +38,6 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ConfigError(
-            f"matmul dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    return check_finite(a @ b, "matmul result")
-
-
-def row_softmax(a: np.ndarray) -> np.ndarray:
-    """Softmax over each row, stabilized by per-row max subtraction."""
-    a = as_matrix(a)
-    if a.shape[1] == 0:
-        return a.copy()
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-    return check_finite(out, "row_softmax result")
-
-
 def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Element-wise arithmetic mean of equally shaped matrices."""
     if len(matrices) == 0:
@@ -73,21 +50,6 @@ def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
                 f"mean_of shape mismatch: {shape} vs {m.shape}"
             )
     return check_finite(np.mean(np.stack(mats), axis=0), "mean_of result")
-
-
-def layer_norm(a: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Per-row normalization to zero mean and unit variance.
-
-    Gain and bias are fixed at 1 and 0; the denominator is
-    ``sqrt(var + eps)`` with the biased (1/n) variance.
-    """
-    a = as_matrix(a)
-    if a.shape[1] < 1:
-        raise ConfigError("layer_norm requires at least one column")
-    mu = a.mean(axis=1, keepdims=True)
-    var = a.var(axis=1, keepdims=True)
-    out = (a - mu) / np.sqrt(var + eps)
-    return check_finite(out, "layer_norm result")
 
 
 # ---------------------------------------------------------------------------

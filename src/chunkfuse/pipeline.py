@@ -84,14 +84,6 @@ class PipelineConfig:
             seed=(self.seed + 1) & ((1 << 64) - 1),
         )
 
-    def fusion_config(self) -> cumulation.FusionConfig:
-        return cumulation.FusionConfig(
-            boundary_width=self.boundary_width,
-            middle_count=self.middle_count,
-            alpha=self.alpha,
-            middle_seed=self.effective_middle_seed(),
-        )
-
     def with_vocab(self, vocab_size: int) -> "PipelineConfig":
         return replace(self, vocab_size=vocab_size)
 
@@ -108,8 +100,6 @@ class DocumentRun:
 
     doc_id: str
     segments: SegmentSet
-    encodings: tuple[ChunkEncoding, ...]
-    boundaries: cumulation.BoundarySet
     fused: cumulation.FusedSequence
 
 
@@ -119,14 +109,34 @@ def middle_rng_for(cfg: PipelineConfig, doc_id: str) -> SeededRng:
 
 
 def sample_document_middles(encodings, cfg: PipelineConfig, rng: SeededRng):
-    """Interior samples for every chunk: (row blocks, chunk-local indices)."""
-    middles, indices = [], []
-    for enc in encodings:
-        idx = cumulation.sample_middle_indices(
-            len(enc), cfg.middle_count, cfg.boundary_width, rng)
-        indices.append(idx)
-        middles.append(enc.hidden[idx] if idx else enc.hidden[:0])
-    return middles, indices
+    """Chunk-local interior row indices for every chunk, in chunk order."""
+    return [cumulation.sample_middle_indices(len(enc), cfg.middle_count,
+                                             cfg.boundary_width, rng)
+            for enc in encodings]
+
+
+def encode_document(
+    tokens: Sequence[int],
+    cfg: PipelineConfig,
+    weights: EncoderWeights,
+) -> tuple[SegmentSet, list[ChunkEncoding]]:
+    """First stage: cut the document into windows and encode each one."""
+    segs = segment(tokens, cfg.chunk_len, cfg.overlap)
+    return segs, encode_all(segs, weights, cfg.encoder_config())
+
+
+def fuse_document(
+    segs: SegmentSet,
+    encodings: list[ChunkEncoding],
+    cfg: PipelineConfig,
+    doc_id: str,
+) -> cumulation.FusedSequence:
+    """Second stage: fuse the boundaries, sample middles, assemble the memory."""
+    lefts, rights = cumulation.boundaries_from_encodings(encodings, cfg.boundary_width)
+    fused_lefts, fused_rights = cumulation.fuse(lefts, rights, cfg.alpha)
+    indices = sample_document_middles(encodings, cfg, middle_rng_for(cfg, doc_id))
+    return cumulation.assemble(fused_lefts, fused_rights, encodings, indices, segs,
+                               cfg.middle_count, cfg.alpha)
 
 
 def run_document(
@@ -134,29 +144,13 @@ def run_document(
     cfg: PipelineConfig,
     weights: EncoderWeights | None = None,
     doc_id: str = "doc",
-    workers: int = 1,
 ) -> DocumentRun:
     """Segment, encode, fuse, sample, and assemble one document."""
     if weights is None:
         weights = init_weights(cfg.encoder_config())
-    segs = segment(tokens, cfg.chunk_len, cfg.overlap)
-    encodings = encode_all(segs, weights, cfg.encoder_config(), workers=workers)
-    bset = cumulation.boundaries_from_encodings(
-        encodings, cfg.boundary_width, segments=segs, allow_short=True)
-    bset = cumulation.fuse(cumulation.with_contexts(bset), cfg.alpha)
-
-    middles, middle_indices = sample_document_middles(
-        encodings, cfg, middle_rng_for(cfg, doc_id))
-    fused = cumulation.assemble(
-        bset, middles, middle_indices=middle_indices,
-        middle_requested=cfg.middle_count, alpha=cfg.alpha)
-    return DocumentRun(
-        doc_id=doc_id,
-        segments=segs,
-        encodings=tuple(encodings),
-        boundaries=bset,
-        fused=fused,
-    )
+    segs, encodings = encode_document(tokens, cfg, weights)
+    return DocumentRun(doc_id=doc_id, segments=segs,
+                       fused=fuse_document(segs, encodings, cfg, doc_id))
 
 
 def greedy_decode(

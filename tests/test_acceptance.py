@@ -12,19 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import backward_context, forward_context, fusion_jacobian, synthetic_chunks
 
 from chunkfuse.bench import compare_naive_concat, run_scaling
 from chunkfuse.cli import main
-from chunkfuse.cumulation import (
-    BoundarySet,
-    assemble,
-    backward_context,
-    boundaries_from_encodings,
-    forward_context,
-    fuse,
-    fusion_jacobian,
-    with_contexts,
-)
+from chunkfuse.cumulation import assemble, boundaries_from_encodings, contexts, fuse
 from chunkfuse.encoder import encode_all, init_weights
 from chunkfuse.metrics import (
     lcs_length,
@@ -44,26 +36,22 @@ def _pass(num: int, detail: str) -> None:
 
 
 def _random_boundary_set(rng: np.random.Generator, max_chunks=6, max_width=3,
-                         max_dim=8) -> BoundarySet:
+                         max_dim=8) -> tuple[np.ndarray, np.ndarray]:
     c = int(rng.integers(1, max_chunks + 1))
     k = int(rng.integers(1, max_width + 1))
     d = int(rng.integers(1, max_dim + 1))
-    return BoundarySet(
-        boundary_width=k,
-        lefts=tuple(rng.normal(size=(k, d)) for _ in range(c)),
-        rights=tuple(rng.normal(size=(k, d)) for _ in range(c)),
-    )
+    return rng.normal(size=(c, k, d)), rng.normal(size=(c, k, d))
 
 
-def _oracle(b: BoundarySet, i: int, direction: str) -> np.ndarray:
+def _oracle(lefts, rights, i: int, direction: str) -> np.ndarray:
     if direction == "back":
-        blocks = [b.lefts[i - 1]]
+        blocks = [lefts[i - 1]]
         for j in range(i - 1):
-            blocks.extend([b.lefts[j], b.rights[j]])
+            blocks.extend([lefts[j], rights[j]])
     else:
-        blocks = [b.rights[i - 1]]
-        for j in range(i, b.chunk_count):
-            blocks.extend([b.lefts[j], b.rights[j]])
+        blocks = [rights[i - 1]]
+        for j in range(i, len(lefts)):
+            blocks.extend([lefts[j], rights[j]])
     return mean_of(blocks)
 
 
@@ -72,12 +60,15 @@ def test_criterion_01_context_oracle():
     started = time.perf_counter()
     worst = 0.0
     for _ in range(500):
-        b = _random_boundary_set(rng)
-        for i in range(1, b.chunk_count + 1):
-            worst = max(worst, float(np.max(np.abs(
-                backward_context(b, i) - _oracle(b, i, "back")))))
-            worst = max(worst, float(np.max(np.abs(
-                forward_context(b, i) - _oracle(b, i, "fwd")))))
+        lefts, rights = _random_boundary_set(rng)
+        back, fwd = contexts(lefts, rights)
+        for i in range(1, len(lefts) + 1):
+            want_back = _oracle(lefts, rights, i, "back")
+            want_fwd = _oracle(lefts, rights, i, "fwd")
+            for got, want in ((back[i - 1], want_back), (fwd[i - 1], want_fwd),
+                              (backward_context(lefts, rights, i), want_back),
+                              (forward_context(lefts, rights, i), want_fwd)):
+                worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - started
     assert worst < 1e-12
     assert elapsed < 5.0
@@ -86,32 +77,32 @@ def test_criterion_01_context_oracle():
 
 def test_criterion_02_edge_identities():
     rng = np.random.default_rng(102)
-    b = with_contexts(_random_boundary_set(rng, max_chunks=6))
-    assert b.back_ctx[0].tobytes() == b.lefts[0].tobytes()
-    assert b.fwd_ctx[-1].tobytes() == b.rights[-1].tobytes()
+    lefts, rights = _random_boundary_set(rng, max_chunks=6)
+    back, fwd = contexts(lefts, rights)
+    assert back[0].tobytes() == lefts[0].tobytes()
+    assert fwd[-1].tobytes() == rights[-1].tobytes()
 
-    local_only = fuse(b, 1.0)
-    for i in range(b.chunk_count):
-        assert local_only.fused_lefts[i].tobytes() == b.lefts[i].tobytes()
-        assert local_only.fused_rights[i].tobytes() == b.rights[i].tobytes()
+    local_lefts, local_rights = fuse(lefts, rights, 1.0)
+    for i in range(len(lefts)):
+        assert local_lefts[i].tobytes() == lefts[i].tobytes()
+        assert local_rights[i].tobytes() == rights[i].tobytes()
 
-    context_only = fuse(b, 0.0)
-    assert context_only.fused_lefts[0].tobytes() == b.lefts[0].tobytes()
+    context_lefts, _ = fuse(lefts, rights, 0.0)
+    assert context_lefts[0].tobytes() == lefts[0].tobytes()
     _pass(2, "first/last context identities and fusion fixed points bitwise")
 
 
 def test_criterion_03_hand_worked_scalar_trace():
-    b = BoundarySet(
-        boundary_width=1,
-        lefts=tuple(np.array([[v]]) for v in (1.0, 3.0, 5.0)),
-        rights=tuple(np.array([[v]]) for v in (2.0, 4.0, 6.0)),
-    )
-    backs = [backward_context(b, i)[0, 0] for i in (1, 2, 3)]
-    fwds = [forward_context(b, i)[0, 0] for i in (1, 2, 3)]
+    lefts = np.array([1.0, 3.0, 5.0]).reshape(3, 1, 1)
+    rights = np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1)
+    backs = [backward_context(lefts, rights, i)[0, 0] for i in (1, 2, 3)]
+    fwds = [forward_context(lefts, rights, i)[0, 0] for i in (1, 2, 3)]
     assert backs == [1.0, 2.0, 3.0]
     assert fwds == [4.0, 5.0, 6.0]
-    fused = fuse(with_contexts(b), 0.5)
-    assert fused.fused_lefts[1][0, 0] == 2.5
+    back, fwd = contexts(lefts, rights)
+    assert back.ravel().tolist() == backs and fwd.ravel().tolist() == fwds
+    fused_lefts, _ = fuse(lefts, rights, 0.5)
+    assert fused_lefts[1, 0, 0] == 2.5
     _pass(3, "3-chunk scalar trace exact: back [1,2,3], fwd [4,5,6], L'2 = 2.5")
 
 
@@ -123,28 +114,20 @@ def test_criterion_04_jacobian_matches_finite_differences():
         c = int(rng.integers(1, 6))
         k = int(rng.integers(1, 3))
         d = int(rng.integers(1, 4))
-        b = BoundarySet(
-            boundary_width=k,
-            lefts=tuple(rng.normal(size=(k, d)) for _ in range(c)),
-            rights=tuple(rng.normal(size=(k, d)) for _ in range(c)),
-        )
+        lefts = rng.normal(size=(c, k, d))
+        rights = rng.normal(size=(c, k, d))
         alpha = float(rng.uniform())
         i = int(rng.integers(1, c + 1))
-        jac = fusion_jacobian(b, alpha, i)
+        jac = fusion_jacobian(lefts, alpha, i)
         side = "L" if rng.uniform() < 0.5 else "R"
         j = int(rng.integers(1, c + 1))
         entry = (int(rng.integers(k)), int(rng.integers(d)))
 
         def fused_at(delta):
-            lefts, rights = list(b.lefts), list(b.rights)
-            target = lefts if side == "L" else rights
-            block = target[j - 1].copy()
-            block[entry] += delta
-            target[j - 1] = block
-            pb = BoundarySet(boundary_width=k, lefts=tuple(lefts),
-                             rights=tuple(rights))
-            f = fuse(with_contexts(pb), alpha)
-            return f.fused_lefts[i - 1][entry], f.fused_rights[i - 1][entry]
+            blocks = {"L": lefts.copy(), "R": rights.copy()}
+            blocks[side][(j - 1, *entry)] += delta
+            fused_lefts, fused_rights = fuse(blocks["L"], blocks["R"], alpha)
+            return fused_lefts[(i - 1, *entry)], fused_rights[(i - 1, *entry)]
 
         up, dn = fused_at(h), fused_at(-h)
         fd_left = (up[0] - dn[0]) / (2 * h)
@@ -162,14 +145,10 @@ def test_criterion_05_assembly_length_formula():
     for c in range(1, 9):
         for k in range(1, 4):
             for m in range(0, 17):
-                b = BoundarySet(
-                    boundary_width=k,
-                    lefts=tuple(rng.normal(size=(k, 2)) for _ in range(c)),
-                    rights=tuple(rng.normal(size=(k, 2)) for _ in range(c)),
-                )
-                fused_b = fuse(with_contexts(b), 0.5)
-                middles = [rng.normal(size=(m, 2)) for _ in range(c)]
-                out = assemble(fused_b, middles, middle_requested=m, alpha=0.5)
+                segs, encs = synthetic_chunks(rng, c, 2 * k + m, 2)
+                fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, k), 0.5)
+                middles = [list(range(k, k + m))] * c
+                out = assemble(fused_lefts, fused_rights, encs, middles, segs, m, 0.5)
                 assert out.rows == c * (2 * k + m)
                 assert len(out.provenance) == out.rows
                 checked += 1
@@ -244,8 +223,7 @@ def test_criterion_09_structural_awareness():
     def fused_lefts(doc, alpha):
         segs = segment(doc, cfg.chunk_len, cfg.overlap)
         encs = encode_all(segs, weights, cfg.encoder_config())
-        b = boundaries_from_encodings(encs, cfg.boundary_width, segments=segs)
-        return fuse(with_contexts(b), alpha).fused_lefts
+        return fuse(*boundaries_from_encodings(encs, cfg.boundary_width), alpha)[0]
 
     ident_docs = [make_repeated_chunk_doc(5, 12, 0, 64, seed=s) for s in (1, 2, 3)]
 

@@ -1,13 +1,14 @@
 import statistics
+import time
 from fractions import Fraction
 
 import pytest
 
-from chunkfuse.bench import timed_run, compare_naive_concat, fit_loglog_slope, run_scaling
+from chunkfuse.bench import compare_naive_concat, fit_loglog_slope, run_scaling
 from chunkfuse.encoder import init_weights
 from chunkfuse.errors import ConfigError
 from chunkfuse.metrics import make_random_doc
-from chunkfuse.pipeline import PipelineConfig
+from chunkfuse.pipeline import PipelineConfig, encode_document
 from chunkfuse.segmenter import segment, segment_count
 
 
@@ -99,7 +100,13 @@ def test_doubling_chunks_at_most_x2_5():
     weights = init_weights(cfg.encoder_config())
     doc_c = make_random_doc(256 * 8, cfg.vocab_size, 1)
     doc_2c = make_random_doc(256 * 16, cfg.vocab_size, 2)
-    timed_run(doc_c, cfg, weights, "warmup")
-    t_c = statistics.median(timed_run(doc_c, cfg, weights, "a")[0] for _ in range(5))
-    t_2c = statistics.median(timed_run(doc_2c, cfg, weights, "b")[0] for _ in range(5))
+
+    def encode_seconds(doc) -> float:
+        started = time.perf_counter()
+        encode_document(doc, cfg, weights)
+        return time.perf_counter() - started
+
+    encode_seconds(doc_c)
+    t_c = statistics.median(encode_seconds(doc_c) for _ in range(5))
+    t_2c = statistics.median(encode_seconds(doc_2c) for _ in range(5))
     assert t_2c <= 2.5 * t_c

@@ -70,6 +70,29 @@ class TestCorpusLoading:
         with pytest.raises(InputError):
             load_corpus(path)
 
+    def test_bool_token_rejected_before_writing(self, tmp_path, capsys):
+        path = write_corpus(tmp_path / "b.jsonl", [
+            {"id": "good", "tokens": [1, 2, 3]},
+            {"id": "flag", "tokens": [1, True, 3]},
+        ])
+        out = tmp_path / "run"
+        assert main(["pipeline", str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2:" in err and "'flag'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [{"id": "hollow", "tokens": []},
+                                     {"id": "hollow", "text": "   "}])
+    def test_empty_document_rejected_before_writing(self, tmp_path, capsys, doc):
+        first = {"id": "good", "tokens": [1, 2, 3]} if "tokens" in doc else \
+            {"id": "good", "text": "a b c"}
+        path = write_corpus(tmp_path / "e.jsonl", [first, doc])
+        out = tmp_path / "run"
+        assert main(["pipeline", str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2:" in err and "'hollow'" in err
+        assert not out.exists()
+
 
 class TestConfigLayers:
     def test_flag_overrides_env_overrides_file(self, tmp_path, monkeypatch):

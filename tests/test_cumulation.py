@@ -1,284 +1,243 @@
 import numpy as np
 import pytest
+from oracles import backward_context, forward_context, fusion_jacobian, synthetic_chunks
 
 from chunkfuse.cumulation import (
-    BoundarySet,
-    FusionConfig,
+    LEFT,
+    MIDDLE,
+    RIGHT,
+    ROLES,
     assemble,
-    backward_context,
     boundaries_from_encodings,
-    extract_boundaries,
-    forward_context,
+    contexts,
     fuse,
     fused_sequence_manifest,
-    fusion_jacobian,
-    sample_middle,
     sample_middle_indices,
-    with_contexts,
 )
 from chunkfuse.encoder import ChunkEncoding
 from chunkfuse.errors import ConfigError, ContractError, DegenerateChunkError
 from chunkfuse.numerics import SeededRng, mean_of
+from chunkfuse.pipeline import PipelineConfig
 
 
-def scalar_set() -> BoundarySet:
+def scalar_set() -> tuple[np.ndarray, np.ndarray]:
     """The worked 3-chunk example: lefts 1,3,5 and rights 2,4,6."""
-    return BoundarySet(
-        boundary_width=1,
-        lefts=tuple(np.array([[v]]) for v in (1.0, 3.0, 5.0)),
-        rights=tuple(np.array([[v]]) for v in (2.0, 4.0, 6.0)),
-    )
+    return (np.array([1.0, 3.0, 5.0]).reshape(3, 1, 1),
+            np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1))
 
 
-def random_set(rng: np.random.Generator, n_chunks=None, width=None, dim=None) -> BoundarySet:
+def random_set(rng: np.random.Generator, n_chunks=None, width=None, dim=None):
     c = n_chunks or int(rng.integers(1, 7))
     k = width or int(rng.integers(1, 4))
     d = dim or int(rng.integers(1, 9))
-    return BoundarySet(
-        boundary_width=k,
-        lefts=tuple(rng.normal(size=(k, d)) for _ in range(c)),
-        rights=tuple(rng.normal(size=(k, d)) for _ in range(c)),
-    )
+    return rng.normal(size=(c, k, d)), rng.normal(size=(c, k, d))
 
 
-def oracle_backward(b: BoundarySet, i: int) -> np.ndarray:
+def oracle_backward(lefts, rights, i: int) -> np.ndarray:
     """Materialize every contributing block and average them."""
-    blocks = [b.lefts[i - 1]]
+    blocks = [lefts[i - 1]]
     for j in range(i - 1):
-        blocks.extend([b.lefts[j], b.rights[j]])
+        blocks.extend([lefts[j], rights[j]])
     return mean_of(blocks)
 
 
-def oracle_forward(b: BoundarySet, i: int) -> np.ndarray:
-    blocks = [b.rights[i - 1]]
-    for j in range(i, b.chunk_count):
-        blocks.extend([b.lefts[j], b.rights[j]])
+def oracle_forward(lefts, rights, i: int) -> np.ndarray:
+    blocks = [rights[i - 1]]
+    for j in range(i, len(lefts)):
+        blocks.extend([lefts[j], rights[j]])
     return mean_of(blocks)
 
 
 class TestExtractBoundaries:
     def test_width_one(self):
         enc = ChunkEncoding(1, np.arange(10.0).reshape(5, 2))
-        left, right = extract_boundaries(enc, 1)
-        np.testing.assert_array_equal(left, [[0.0, 1.0]])
-        np.testing.assert_array_equal(right, [[8.0, 9.0]])
+        lefts, rights = boundaries_from_encodings([enc], 1)
+        np.testing.assert_array_equal(lefts[0], [[0.0, 1.0]])
+        np.testing.assert_array_equal(rights[0], [[8.0, 9.0]])
 
     def test_width_two(self):
         rows = np.arange(15.0).reshape(5, 3)
-        left, right = extract_boundaries(ChunkEncoding(1, rows), 2)
-        np.testing.assert_array_equal(left, rows[:2])
-        np.testing.assert_array_equal(right, rows[3:])
-
-    def test_degenerate_chunk_rejected(self):
-        enc = ChunkEncoding(1, np.zeros((3, 2)))
-        with pytest.raises(DegenerateChunkError):
-            extract_boundaries(enc, 2)
+        lefts, rights = boundaries_from_encodings([ChunkEncoding(1, rows)], 2)
+        np.testing.assert_array_equal(lefts[0], rows[:2])
+        np.testing.assert_array_equal(rights[0], rows[3:])
 
     def test_short_chunk_policy_shares_rows(self):
         rows = np.arange(6.0).reshape(3, 2)
-        left, right = extract_boundaries(ChunkEncoding(1, rows), 2, allow_short=True)
-        np.testing.assert_array_equal(left, rows[:2])
-        np.testing.assert_array_equal(right, rows[1:])
+        lefts, rights = boundaries_from_encodings([ChunkEncoding(1, rows)], 2)
+        np.testing.assert_array_equal(lefts[0], rows[:2])
+        np.testing.assert_array_equal(rights[0], rows[1:])
 
     def test_too_short_even_for_sharing(self):
         with pytest.raises(DegenerateChunkError):
-            extract_boundaries(ChunkEncoding(1, np.zeros((1, 2))), 2,
-                               allow_short=True)
+            boundaries_from_encodings([ChunkEncoding(1, np.zeros((1, 2)))], 2)
 
 
 class TestDirectionalContext:
     def test_scalar_trace_backward(self):
-        b = scalar_set()
-        assert backward_context(b, 1)[0, 0] == 1.0
-        assert backward_context(b, 2)[0, 0] == 2.0
-        assert backward_context(b, 3)[0, 0] == 3.0
+        lefts, rights = scalar_set()
+        assert backward_context(lefts, rights, 1)[0, 0] == 1.0
+        assert backward_context(lefts, rights, 2)[0, 0] == 2.0
+        assert backward_context(lefts, rights, 3)[0, 0] == 3.0
+        assert contexts(lefts, rights)[0].ravel().tolist() == [1.0, 2.0, 3.0]
 
     def test_scalar_trace_forward(self):
-        b = scalar_set()
-        assert forward_context(b, 1)[0, 0] == 4.0
-        assert forward_context(b, 2)[0, 0] == 5.0
-        assert forward_context(b, 3)[0, 0] == 6.0
+        lefts, rights = scalar_set()
+        assert forward_context(lefts, rights, 1)[0, 0] == 4.0
+        assert forward_context(lefts, rights, 2)[0, 0] == 5.0
+        assert forward_context(lefts, rights, 3)[0, 0] == 6.0
+        assert contexts(lefts, rights)[1].ravel().tolist() == [4.0, 5.0, 6.0]
 
     def test_single_chunk_edges(self):
         rng = np.random.default_rng(0)
-        b = random_set(rng, n_chunks=1)
-        np.testing.assert_array_equal(backward_context(b, 1), b.lefts[0])
-        np.testing.assert_array_equal(forward_context(b, 1), b.rights[0])
+        lefts, rights = random_set(rng, n_chunks=1)
+        back, fwd = contexts(lefts, rights)
+        np.testing.assert_array_equal(back[0], lefts[0])
+        np.testing.assert_array_equal(fwd[0], rights[0])
+        np.testing.assert_array_equal(backward_context(lefts, rights, 1), lefts[0])
+        np.testing.assert_array_equal(forward_context(lefts, rights, 1), rights[0])
 
     def test_constant_boundaries_give_constant_context(self):
-        block = np.full((2, 3), 0.7)
-        b = BoundarySet(boundary_width=2,
-                        lefts=(block,) * 4, rights=(block,) * 4)
+        block = np.full((4, 2, 3), 0.7)
+        back, fwd = contexts(block, block)
         for i in range(1, 5):
-            np.testing.assert_allclose(backward_context(b, i), block, atol=1e-15)
-            np.testing.assert_allclose(forward_context(b, i), block, atol=1e-15)
+            np.testing.assert_allclose(back[i - 1], block[0], atol=1e-15)
+            np.testing.assert_allclose(fwd[i - 1], block[0], atol=1e-15)
+            np.testing.assert_allclose(backward_context(block, block, i), block[0], atol=1e-15)
+            np.testing.assert_allclose(forward_context(block, block, i), block[0], atol=1e-15)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            b = random_set(rng)
-            ctx = with_contexts(b)
-            for i in range(1, b.chunk_count + 1):
-                for got, want in ((backward_context(b, i), oracle_backward(b, i)),
-                                  (forward_context(b, i), oracle_forward(b, i))):
+            lefts, rights = random_set(rng)
+            back, fwd = contexts(lefts, rights)
+            for i in range(1, len(lefts) + 1):
+                want_back = oracle_backward(lefts, rights, i)
+                want_fwd = oracle_forward(lefts, rights, i)
+                for got, want in ((backward_context(lefts, rights, i), want_back),
+                                  (forward_context(lefts, rights, i), want_fwd),
+                                  (back[i - 1], want_back),
+                                  (fwd[i - 1], want_fwd)):
                     assert np.max(np.abs(got - want)) < 1e-12
-                assert np.max(np.abs(ctx.back_ctx[i - 1] - oracle_backward(b, i))) < 1e-12
-                assert np.max(np.abs(ctx.fwd_ctx[i - 1] - oracle_forward(b, i))) < 1e-12
 
     def test_edge_identities_bitwise(self):
         rng = np.random.default_rng(2)
-        b = with_contexts(random_set(rng, n_chunks=5))
-        np.testing.assert_array_equal(b.back_ctx[0], b.lefts[0])
-        np.testing.assert_array_equal(b.fwd_ctx[-1], b.rights[-1])
+        lefts, rights = random_set(rng, n_chunks=5)
+        back, fwd = contexts(lefts, rights)
+        np.testing.assert_array_equal(back[0], lefts[0])
+        np.testing.assert_array_equal(fwd[-1], rights[-1])
 
     def test_reversal_duality(self):
         # mirroring the chunk order and swapping the sides turns the
         # forward context into the backward context
         rng = np.random.default_rng(3)
         for _ in range(20):
-            b = random_set(rng)
-            c = b.chunk_count
-            mirrored = BoundarySet(
-                boundary_width=b.boundary_width,
-                lefts=tuple(b.rights[c - 1 - j] for j in range(c)),
-                rights=tuple(b.lefts[c - 1 - j] for j in range(c)),
-            )
+            lefts, rights = random_set(rng)
+            c = len(lefts)
+            mirrored_back, _ = contexts(rights[::-1], lefts[::-1])
+            _, fwd = contexts(lefts, rights)
             for i in range(1, c + 1):
-                got = backward_context(mirrored, c + 1 - i)
-                want = forward_context(b, i)
-                assert np.max(np.abs(got - want)) < 1e-12
+                assert np.max(np.abs(mirrored_back[c - i] - fwd[i - 1])) < 1e-12
 
     def test_prefix_consistency(self):
         rng = np.random.default_rng(4)
-        b = random_set(rng, n_chunks=5)
+        lefts, rights = random_set(rng, n_chunks=5)
+        back, fwd = contexts(lefts, rights)
         # replace the last two chunks entirely
-        new_lefts = b.lefts[:3] + tuple(rng.normal(size=b.lefts[0].shape)
-                                        for _ in range(2))
-        new_rights = b.rights[:3] + tuple(rng.normal(size=b.lefts[0].shape)
-                                          for _ in range(2))
-        altered = BoundarySet(boundary_width=b.boundary_width,
-                              lefts=new_lefts, rights=new_rights)
-        for i in (1, 2, 3):
-            np.testing.assert_array_equal(backward_context(b, i),
-                                          backward_context(altered, i))
+        shape = (2, *lefts.shape[1:])
+        altered_back, _ = contexts(np.concatenate([lefts[:3], rng.normal(size=shape)]),
+                                   np.concatenate([rights[:3], rng.normal(size=shape)]))
+        np.testing.assert_array_equal(back[:3], altered_back[:3])
         # and the mirror: earlier edits leave forward contexts alone
-        front = BoundarySet(
-            boundary_width=b.boundary_width,
-            lefts=(rng.normal(size=b.lefts[0].shape),) + b.lefts[1:],
-            rights=(rng.normal(size=b.lefts[0].shape),) + b.rights[1:],
-        )
-        for i in (2, 3, 4, 5):
-            np.testing.assert_array_equal(forward_context(b, i),
-                                          forward_context(front, i))
+        shape = (1, *lefts.shape[1:])
+        _, front_fwd = contexts(np.concatenate([rng.normal(size=shape), lefts[1:]]),
+                                np.concatenate([rng.normal(size=shape), rights[1:]]))
+        np.testing.assert_array_equal(fwd[1:], front_fwd[1:])
 
     def test_index_out_of_range(self):
-        b = scalar_set()
+        lefts, rights = scalar_set()
         with pytest.raises(ContractError):
-            backward_context(b, 0)
+            backward_context(lefts, rights, 0)
         with pytest.raises(ContractError):
-            forward_context(b, 4)
+            forward_context(lefts, rights, 4)
 
 
 class TestFuse:
     def test_alpha_one_is_identity_bitwise(self):
         rng = np.random.default_rng(5)
-        b = with_contexts(random_set(rng, n_chunks=4))
-        fused = fuse(b, 1.0)
-        for i in range(4):
-            np.testing.assert_array_equal(fused.fused_lefts[i], b.lefts[i])
-            np.testing.assert_array_equal(fused.fused_rights[i], b.rights[i])
+        lefts, rights = random_set(rng, n_chunks=4)
+        fused_lefts, fused_rights = fuse(lefts, rights, 1.0)
+        np.testing.assert_array_equal(fused_lefts, lefts)
+        np.testing.assert_array_equal(fused_rights, rights)
 
     def test_alpha_zero_first_chunk_fixed_point(self):
         rng = np.random.default_rng(6)
-        b = with_contexts(random_set(rng, n_chunks=4))
-        fused = fuse(b, 0.0)
-        np.testing.assert_array_equal(fused.fused_lefts[0], b.lefts[0])
-        np.testing.assert_array_equal(fused.fused_rights[-1], b.rights[-1])
+        lefts, rights = random_set(rng, n_chunks=4)
+        fused_lefts, fused_rights = fuse(lefts, rights, 0.0)
+        np.testing.assert_array_equal(fused_lefts[0], lefts[0])
+        np.testing.assert_array_equal(fused_rights[-1], rights[-1])
 
     def test_scalar_trace_half(self):
-        fused = fuse(with_contexts(scalar_set()), 0.5)
-        assert fused.fused_lefts[1][0, 0] == 2.5
+        fused_lefts, _ = fuse(*scalar_set(), 0.5)
+        assert fused_lefts[1, 0, 0] == 2.5
 
     def test_alpha_out_of_range(self):
-        b = with_contexts(scalar_set())
         for alpha in (-0.1, 1.1):
             with pytest.raises(ConfigError):
-                fuse(b, alpha)
-
-    def test_requires_contexts(self):
-        with pytest.raises(ContractError):
-            fuse(scalar_set(), 0.5)
+                fuse(*scalar_set(), alpha)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
-        shape_src = random_set(rng, n_chunks=4, width=2, dim=3)
-        other = BoundarySet(
-            boundary_width=2,
-            lefts=tuple(rng.normal(size=(2, 3)) for _ in range(4)),
-            rights=tuple(rng.normal(size=(2, 3)) for _ in range(4)),
-        )
+        x = random_set(rng, n_chunks=4, width=2, dim=3)
+        y = random_set(rng, n_chunks=4, width=2, dim=3)
         a_scl, b_scl, alpha = 1.7, -0.4, 0.3
 
-        def combine(x, y):
-            return BoundarySet(
-                boundary_width=2,
-                lefts=tuple(a_scl * lx + b_scl * ly for lx, ly in zip(x.lefts, y.lefts)),
-                rights=tuple(a_scl * rx + b_scl * ry for rx, ry in zip(x.rights, y.rights)),
-            )
-
-        fused_combined = fuse(with_contexts(combine(shape_src, other)), alpha)
-        fused_x = fuse(with_contexts(shape_src), alpha)
-        fused_y = fuse(with_contexts(other), alpha)
-        for i in range(4):
-            want = a_scl * fused_x.fused_lefts[i] + b_scl * fused_y.fused_lefts[i]
-            assert np.max(np.abs(fused_combined.fused_lefts[i] - want)) < 1e-12
-            want = a_scl * fused_x.fused_rights[i] + b_scl * fused_y.fused_rights[i]
-            assert np.max(np.abs(fused_combined.fused_rights[i] - want)) < 1e-12
+        fused_combined = fuse(a_scl * x[0] + b_scl * y[0], a_scl * x[1] + b_scl * y[1], alpha)
+        fused_x = fuse(*x, alpha)
+        fused_y = fuse(*y, alpha)
+        for side in (0, 1):
+            want = a_scl * fused_x[side] + b_scl * fused_y[side]
+            assert np.max(np.abs(fused_combined[side] - want)) < 1e-12
 
     def test_convexity_bound_width_one(self):
         rng = np.random.default_rng(8)
         for alpha in (0.0, 0.2, 0.5, 0.9, 1.0):
-            b = with_contexts(random_set(rng, width=1, n_chunks=5, dim=4))
-            fused = fuse(b, alpha)
+            lefts, rights = random_set(rng, width=1, n_chunks=5, dim=4)
+            fused_lefts, _ = fuse(lefts, rights, alpha)
             for i in range(1, 6):
-                sources = [b.lefts[i - 1]]
+                sources = [lefts[i - 1]]
                 for j in range(i - 1):
-                    sources.extend([b.lefts[j], b.rights[j]])
+                    sources.extend([lefts[j], rights[j]])
                 stack = np.stack(sources)
                 lo, hi = stack.min(axis=0), stack.max(axis=0)
-                f = fused.fused_lefts[i - 1]
+                f = fused_lefts[i - 1]
                 assert np.all(f >= lo - 1e-12) and np.all(f <= hi + 1e-12)
 
     def test_structural_awareness_on_identical_chunks(self):
         # same content everywhere: only the cumulation can tell chunks apart
         rng = np.random.default_rng(9)
-        left = rng.normal(size=(1, 6))
-        right = rng.normal(size=(1, 6))
-        b = with_contexts(BoundarySet(boundary_width=1,
-                                      lefts=(left,) * 4, rights=(right,) * 4))
-        local_only = fuse(b, 1.0)
+        lefts = np.repeat(rng.normal(size=(1, 1, 6)), 4, axis=0)
+        rights = np.repeat(rng.normal(size=(1, 1, 6)), 4, axis=0)
+        local_only, _ = fuse(lefts, rights, 1.0)
         for i in range(1, 4):
-            np.testing.assert_array_equal(local_only.fused_lefts[0],
-                                          local_only.fused_lefts[i])
-        blended = fuse(b, 0.5)
+            np.testing.assert_array_equal(local_only[0], local_only[i])
+        blended, _ = fuse(lefts, rights, 0.5)
         for i in range(1, 4):
             for j in range(i + 1, 5):
-                gap = np.max(np.abs(blended.fused_lefts[i - 1] -
-                                    blended.fused_lefts[j - 1]))
+                gap = np.max(np.abs(blended[i - 1] - blended[j - 1]))
                 assert gap > 0
 
 
 class TestFusionJacobian:
     def test_first_chunk_coefficient_is_one(self):
-        b = scalar_set()
+        lefts, _ = scalar_set()
         for alpha in (0.0, 0.3, 1.0):
-            jac = fusion_jacobian(b, alpha, 1)
+            jac = fusion_jacobian(lefts, alpha, 1)
             assert jac.d_fused_left[("L", 1)] == 1.0
             assert all(v == 0.0 for key, v in jac.d_fused_left.items()
                        if key != ("L", 1))
 
     def test_hand_coefficient(self):
-        jac = fusion_jacobian(scalar_set(), 0.5, 2)
+        jac = fusion_jacobian(scalar_set()[0], 0.5, 2)
         assert jac.d_fused_left[("L", 1)] == pytest.approx(1.0 / 6, abs=1e-15)
         assert jac.d_fused_left[("R", 1)] == pytest.approx(1.0 / 6, abs=1e-15)
         assert jac.d_fused_left[("L", 2)] == pytest.approx(0.5 + 0.5 / 3, abs=1e-15)
@@ -289,34 +248,30 @@ class TestFusionJacobian:
         rng = np.random.default_rng(10)
         h = 1e-5
         for _ in range(25):
-            b = random_set(rng, n_chunks=int(rng.integers(2, 6)), width=1, dim=2)
+            lefts, rights = random_set(rng, n_chunks=int(rng.integers(2, 6)), width=1, dim=2)
+            c = len(lefts)
             alpha = float(rng.uniform())
-            i = int(rng.integers(1, b.chunk_count + 1))
-            jac = fusion_jacobian(b, alpha, i)
-            for side, j in [("L", int(rng.integers(1, b.chunk_count + 1))),
-                            ("R", int(rng.integers(1, b.chunk_count + 1)))]:
-                fd_l, fd_r = _central_difference(b, alpha, i, side, j, (0, 0), h)
+            i = int(rng.integers(1, c + 1))
+            jac = fusion_jacobian(lefts, alpha, i)
+            for side, j in [("L", int(rng.integers(1, c + 1))),
+                            ("R", int(rng.integers(1, c + 1)))]:
+                fd_l, fd_r = _central_difference(lefts, rights, alpha, i, side, j,
+                                                 (0, 0), h)
                 assert abs(fd_l - jac.d_fused_left[(side, j)]) < 1e-6
                 assert abs(fd_r - jac.d_fused_right[(side, j)]) < 1e-6
 
     def test_index_out_of_range(self):
         with pytest.raises(ContractError):
-            fusion_jacobian(scalar_set(), 0.5, 4)
+            fusion_jacobian(scalar_set()[0], 0.5, 4)
 
 
-def _central_difference(b, alpha, i, side, j, entry, h):
-    """FD of fused blocks at chunk i w.r.t. one source entry."""
+def _central_difference(lefts, rights, alpha, i, side, j, entry, h):
+    """FD of the library's fused blocks at chunk i w.r.t. one source entry."""
     def perturbed(delta):
-        lefts = list(b.lefts)
-        rights = list(b.rights)
-        target = lefts if side == "L" else rights
-        block = target[j - 1].copy()
-        block[entry] += delta
-        target[j - 1] = block
-        pb = BoundarySet(boundary_width=b.boundary_width,
-                         lefts=tuple(lefts), rights=tuple(rights))
-        fused = fuse(with_contexts(pb), alpha)
-        return fused.fused_lefts[i - 1][entry], fused.fused_rights[i - 1][entry]
+        blocks = {"L": lefts.copy(), "R": rights.copy()}
+        blocks[side][(j - 1, *entry)] += delta
+        fused_lefts, fused_rights = fuse(blocks["L"], blocks["R"], alpha)
+        return fused_lefts[(i - 1, *entry)], fused_rights[(i - 1, *entry)]
 
     up_l, up_r = perturbed(h)
     dn_l, dn_r = perturbed(-h)
@@ -324,17 +279,11 @@ def _central_difference(b, alpha, i, side, j, entry, h):
 
 
 class TestSampleMiddle:
-    def _enc(self, n=10, d=3):
-        return ChunkEncoding(1, np.arange(float(n * d)).reshape(n, d))
-
     def test_zero_request_is_empty(self):
-        out = sample_middle(self._enc(), 0, 1, SeededRng(0))
-        assert out.shape == (0, 3)
+        assert sample_middle_indices(10, 0, 1, SeededRng(0)) == []
 
     def test_exhaustion_takes_whole_interior_in_order(self):
-        enc = self._enc(n=6)
-        out = sample_middle(enc, 99, 1, SeededRng(0))
-        np.testing.assert_array_equal(out, enc.hidden[1:5])
+        assert sample_middle_indices(6, 99, 1, SeededRng(0)) == [1, 2, 3, 4]
 
     def test_indices_sorted_distinct_interior(self):
         idx = sample_middle_indices(50, 10, 2, SeededRng(3))
@@ -356,55 +305,50 @@ class TestSampleMiddle:
             sample_middle_indices(10, -1, 1, SeededRng(1))
 
 
-class TestAssemble:
-    def _fused_set(self, rng, n_chunks, width, dim):
-        b = random_set(rng, n_chunks=n_chunks, width=width, dim=dim)
-        return fuse(with_contexts(b), 0.5)
+def assemble_synthetic(rng, n_chunks, width, middle_indices, dim, chunk_len=None,
+                       middle_requested=None):
+    """Random chunks, fused at alpha 0.5 and assembled with the given indices."""
+    if chunk_len is None:
+        chunk_len = 2 * width + max(len(idx) for idx in middle_indices)
+    segs, encs = synthetic_chunks(rng, n_chunks, chunk_len, dim)
+    fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, width), 0.5)
+    if middle_requested is None:
+        middle_requested = max(len(idx) for idx in middle_indices)
+    out = assemble(fused_lefts, fused_rights, encs, middle_indices, segs,
+                   middle_requested, 0.5)
+    return out, encs, fused_lefts, fused_rights
 
+
+class TestAssemble:
     def test_shape_instantiation(self):
         rng = np.random.default_rng(11)
-        fused_b = self._fused_set(rng, 3, 1, 8)
-        middles = [rng.normal(size=(2, 8)) for _ in range(3)]
-        out = assemble(fused_b, middles)
+        out, *_ = assemble_synthetic(rng, 3, 1, [[1, 2]] * 3, 8)
         assert out.flattened.shape == (12, 8)
         assert out.rows == 3 * (2 * 1 + 2)
 
     def test_single_chunk_boundaries_only(self):
         rng = np.random.default_rng(12)
-        fused_b = self._fused_set(rng, 1, 1, 4)
-        out = assemble(fused_b, [np.empty((0, 4))])
+        out, _, fused_lefts, fused_rights = assemble_synthetic(rng, 1, 1, [[]], 4)
         assert out.rows == 2
-        np.testing.assert_array_equal(out.flattened[0:1], fused_b.fused_lefts[0])
-        np.testing.assert_array_equal(out.flattened[1:2], fused_b.fused_rights[0])
+        np.testing.assert_array_equal(out.flattened[0:1], fused_lefts[0])
+        np.testing.assert_array_equal(out.flattened[1:2], fused_rights[0])
 
     def test_block_order_and_roles(self):
         rng = np.random.default_rng(13)
-        fused_b = self._fused_set(rng, 2, 2, 3)
-        middles = [rng.normal(size=(1, 3)), rng.normal(size=(1, 3))]
-        out = assemble(fused_b, middles, middle_indices=[[5], [7]])
-        roles = [p.role for p in out.provenance]
-        assert roles == ["left", "left", "middle", "right", "right"] * 2
-        chunks = [p.chunk for p in out.provenance]
+        out, encs, _, _ = assemble_synthetic(rng, 2, 2, [[2], [3]], 3, chunk_len=6)
+        roles = out.provenance[:, 1].tolist()
+        assert roles == [LEFT, LEFT, MIDDLE, RIGHT, RIGHT] * 2
+        chunks = out.provenance[:, 0].tolist()
         assert chunks == [1] * 5 + [2] * 5
-        np.testing.assert_array_equal(out.blocks[1], middles[0])
+        np.testing.assert_array_equal(out.flattened[2], encs[0].hidden[2])
+        np.testing.assert_array_equal(out.flattened[7], encs[1].hidden[3])
 
     def test_missing_middle_block(self):
         rng = np.random.default_rng(14)
-        fused_b = self._fused_set(rng, 3, 1, 4)
+        segs, encs = synthetic_chunks(rng, 3, 4, 4)
+        fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, 1), 0.5)
         with pytest.raises(ContractError):
-            assemble(fused_b, [np.zeros((1, 4))] * 2)
-
-    def test_unfused_set_rejected(self):
-        rng = np.random.default_rng(15)
-        b = with_contexts(random_set(rng, n_chunks=2))
-        with pytest.raises(ContractError):
-            assemble(b, [np.zeros((0, b.width))] * 2)
-
-    def test_wrong_middle_width(self):
-        rng = np.random.default_rng(16)
-        fused_b = self._fused_set(rng, 2, 1, 4)
-        with pytest.raises(ContractError):
-            assemble(fused_b, [np.zeros((1, 5)), np.zeros((1, 4))])
+            assemble(fused_lefts, fused_rights, encs, [[1]] * 2, segs, 1, 0.5)
 
     def test_compressed_versus_naive_row_arithmetic(self):
         # 10 full windows at stock settings: 3020 assembled rows versus
@@ -415,9 +359,7 @@ class TestAssemble:
 
     def test_manifest_counts_shortfall(self):
         rng = np.random.default_rng(17)
-        fused_b = self._fused_set(rng, 2, 1, 4)
-        out = assemble(fused_b, [rng.normal(size=(3, 4)), rng.normal(size=(1, 4))],
-                       middle_requested=3, alpha=0.5)
+        out, *_ = assemble_synthetic(rng, 2, 1, [[1, 2, 3], [2]], 4)
         assert out.middle_counts() == [3, 1]
         assert out.middle_shortfall() == {2: 2}
         manifest = fused_sequence_manifest(out)
@@ -432,30 +374,31 @@ class TestBoundariesFromEncodings:
         encs = [ChunkEncoding(i + 1, rng.normal(size=(6, 4))) for i in range(3)]
         from chunkfuse.segmenter import segment
         segs = segment(list(range(14)), 6, 2)
-        b = boundaries_from_encodings(encs, 2, segments=segs)
-        assert b.starts == (0, 4, 8)
-        assert b.lengths == (6, 6, 6)
-        np.testing.assert_array_equal(b.lefts[1], encs[1].hidden[:2])
-        np.testing.assert_array_equal(b.rights[1], encs[1].hidden[4:])
+        lefts, rights = boundaries_from_encodings(encs, 2)
+        np.testing.assert_array_equal(lefts[1], encs[1].hidden[:2])
+        np.testing.assert_array_equal(rights[1], encs[1].hidden[4:])
+        out = assemble(*fuse(lefts, rights, 0.5), encs, [[]] * 3, segs, 0, 0.5)
+        assert out.provenance[::4, 2].tolist() == [0, 4, 8]
+        assert out.provenance[3::4, 2].tolist() == [5, 9, 13]
 
     def test_global_positions_in_provenance(self):
         rng = np.random.default_rng(19)
         encs = [ChunkEncoding(i + 1, rng.normal(size=(6, 2))) for i in range(2)]
         from chunkfuse.segmenter import segment
         segs = segment(list(range(10)), 6, 2)
-        b = fuse(with_contexts(boundaries_from_encodings(encs, 1, segments=segs)), 0.5)
-        out = assemble(b, [encs[0].hidden[2:3], encs[1].hidden[3:4]],
-                       middle_indices=[[2], [3]])
-        positions = [(p.chunk, p.role, p.position) for p in out.provenance]
+        fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, 1), 0.5)
+        out = assemble(fused_lefts, fused_rights, encs, [[2], [3]], segs, 1, 0.5)
+        positions = [(c, ROLES[r], p) for c, r, p in out.provenance.tolist()]
         assert positions == [
             (1, "left", 0), (1, "middle", 2), (1, "right", 5),
             (2, "left", 4), (2, "middle", 7), (2, "right", 9),
         ]
 
     def test_fusion_config_validation(self):
+        # the fusion hyperparameters are validated where they are set
         with pytest.raises(ConfigError):
-            FusionConfig(boundary_width=0)
+            PipelineConfig(boundary_width=0)
         with pytest.raises(ConfigError):
-            FusionConfig(middle_count=-1)
+            PipelineConfig(middle_count=-1)
         with pytest.raises(ConfigError):
-            FusionConfig(alpha=1.5)
+            PipelineConfig(alpha=1.5)

@@ -1,13 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracles import synthetic_chunks
 
-from chunkfuse.cumulation import (
-    BoundarySet,
-    RowProvenance,
-    assemble,
-    fuse,
-    with_contexts,
-)
+from chunkfuse.cumulation import MIDDLE, assemble, boundaries_from_encodings, fuse
 from chunkfuse.decoder import (
     DecoderConfig,
     attention_mass_by_chunk,
@@ -25,19 +22,17 @@ def decoder_config(**overrides) -> DecoderConfig:
 
 
 def make_memory(rng, n_chunks=3, width=1, middle=2, dim=16, alpha=0.5):
-    b = BoundarySet(
-        boundary_width=width,
-        lefts=tuple(rng.normal(size=(width, dim)) for _ in range(n_chunks)),
-        rights=tuple(rng.normal(size=(width, dim)) for _ in range(n_chunks)),
-    )
-    fused_b = fuse(with_contexts(b), alpha)
-    middles = [rng.normal(size=(middle, dim)) for _ in range(n_chunks)]
-    return b, assemble(fused_b, middles, middle_requested=middle, alpha=alpha)
+    """(chunks, boundaries, memory): random chunks assembled into a memory."""
+    segs, encs = synthetic_chunks(rng, n_chunks, 2 * width + middle, dim)
+    lefts, rights = boundaries_from_encodings(encs, width)
+    indices = [list(range(width, width + middle))] * n_chunks
+    memory = assemble(*fuse(lefts, rights, alpha), encs, indices, segs, middle, alpha)
+    return (segs, encs, indices), (lefts, rights), memory
 
 
 def test_decode_step_shapes_and_stochastic_rows():
     rng = np.random.default_rng(0)
-    _, memory = make_memory(rng)
+    *_, memory = make_memory(rng)
     cfg = decoder_config()
     logits, cross = decode_step([1, 2, 3], memory, cfg)
     assert logits.shape == (3, cfg.vocab_size)
@@ -48,14 +43,14 @@ def test_decode_step_shapes_and_stochastic_rows():
 def test_cross_attention_width_matches_assembly_formula():
     rng = np.random.default_rng(1)
     n_chunks, width, middle = 4, 2, 3
-    _, memory = make_memory(rng, n_chunks=n_chunks, width=width, middle=middle)
+    *_, memory = make_memory(rng, n_chunks=n_chunks, width=width, middle=middle)
     _, cross = decode_step([0], memory, decoder_config())
     assert cross.shape[1] == n_chunks * (2 * width + middle)
 
 
 def test_decode_is_deterministic():
     rng = np.random.default_rng(2)
-    _, memory = make_memory(rng)
+    *_, memory = make_memory(rng)
     cfg = decoder_config()
     a = decode_step([5, 6], memory, cfg)
     b = decode_step([5, 6], memory, cfg)
@@ -65,54 +60,42 @@ def test_decode_is_deterministic():
 
 def test_perturbing_last_right_boundary_moves_logits():
     rng = np.random.default_rng(3)
-    b, memory = make_memory(rng, n_chunks=3, alpha=0.5)
+    (segs, encs, indices), (lefts, rights), memory = make_memory(rng, n_chunks=3, alpha=0.5)
     cfg = decoder_config()
     base_logits, _ = decode_step([1], memory, cfg)
 
-    bumped = BoundarySet(
-        boundary_width=b.boundary_width,
-        lefts=b.lefts,
-        rights=b.rights[:-1] + (b.rights[-1] + 0.25,),
-    )
-    fused_b = fuse(with_contexts(bumped), 0.5)
-    middles = [mem_block for i, mem_block in enumerate(memory.blocks) if i % 3 == 1]
-    new_memory = assemble(fused_b, middles, middle_requested=2, alpha=0.5)
+    bumped = rights.copy()
+    bumped[-1] += 0.25
+    new_memory = assemble(*fuse(lefts, bumped, 0.5), encs, indices, segs, 2, 0.5)
     new_logits, _ = decode_step([1], new_memory, cfg)
     assert np.max(np.abs(new_logits - base_logits)) > 0
 
 
 def test_memory_width_contract():
     rng = np.random.default_rng(4)
-    _, memory = make_memory(rng, dim=16)
+    *_, memory = make_memory(rng, dim=16)
     with pytest.raises(ConfigError):
         decode_step([1], memory, decoder_config(d_model=32, n_heads=4))
 
 
 def test_misaligned_provenance_rejected():
     rng = np.random.default_rng(5)
-    _, memory = make_memory(rng)
-    broken = type(memory)(
-        blocks=memory.blocks,
-        flattened=memory.flattened,
-        provenance=memory.provenance[:-1],
-        boundary_width=memory.boundary_width,
-        middle_requested=memory.middle_requested,
-        alpha=memory.alpha,
-    )
+    *_, memory = make_memory(rng)
+    broken = replace(memory, provenance=memory.provenance[:-1])
     with pytest.raises(ContractError):
         decode_step([1], broken, decoder_config())
 
 
 def test_empty_prefix_rejected():
     rng = np.random.default_rng(6)
-    _, memory = make_memory(rng)
+    *_, memory = make_memory(rng)
     with pytest.raises(InputError):
         decode_step([], memory, decoder_config())
 
 
 def test_prefix_token_out_of_range():
     rng = np.random.default_rng(7)
-    _, memory = make_memory(rng)
+    *_, memory = make_memory(rng)
     cfg = decoder_config()
     with pytest.raises(InputError):
         decode_step([cfg.vocab_size], memory, cfg)
@@ -128,10 +111,9 @@ def test_decoder_weights_deterministic():
 
 class TestAttentionMass:
     def _provenance(self, sizes):
-        rows = []
-        for chunk, size in enumerate(sizes, start=1):
-            rows.extend(RowProvenance(chunk, "middle", -1) for _ in range(size))
-        return rows
+        chunks = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        return np.column_stack([chunks, np.full_like(chunks, MIDDLE),
+                                np.arange(len(chunks))])
 
     def test_uniform_attention_equal_chunks(self):
         prov = self._provenance([3, 3, 3, 3])

@@ -123,18 +123,6 @@ def test_encode_all_order_and_chunk_independence():
         np.testing.assert_array_equal(a.hidden, b.hidden)
 
 
-def test_parallel_matches_sequential_bitwise():
-    cfg = small_config()
-    w = init_weights(cfg)
-    segs = segment([i % cfg.vocab_size for i in range(60)], 8, 2)
-    seq = encode_all(segs, w, cfg, workers=1)
-    par = encode_all(segs, w, cfg, workers=4)
-    assert len(seq) == len(par)
-    for a, b in zip(seq, par):
-        assert a.chunk_index == b.chunk_index
-        np.testing.assert_array_equal(a.hidden, b.hidden)
-
-
 def test_sinusoidal_positions_bounds():
     table = sinusoidal_positions(32, 16)
     assert table.shape == (32, 16)

@@ -1,0 +1,68 @@
+"""End-to-end oracles for ``run_document``.
+
+The assembled memory is checked against the encoder itself: at
+alpha = 1 fusion is the identity, so every row must be the full
+encoding's row at the position its provenance names.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE
+from chunkfuse.encoder import encode, init_weights
+from chunkfuse.metrics import make_random_doc
+from chunkfuse.pipeline import PipelineConfig, run_document
+
+
+def tiny_config(**overrides) -> PipelineConfig:
+    base = dict(chunk_len=16, overlap=4, boundary_width=2, middle_count=3,
+                alpha=0.5, d_model=8, n_heads=2, n_layers=1, d_ff=8,
+                vocab_size=32, seed=3)
+    base.update(overrides)
+    return PipelineConfig(**base)
+
+
+def test_alpha_one_rows_are_full_encoder_rows():
+    cfg = tiny_config(alpha=1.0)
+    weights = init_weights(cfg.encoder_config())
+    # the last window is anchored to the end, so it overlaps more
+    run = run_document(make_random_doc(61, cfg.vocab_size, 5), cfg, weights=weights)
+    full = {seg.index: encode(seg, weights, cfg.encoder_config()).hidden
+            for seg in run.segments}
+    starts = {seg.index: seg.start for seg in run.segments}
+    for row, (chunk, _role, pos) in zip(run.fused.flattened, run.fused.provenance):
+        assert row.tobytes() == full[chunk][pos - starts[chunk]].tobytes()
+
+
+@st.composite
+def document_configs(draw):
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 6))
+    chunk_len = draw(st.integers(max(2, 2 * k + m), 24))
+    overlap = draw(st.integers(0, chunk_len - 1))
+    n_tokens = draw(st.integers(k, 120))
+    return tiny_config(chunk_len=chunk_len, overlap=overlap, boundary_width=k,
+                       middle_count=m), n_tokens
+
+
+@given(document_configs(), st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_rows_provenance_and_roles_property(case, doc_seed):
+    cfg, n_tokens = case
+    k, m = cfg.boundary_width, cfg.middle_count
+    run = run_document(make_random_doc(n_tokens, cfg.vocab_size, doc_seed), cfg,
+                       doc_id=f"doc-{doc_seed}")
+    fused, segs = run.fused, run.segments
+    shortfall = sum(fused.middle_shortfall().values())
+    assert fused.rows == segs.count * (2 * k + m) - shortfall
+    assert len(fused.provenance) == fused.rows
+
+    chunks = fused.provenance[:, CHUNK]
+    assert chunks.tolist() == sorted(chunks.tolist())
+    for seg in segs:
+        mine = fused.provenance[chunks == seg.index]
+        assert np.all((seg.start <= mine[:, POSITION])
+                      & (mine[:, POSITION] < seg.start + len(seg)))
+        middles = len(mine) - 2 * k
+        assert mine[:, ROLE].tolist() == [LEFT] * k + [MIDDLE] * middles + [RIGHT] * k
