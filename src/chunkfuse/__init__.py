@@ -18,17 +18,8 @@ from .cumulation import (
     fused_sequence_manifest,
     sample_middle_indices,
 )
-from .decoder import DecoderConfig, attention_mass_by_chunk, decode_step, init_decoder_weights
-from .encoder import (
-    ChunkEncoding,
-    EncoderConfig,
-    EncoderWeights,
-    encode,
-    encode_all,
-    init_weights,
-    load_weights,
-    save_weights,
-)
+from .decoder import attention_mass_by_chunk, decode_step, init_decoder_weights
+from .encoder import EncoderWeights, ModelConfig, encode, encode_all, init_weights
 from .errors import (
     ChunkfuseError,
     ConfigError,
@@ -52,7 +43,6 @@ from .numerics import (
     load_matrix,
     matrix_from_text,
     matrix_to_text,
-    mean_of,
     save_matrix,
 )
 from .pipeline import (

@@ -65,13 +65,16 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
                             help=f"pipeline config field {name}")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file of pipeline config fields")
+def _out_dir_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="directory for output artifacts")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for per-document stages")
+
+
+def _common_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of every subcommand that builds a PipelineConfig."""
+    parser.add_argument("--config", type=Path, default=None,
+                        help="JSON file of pipeline config fields")
+    _out_dir_flag(parser)
     _config_flags(parser)
 
 
@@ -119,6 +122,12 @@ def load_corpus(path: Path) -> tuple[list[tuple[str, tuple[int, ...]]], dict | N
     returned so runs can persist it. Mixing the two document kinds in
     one file is rejected.
     """
+    docs, vocab = _read_corpus(path)
+    return [(doc_id, tokens) for _, doc_id, tokens in docs], vocab
+
+
+def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], dict | None]:
+    """:func:`load_corpus`, with each document's line number first."""
     docs_raw = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -156,8 +165,8 @@ def load_corpus(path: Path) -> tuple[list[tuple[str, tuple[int, ...]]], dict | N
                     f"{path}:{lineno}: document {doc_id!r}: text must be a non-empty string")
         words = sorted({w for _, _, obj in docs_raw for w in obj["text"].split()})
         vocab = {w: i for i, w in enumerate(words)}
-        docs = [(doc_id, tuple(vocab[w] for w in obj["text"].split()))
-                for _, doc_id, obj in docs_raw]
+        docs = [(lineno, doc_id, tuple(vocab[w] for w in obj["text"].split()))
+                for lineno, doc_id, obj in docs_raw]
         return docs, vocab
 
     docs = []
@@ -169,8 +178,32 @@ def load_corpus(path: Path) -> tuple[list[tuple[str, tuple[int, ...]]], dict | N
             raise InputError(
                 f"{path}:{lineno}: document {doc_id!r}: tokens must be a non-empty "
                 "list of non-negative ints")
-        docs.append((doc_id, tuple(toks)))
+        docs.append((lineno, doc_id, tuple(toks)))
     return docs, None
+
+
+def _load_checked(
+    path: Path,
+    cfg: PipelineConfig,
+) -> tuple[PipelineConfig, list[tuple[str, tuple[int, ...]]], dict | None]:
+    """Load a corpus and check every document against ``cfg`` before any write.
+
+    A text corpus sets ``vocab_size`` to the size of its vocabulary. A
+    document shorter than one boundary block, or holding a token id
+    outside the vocabulary, is rejected with its line and id.
+    """
+    docs, vocab = _read_corpus(path)
+    if vocab is not None:
+        cfg = replace(cfg, vocab_size=max(len(vocab), 1))
+    for lineno, doc_id, tokens in docs:
+        where = f"{path}:{lineno}: document {doc_id!r}"
+        if len(tokens) < cfg.boundary_width:
+            raise InputError(f"{where}: {len(tokens)} tokens, fewer than "
+                             f"boundary_width {cfg.boundary_width}")
+        if max(tokens) >= cfg.vocab_size:
+            raise InputError(f"{where}: token id {max(tokens)} outside vocab_size "
+                             f"{cfg.vocab_size}; raise --vocab-size")
+    return cfg, [(doc_id, tokens) for _, doc_id, tokens in docs], vocab
 
 
 def _safe_id(doc_id: str) -> str:
@@ -215,23 +248,13 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    docs, vocab = load_corpus(args.corpus)
+    cfg, docs, vocab = _load_checked(args.corpus, build_config(args))
     out_dir: Path = args.out_dir or Path("chunkfuse-run")
 
     if not docs:
         print(f"warning: corpus {args.corpus} holds no documents; "
               "nothing to do", file=sys.stderr)
         return 0
-
-    if vocab is not None:
-        cfg = cfg.with_vocab(max(len(vocab), 1))
-    else:
-        max_id = max((max(t) for _, t in docs if t), default=0)
-        if max_id >= cfg.vocab_size:
-            raise InputError(
-                f"corpus holds token id {max_id} but vocab_size is "
-                f"{cfg.vocab_size}; raise --vocab-size")
 
     safe_ids = [_safe_id(d) for d, _ in docs]
     if len(set(safe_ids)) != len(safe_ids):
@@ -311,10 +334,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             except ValueError:
                 continue
 
-    cfg = build_config(args)
-    docs, vocab = load_corpus(args.corpus)
-    if vocab is not None:
-        cfg = cfg.with_vocab(max(len(vocab), 1))
+    cfg, docs, _ = _load_checked(args.corpus, build_config(args))
     if not docs:
         raise InputError("ablation needs a non-empty corpus")
     rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
@@ -395,9 +415,7 @@ def cmd_rouge(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     if args.corpus is not None:
-        docs_pairs, vocab = load_corpus(args.corpus)
-        if vocab is not None:
-            cfg = cfg.with_vocab(max(len(vocab), 1))
+        cfg, docs_pairs, _ = _load_checked(args.corpus, cfg)
         docs = [t for _, t in docs_pairs]
     else:
         docs = [make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
@@ -433,6 +451,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="run the full pipeline over a corpus")
     _common_flags(p)
+    p.add_argument("--workers", type=int, default=1,
+                   help="documents processed in parallel threads")
     p.add_argument("corpus", type=Path)
     p.set_defaults(func=cmd_pipeline)
 
@@ -451,7 +471,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("rouge", help="score candidate summaries against references")
-    _common_flags(p)
+    _out_dir_flag(p)
     p.add_argument("candidates", type=Path)
     p.add_argument("references", type=Path)
     p.set_defaults(func=cmd_rouge)

@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import ChunkEncoding
 from .errors import ConfigError, ContractError, DegenerateChunkError
 from .numerics import SeededRng, check_finite
 from .segmenter import SegmentSet
@@ -82,7 +81,7 @@ class FusedSequence:
 
 
 def boundaries_from_encodings(
-    encodings: Sequence[ChunkEncoding],
+    encodings: Sequence[np.ndarray],
     boundary_width: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First and last ``boundary_width`` rows of every chunk, as (C, k, d) arrays.
@@ -94,14 +93,13 @@ def boundaries_from_encodings(
         raise ConfigError("boundary_width must be >= 1")
     if len(encodings) == 0:
         raise ContractError("no chunk encodings supplied")
-    for enc in encodings:
+    for i, enc in enumerate(encodings, start=1):
         if len(enc) < boundary_width:
             raise DegenerateChunkError(
-                f"chunk {enc.chunk_index} has {len(enc)} rows, "
-                f"needs at least {boundary_width}"
+                f"chunk {i} has {len(enc)} rows, needs at least {boundary_width}"
             )
-    lefts = np.stack([enc.hidden[:boundary_width] for enc in encodings])
-    rights = np.stack([enc.hidden[len(enc) - boundary_width:] for enc in encodings])
+    lefts = np.stack([enc[:boundary_width] for enc in encodings])
+    rights = np.stack([enc[len(enc) - boundary_width:] for enc in encodings])
     return lefts, rights
 
 
@@ -160,7 +158,7 @@ def sample_middle_indices(
 def assemble(
     fused_lefts: np.ndarray,
     fused_rights: np.ndarray,
-    encodings: Sequence[ChunkEncoding],
+    encodings: Sequence[np.ndarray],
     middle_indices: Sequence[Sequence[int]],
     segments: SegmentSet,
     middle_requested: int,
@@ -186,7 +184,7 @@ def assemble(
         n, m = len(enc), len(idx)
         end = r + 2 * k + m
         flattened[r:r + k] = fused_lefts[i]
-        flattened[r + k:end - k] = enc.hidden[idx]
+        flattened[r + k:end - k] = enc[idx]
         flattened[end - k:end] = fused_rights[i]
         provenance[r:end, CHUNK] = i + 1
         provenance[r:end, ROLE] = [LEFT] * k + [MIDDLE] * m + [RIGHT] * k
@@ -199,7 +197,7 @@ def assemble(
         boundary_width=k,
         middle_requested=middle_requested,
         alpha=alpha,
-        short_chunks=tuple(enc.chunk_index for enc in encodings if len(enc) < 2 * k),
+        short_chunks=tuple(i + 1 for i, enc in enumerate(encodings) if len(enc) < 2 * k),
     )
 
 

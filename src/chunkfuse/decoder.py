@@ -2,7 +2,9 @@
 
 Proves the fused sequence is consumable by a standard encoder-decoder
 stack: masked self-attention over the prefix, cross-attention over
-every memory row, feed-forward, all with frozen seeded weights. No
+every memory row, feed-forward, all with frozen seeded weights. The
+stack is the encoder's: its config type, block draw and attention
+routine, with cross-attention taking keys and values from the memory. No
 generation loop lives here; callers repeat :func:`decode_step` for
 greedy demos. The last layer's cross-attention (averaged over heads)
 is returned for attention accounting.
@@ -19,36 +21,15 @@ import numpy as np
 from .cumulation import CHUNK, FusedSequence
 from .encoder import (
     LayerWeights,
+    ModelConfig,
+    _attention,
+    _draw_layer,
     _feed_forward,
     _layer_norm,
-    _merge_heads,
-    _softmax_last,
-    _split_heads,
-    multi_head_self_attention,
     sinusoidal_positions,
 )
 from .errors import ConfigError, ContractError, InputError
 from .numerics import SeededRng, check_finite
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    vocab_size: int
-    d_model: int
-    n_heads: int
-    n_layers: int
-    d_ff: int
-    max_len: int
-    seed: int
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
-        if min(self.vocab_size, self.d_model, self.n_heads, self.n_layers,
-               self.d_ff, self.max_len) < 1:
-            raise ConfigError("all decoder dimensions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -67,40 +48,33 @@ class DecoderWeights:
     out_proj: np.ndarray
 
 
-def init_decoder_weights(cfg: DecoderConfig) -> DecoderWeights:
+def init_decoder_weights(cfg: ModelConfig) -> DecoderWeights:
     """Seeded Gaussian decoder weights; draw order fixed and documented.
 
-    Embedding first, then per layer: self q, k, v, o, ff w1, w2, cross
-    q, k, v, o; finally the output projection. Same 1/sqrt(fan_in)
-    scaling as the encoder.
+    Embedding first, then per layer: self q, k, v, o, ff w1, w2 (the
+    encoder's block draw), cross q, k, v, o; finally the output
+    projection. Same 1/sqrt(fan_in) scaling as the encoder.
     """
     rng = SeededRng(cfg.seed)
     d = cfg.d_model
     std = 1.0 / math.sqrt(d)
     embedding = rng.normal_matrix(cfg.vocab_size, d, std=std)
-    layers = []
-    for _ in range(cfg.n_layers):
-        self_attn = LayerWeights(
-            wq=rng.normal_matrix(d, d, std=std),
-            wk=rng.normal_matrix(d, d, std=std),
-            wv=rng.normal_matrix(d, d, std=std),
-            wo=rng.normal_matrix(d, d, std=std),
-            w1=rng.normal_matrix(d, cfg.d_ff, std=std),
-            w2=rng.normal_matrix(cfg.d_ff, d, std=1.0 / math.sqrt(cfg.d_ff)),
-        )
-        layers.append(DecoderLayerWeights(
-            self_attn=self_attn,
+    layers = tuple(
+        DecoderLayerWeights(
+            self_attn=_draw_layer(rng, cfg),
             cross_q=rng.normal_matrix(d, d, std=std),
             cross_k=rng.normal_matrix(d, d, std=std),
             cross_v=rng.normal_matrix(d, d, std=std),
             cross_o=rng.normal_matrix(d, d, std=std),
-        ))
+        )
+        for _ in range(cfg.n_layers)
+    )
     out_proj = rng.normal_matrix(d, cfg.vocab_size, std=std)
-    return DecoderWeights(embedding=embedding, layers=tuple(layers), out_proj=out_proj)
+    return DecoderWeights(embedding=embedding, layers=layers, out_proj=out_proj)
 
 
 @lru_cache(maxsize=4)
-def _cached_weights(cfg: DecoderConfig) -> DecoderWeights:
+def _cached_weights(cfg: ModelConfig) -> DecoderWeights:
     return init_decoder_weights(cfg)
 
 
@@ -113,7 +87,7 @@ def _causal_mask(n: int) -> np.ndarray:
 def decode_step(
     prefix: list[int] | tuple[int, ...],
     memory: FusedSequence,
-    cfg: DecoderConfig,
+    cfg: ModelConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One decoder forward pass over ``prefix`` and the fused memory.
 
@@ -143,25 +117,20 @@ def decode_step(
 
     weights = _cached_weights(cfg)
     n = ids.size
-    head_dim = cfg.d_model // cfg.n_heads
     mask = _causal_mask(n)
 
     h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:n]
     cross_attention: np.ndarray | None = None
     for lw in weights.layers:
-        h = h + multi_head_self_attention(_layer_norm(h), lw.self_attn, cfg.n_heads,
-                                          mask=mask)
-
-        # cross-attention over the raw memory rows
+        sa = lw.self_attn
         x = _layer_norm(h)
-        q = _split_heads(x @ lw.cross_q, cfg.n_heads)
-        k = _split_heads(mem @ lw.cross_k, cfg.n_heads)
-        v = _split_heads(mem @ lw.cross_v, cfg.n_heads)
-        cross = _softmax_last(q @ k.transpose(0, 2, 1) / math.sqrt(head_dim))
+        h = h + _attention(x, x, sa.wq, sa.wk, sa.wv, sa.wo, cfg.n_heads, mask)[0]
+        # cross-attention over the raw memory rows
+        out, cross = _attention(_layer_norm(h), mem, lw.cross_q, lw.cross_k,
+                                lw.cross_v, lw.cross_o, cfg.n_heads)
         cross_attention = cross.mean(axis=0)
-        h = h + _merge_heads(cross @ v) @ lw.cross_o
-
-        h = h + _feed_forward(_layer_norm(h), lw.self_attn)
+        h = h + out
+        h = h + _feed_forward(_layer_norm(h), sa)
 
     logits = _layer_norm(h) @ weights.out_proj
     check_finite(logits, "decoder logits")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Sequence
 
 import numpy as np
 
@@ -36,20 +35,6 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ContractError(f"{what} contains non-finite entries")
     return a
-
-
-def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Element-wise arithmetic mean of equally shaped matrices."""
-    if len(matrices) == 0:
-        raise ContractError("mean_of requires a non-empty list")
-    mats = [as_matrix(m) for m in matrices]
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise ConfigError(
-                f"mean_of shape mismatch: {shape} vs {m.shape}"
-            )
-    return check_finite(np.mean(np.stack(mats), axis=0), "mean_of result")
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import cumulation
-from .decoder import DecoderConfig, decode_step
-from .encoder import ChunkEncoding, EncoderConfig, EncoderWeights, encode_all, init_weights
+from .decoder import decode_step
+from .encoder import EncoderWeights, ModelConfig, encode_all, init_weights
 from .errors import ConfigError
 from .numerics import SeededRng, fnv1a64
 from .segmenter import SegmentSet, segment
@@ -52,17 +54,13 @@ class PipelineConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError("d_model must be divisible by n_heads")
-        if min(self.d_model, self.n_heads, self.n_layers, self.d_ff,
-               self.vocab_size) < 1:
-            raise ConfigError("model dimensions must be >= 1")
+        self.encoder_config()  # ModelConfig checks the model dimensions
 
     def effective_middle_seed(self) -> int:
         return self.seed if self.middle_seed is None else self.middle_seed
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
+    def encoder_config(self) -> ModelConfig:
+        return ModelConfig(
             vocab_size=self.vocab_size,
             d_model=self.d_model,
             n_heads=self.n_heads,
@@ -72,9 +70,9 @@ class PipelineConfig:
             seed=self.seed,
         )
 
-    def decoder_config(self, max_len: int = 256) -> DecoderConfig:
+    def decoder_config(self, max_len: int = 256) -> ModelConfig:
         # decoder weights draw from an offset seed so the two stacks differ
-        return DecoderConfig(
+        return ModelConfig(
             vocab_size=self.vocab_size,
             d_model=self.d_model,
             n_heads=self.n_heads,
@@ -83,9 +81,6 @@ class PipelineConfig:
             max_len=max_len,
             seed=(self.seed + 1) & ((1 << 64) - 1),
         )
-
-    def with_vocab(self, vocab_size: int) -> "PipelineConfig":
-        return replace(self, vocab_size=vocab_size)
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -119,7 +114,7 @@ def encode_document(
     tokens: Sequence[int],
     cfg: PipelineConfig,
     weights: EncoderWeights,
-) -> tuple[SegmentSet, list[ChunkEncoding]]:
+) -> tuple[SegmentSet, list[np.ndarray]]:
     """First stage: cut the document into windows and encode each one."""
     segs = segment(tokens, cfg.chunk_len, cfg.overlap)
     return segs, encode_all(segs, weights, cfg.encoder_config())
@@ -127,7 +122,7 @@ def encode_document(
 
 def fuse_document(
     segs: SegmentSet,
-    encodings: list[ChunkEncoding],
+    encodings: list[np.ndarray],
     cfg: PipelineConfig,
     doc_id: str,
 ) -> cumulation.FusedSequence:
@@ -156,7 +151,7 @@ def run_document(
 def greedy_decode(
     prefix: Sequence[int],
     memory: cumulation.FusedSequence,
-    cfg: DecoderConfig,
+    cfg: ModelConfig,
     steps: int,
 ) -> list[int]:
     """Repeat decode_step, appending the argmax token each time."""

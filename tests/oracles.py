@@ -3,18 +3,36 @@
 These follow PAPER.md one chunk at a time, with explicit loops, so the
 library's array-shaped ``contexts`` and ``fuse`` can be checked against
 them. Boundaries are (C, k, d) arrays; chunk indices are 1-based.
+``mean_of`` is the plain block average the brute-force context checks
+use, ``fsum_context`` a correctly rounded one for long documents, and
 ``synthetic_chunks`` builds random encodings to assemble from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from chunkfuse.encoder import ChunkEncoding
 from chunkfuse.errors import ConfigError, ContractError
+from chunkfuse.numerics import as_matrix, check_finite
 from chunkfuse.segmenter import segment
+
+
+def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """Element-wise arithmetic mean of equally shaped matrices."""
+    if len(matrices) == 0:
+        raise ContractError("mean_of requires a non-empty list")
+    mats = [as_matrix(m) for m in matrices]
+    shape = mats[0].shape
+    for m in mats[1:]:
+        if m.shape != shape:
+            raise ConfigError(
+                f"mean_of shape mismatch: {shape} vs {m.shape}"
+            )
+    return check_finite(np.mean(np.stack(mats), axis=0), "mean_of result")
 
 
 def _check_index(lefts: np.ndarray, index: int) -> None:
@@ -54,6 +72,31 @@ def forward_context(lefts: np.ndarray, rights: np.ndarray, index: int) -> np.nda
         total += lefts[j]
         total += rights[j]
     return total / (2 * (c - index) + 1)
+
+
+def fsum_context(
+    lefts: np.ndarray,
+    rights: np.ndarray,
+    index: int,
+    direction: str,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Chunk ``index``'s backward ("back") or forward ("fwd") context via math.fsum.
+
+    Each entry is the correctly rounded sum of its addends divided by
+    their count. Returns (context, sum of the addends' magnitudes, count):
+    the last two bound the rounding error of any summation order.
+    """
+    _check_index(lefts, index)
+    if direction == "back":
+        blocks = (lefts[index - 1:index], lefts[:index - 1], rights[:index - 1])
+    else:
+        blocks = (rights[index - 1:index], lefts[index:], rights[index:])
+    addends = np.concatenate(blocks)
+    count = len(addends)
+    columns = addends.reshape(count, -1).T.tolist()
+    context = np.array([math.fsum(col) for col in columns]) / count
+    magnitude = np.array([math.fsum(abs(v) for v in col) for col in columns])
+    return context.reshape(lefts.shape[1:]), magnitude.reshape(lefts.shape[1:]), count
 
 
 @dataclass(frozen=True)
@@ -106,5 +149,5 @@ def fusion_jacobian(lefts: np.ndarray, alpha: float, index: int) -> FusionJacobi
 def synthetic_chunks(rng: np.random.Generator, n_chunks: int, chunk_len: int, dim: int):
     """Back-to-back windows of ``chunk_len`` tokens with random encodings."""
     segs = segment(range(n_chunks * chunk_len), chunk_len, 0)
-    encodings = [ChunkEncoding(s.index, rng.normal(size=(chunk_len, dim))) for s in segs]
+    encodings = [rng.normal(size=(chunk_len, dim)) for _ in segs]
     return segs, encodings

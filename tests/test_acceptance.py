@@ -12,7 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import backward_context, forward_context, fusion_jacobian, synthetic_chunks
+from oracles import (
+    backward_context,
+    forward_context,
+    fusion_jacobian,
+    mean_of,
+    synthetic_chunks,
+)
 
 from chunkfuse.bench import compare_naive_concat, run_scaling
 from chunkfuse.cli import main
@@ -26,7 +32,6 @@ from chunkfuse.metrics import (
     rouge_l,
     rouge_n,
 )
-from chunkfuse.numerics import mean_of
 from chunkfuse.pipeline import PipelineConfig
 from chunkfuse.segmenter import reconstruct, segment, segment_count
 

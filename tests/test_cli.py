@@ -94,6 +94,38 @@ class TestCorpusLoading:
         assert not out.exists()
 
 
+class TestCorpusChecks:
+    """Per-document checks against the config run before anything is written."""
+
+    COMMANDS = {
+        "pipeline": lambda path: ["pipeline", str(path)],
+        "ablate": lambda path: ["ablate", str(path), "--axis", "alpha", "--values", "0.5"],
+        "probe": lambda path: ["probe", "--corpus", str(path)],
+    }
+
+    def _rejects(self, tmp_path, capsys, command, docs, flags) -> str:
+        path = write_corpus(tmp_path / "c.jsonl", docs)
+        out = tmp_path / "run"
+        argv = [*self.COMMANDS[command](path), "--out-dir", str(out), *SMALL_FLAGS, *flags]
+        assert main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{path}:2:" in err and "'short'" in err
+        return err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_document_shorter_than_boundary_block(self, tmp_path, capsys, command):
+        docs = [{"id": "a", "tokens": list(range(12))}, {"id": "short", "tokens": [5]}]
+        err = self._rejects(tmp_path, capsys, command, docs, ["--boundary-width", "2"])
+        assert "boundary_width 2" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_token_id_outside_vocab(self, tmp_path, capsys, command):
+        docs = [{"id": "a", "tokens": [1, 2, 3]}, {"id": "short", "tokens": [1, 9, 3]}]
+        err = self._rejects(tmp_path, capsys, command, docs, ["--vocab-size", "4"])
+        assert "token id 9" in err
+
+
 class TestConfigLayers:
     def test_flag_overrides_env_overrides_file(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "cfg.json"

@@ -5,20 +5,16 @@ import pytest
 from oracles import synthetic_chunks
 
 from chunkfuse.cumulation import MIDDLE, assemble, boundaries_from_encodings, fuse
-from chunkfuse.decoder import (
-    DecoderConfig,
-    attention_mass_by_chunk,
-    decode_step,
-    init_decoder_weights,
-)
+from chunkfuse.decoder import attention_mass_by_chunk, decode_step, init_decoder_weights
+from chunkfuse.encoder import ModelConfig
 from chunkfuse.errors import ConfigError, ContractError, InputError
 
 
-def decoder_config(**overrides) -> DecoderConfig:
+def decoder_config(**overrides) -> ModelConfig:
     base = dict(vocab_size=40, d_model=16, n_heads=4, n_layers=2,
                 d_ff=32, max_len=32, seed=21)
     base.update(overrides)
-    return DecoderConfig(**base)
+    return ModelConfig(**base)
 
 
 def make_memory(rng, n_chunks=3, width=1, middle=2, dim=16, alpha=0.5):

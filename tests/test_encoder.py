@@ -1,30 +1,25 @@
 import numpy as np
 import pytest
 
-from chunkfuse.encoder import (
-    ChunkEncoding,
-    EncoderConfig,
-    encode,
-    encode_all,
-    init_weights,
-    load_weights,
-    save_weights,
-    sinusoidal_positions,
-)
+from chunkfuse.encoder import ModelConfig, encode, encode_all, init_weights, sinusoidal_positions
 from chunkfuse.errors import ConfigError, InputError
+from chunkfuse.pipeline import PipelineConfig
 from chunkfuse.segmenter import Segment, segment
 
 
-def small_config(**overrides) -> EncoderConfig:
+def small_config(**overrides) -> ModelConfig:
     base = dict(vocab_size=50, d_model=16, n_heads=4, n_layers=2,
                 d_ff=32, max_len=64, seed=77)
     base.update(overrides)
-    return EncoderConfig(**base)
+    return ModelConfig(**base)
 
 
 def test_config_head_divisibility():
     with pytest.raises(ConfigError):
         small_config(d_model=10, n_heads=4)
+    # PipelineConfig leaves the model dimensions to ModelConfig
+    with pytest.raises(ConfigError):
+        PipelineConfig(d_model=10, n_heads=4)
 
 
 def test_init_deterministic():
@@ -43,8 +38,8 @@ def test_init_seeds_differ():
 
 
 def test_init_variance_matches_fan_in():
-    cfg = EncoderConfig(vocab_size=8, d_model=64, n_heads=4, n_layers=1,
-                        d_ff=64, max_len=8, seed=5)
+    cfg = ModelConfig(vocab_size=8, d_model=64, n_heads=4, n_layers=1,
+                      d_ff=64, max_len=8, seed=5)
     wq = init_weights(cfg).layers[0].wq
     assert wq.shape == (64, 64)
     assert abs(wq.var() - 1.0 / 64) / (1.0 / 64) < 0.2
@@ -54,8 +49,8 @@ def test_encode_is_pure():
     cfg = small_config()
     w = init_weights(cfg)
     seg = Segment(index=1, start=0, tokens=(1, 2, 3, 4, 5))
-    np.testing.assert_array_equal(encode(seg, w, cfg).hidden,
-                                  encode(seg, w, cfg).hidden)
+    np.testing.assert_array_equal(encode(seg, w, cfg),
+                                  encode(seg, w, cfg))
 
 
 def test_encode_shape():
@@ -66,8 +61,8 @@ def test_encode_shape():
         n = int(rng.integers(1, cfg.max_len + 1))
         toks = tuple(int(t) for t in rng.integers(0, cfg.vocab_size, n))
         out = encode(Segment(index=1, start=0, tokens=toks), w, cfg)
-        assert out.hidden.shape == (n, cfg.d_model)
-        assert np.all(np.isfinite(out.hidden))
+        assert out.shape == (n, cfg.d_model)
+        assert np.all(np.isfinite(out))
 
 
 def test_positions_make_order_matter():
@@ -75,8 +70,8 @@ def test_positions_make_order_matter():
     w = init_weights(cfg)
     tokens = (3, 9, 9, 4, 20, 31)
     swapped = (9, 3, 9, 4, 20, 31)
-    a = encode(Segment(1, 0, tokens), w, cfg).hidden
-    b = encode(Segment(1, 0, swapped), w, cfg).hidden
+    a = encode(Segment(1, 0, tokens), w, cfg)
+    b = encode(Segment(1, 0, swapped), w, cfg)
     assert np.max(np.abs(a - b)) > 0
 
 
@@ -112,15 +107,15 @@ def test_encode_all_order_and_chunk_independence():
     tokens = list(range(24))
     segs = segment(tokens, 8, 2)
     encs = encode_all(segs, w, cfg)
-    assert [e.chunk_index for e in encs] == [s.index for s in segs]
+    assert [e.shape for e in encs] == [(len(s), cfg.d_model) for s in segs]
 
     # editing one chunk's tokens leaves the others bitwise unchanged
     edited = list(tokens)
     edited[0] = 42  # only inside chunk 1
     encs2 = encode_all(segment(edited, 8, 2), w, cfg)
-    assert np.max(np.abs(encs[0].hidden - encs2[0].hidden)) > 0
+    assert np.max(np.abs(encs[0] - encs2[0])) > 0
     for a, b in zip(encs[1:], encs2[1:]):
-        np.testing.assert_array_equal(a.hidden, b.hidden)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_sinusoidal_positions_bounds():
@@ -130,32 +125,11 @@ def test_sinusoidal_positions_bounds():
     assert np.max(np.abs(table[0] - np.tile([0.0, 1.0], 8))) < 1e-15
 
 
-def test_weight_dump_round_trip(tmp_path):
-    cfg = small_config()
-    w = init_weights(cfg)
-    save_weights(w, tmp_path / "w")
-    loaded = load_weights(tmp_path / "w")
-    np.testing.assert_array_equal(w.embedding, loaded.embedding)
-    assert len(loaded.layers) == len(w.layers)
-    for a, b in zip(w.layers, loaded.layers):
-        for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-
-
-def test_load_weights_missing_dir(tmp_path):
-    with pytest.raises(InputError):
-        load_weights(tmp_path / "absent")
-
-
 def test_encodings_deterministic_from_seed():
     cfg = small_config()
     segs = segment(list(range(30)), 8, 2)
     a = encode_all(segs, init_weights(cfg), cfg)
     b = encode_all(segs, init_weights(cfg), cfg)
     for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.hidden, y.hidden)
+        np.testing.assert_array_equal(x, y)
 
-
-def test_chunk_encoding_len():
-    enc = ChunkEncoding(chunk_index=1, hidden=np.zeros((5, 3)))
-    assert len(enc) == 5

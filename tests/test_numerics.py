@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mean_of
 
 from chunkfuse.encoder import _layer_norm as layer_norm
 from chunkfuse.encoder import _softmax_last as row_softmax
@@ -14,7 +15,6 @@ from chunkfuse.numerics import (
     fnv1a64,
     matrix_from_text,
     matrix_to_text,
-    mean_of,
 )
 
 

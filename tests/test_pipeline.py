@@ -28,7 +28,7 @@ def test_alpha_one_rows_are_full_encoder_rows():
     weights = init_weights(cfg.encoder_config())
     # the last window is anchored to the end, so it overlaps more
     run = run_document(make_random_doc(61, cfg.vocab_size, 5), cfg, weights=weights)
-    full = {seg.index: encode(seg, weights, cfg.encoder_config()).hidden
+    full = {seg.index: encode(seg, weights, cfg.encoder_config())
             for seg in run.segments}
     starts = {seg.index: seg.start for seg in run.segments}
     for row, (chunk, _role, pos) in zip(run.fused.flattened, run.fused.provenance):
