@@ -7,13 +7,16 @@ probe showing that boundary fusion writes chunk-order information into
 the representations.
 """
 
+from dataclasses import replace
+
+from chunkfuse.encoder import init_weights
 from chunkfuse.metrics import (
     make_repeated_chunk_doc,
     position_probe,
     rouge_l,
     rouge_n,
 )
-from chunkfuse.pipeline import PipelineConfig
+from chunkfuse.pipeline import PipelineConfig, encode_document, fuse_document
 
 candidate = "the report urges faster cuts to emissions".split()
 reference = "the report urges much faster emission cuts this decade".split()
@@ -38,12 +41,17 @@ cfg = PipelineConfig(
 )
 docs = [make_repeated_chunk_doc(5, cfg.chunk_len, cfg.overlap,
                                 cfg.vocab_size, seed=30 + i) for i in range(3)]
+# encoding does not depend on alpha, so each document is encoded once
+weights = init_weights(cfg.encoder_config())
+encoded = [(f"doc-{i}", *encode_document(doc, cfg, weights)) for i, doc in enumerate(docs)]
 
 print("\nposition probe on identical-chunk documents (5 chunks each):")
 print("  alpha   readout mse")
 for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-    result = position_probe(docs, alpha, cfg)
-    print(f"  {alpha:>5.2f}   {result.mse:.4f}")
+    variant = replace(cfg, alpha=alpha)
+    mse = position_probe([fuse_document(segs, encodings, variant, doc_id)
+                          for doc_id, segs, encodings in encoded])
+    print(f"  {alpha:>5.2f}   {mse:.4f}")
 print("(alpha = 1.0 gives the variance of the targets: nothing learned;")
 print(" every alpha < 1 scores the same here because changing alpha only")
 print(" rescales how far each fused vector sits along the same line)")

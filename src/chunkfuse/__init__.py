@@ -29,7 +29,6 @@ from .errors import (
     NumericalError,
 )
 from .metrics import (
-    ProbeResult,
     RougeScore,
     lcs_length,
     make_random_doc,

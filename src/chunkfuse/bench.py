@@ -25,6 +25,8 @@ from .segmenter import segment_count
 
 # totals under this at the smallest point are too close to timer noise
 MIN_RELIABLE_SECONDS = 0.05
+SLOPE_RANGE = (0.8, 1.3)  # log-log slopes the verdict calls linear
+DOC_SEED = 7  # the document of length n is drawn from seed DOC_SEED + n
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,8 @@ class ScalingReport:
                          p.memory_rows, p.naive_rows])
         return rows
 
-    def verdict(self, lo: float = 0.8, hi: float = 1.3) -> dict:
+    def verdict(self) -> dict:
+        lo, hi = SLOPE_RANGE
         return {"slope": self.slope, "pass": bool(lo <= self.slope <= hi)}
 
 
@@ -81,7 +84,6 @@ def run_scaling(
     cfg: PipelineConfig,
     repeats: int = 3,
     warmup: bool = True,
-    doc_seed: int = 7,
 ) -> ScalingReport:
     """Time the full encode+fuse pipeline across document lengths.
 
@@ -96,7 +98,7 @@ def run_scaling(
         raise ConfigError("lengths must be strictly increasing")
 
     weights = init_weights(cfg.encoder_config())
-    docs = {n: make_random_doc(n, cfg.vocab_size, doc_seed + n) for n in lengths}
+    docs = {n: make_random_doc(n, cfg.vocab_size, DOC_SEED + n) for n in lengths}
 
     def one_pass(tokens, doc_id: str) -> tuple[float, float, int]:
         """(encode seconds, fuse seconds, rows) of one pass through both stages."""

@@ -28,7 +28,7 @@ from . import bench as bench_mod
 from . import cumulation
 from .decoder import attention_mass_by_chunk, decode_step
 from .errors import ConfigError, ContractError, InputError
-from .metrics import make_repeated_chunk_doc, position_probe, rouge_l, rouge_n
+from .metrics import PROBE_MIN_CHUNKS, make_repeated_chunk_doc, position_probe, rouge_l, rouge_n
 from .numerics import save_matrix
 from .pipeline import (
     PipelineConfig,
@@ -38,7 +38,7 @@ from .pipeline import (
     run_document,
 )
 from .encoder import init_weights
-from .segmenter import segment, segment_set_to_dict
+from .segmenter import segment, segment_count, segment_set_to_dict
 
 ENV_PREFIX = "CHUNKFUSE_"
 _CONFIG_FIELDS = {f.name: f for f in fields(PipelineConfig)}
@@ -80,6 +80,11 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     """Merge defaults, --config file, CHUNKFUSE_* env vars, then flags."""
+    return PipelineConfig(**_config_values(args))
+
+
+def _config_values(args: argparse.Namespace) -> dict:
+    """The merged config fields of :func:`build_config`, not yet validated."""
     values = asdict(PipelineConfig())
 
     if args.config is not None:
@@ -88,6 +93,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise InputError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_values) - set(values)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -107,7 +114,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         if flag_val is not None:
             values[name] = flag_val
 
-    return PipelineConfig(**values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +191,39 @@ def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], di
 
 def _load_checked(
     path: Path,
-    cfg: PipelineConfig,
-) -> tuple[PipelineConfig, list[tuple[str, tuple[int, ...]]], dict | None]:
-    """Load a corpus and check every document against ``cfg`` before any write.
+    configs: Sequence[tuple[str, PipelineConfig]],
+    min_chunks: int = 1,
+) -> tuple[list[PipelineConfig], list[tuple[str, tuple[int, ...]]], dict | None]:
+    """Load a corpus and check every document against every config before any write.
 
-    A text corpus sets ``vocab_size`` to the size of its vocabulary. A
-    document shorter than one boundary block, or holding a token id
-    outside the vocabulary, is rejected with its line and id.
+    ``configs`` pairs each config with a suffix its errors append to the
+    document id, such as ``" at overlap 16"``, or ``""``. A text corpus
+    sets each config's ``vocab_size`` to the size of its vocabulary. A
+    document shorter than one boundary block, holding a token id outside
+    the vocabulary, or cut into fewer than ``min_chunks`` windows is
+    rejected with its line and id.
     """
     docs, vocab = _read_corpus(path)
     if vocab is not None:
-        cfg = replace(cfg, vocab_size=max(len(vocab), 1))
+        configs = [(label, replace(cfg, vocab_size=max(len(vocab), 1)))
+                   for label, cfg in configs]
+    # faults of a document itself are named before how a config cuts it
     for lineno, doc_id, tokens in docs:
-        where = f"{path}:{lineno}: document {doc_id!r}"
-        if len(tokens) < cfg.boundary_width:
-            raise InputError(f"{where}: {len(tokens)} tokens, fewer than "
-                             f"boundary_width {cfg.boundary_width}")
-        if max(tokens) >= cfg.vocab_size:
-            raise InputError(f"{where}: token id {max(tokens)} outside vocab_size "
-                             f"{cfg.vocab_size}; raise --vocab-size")
-    return cfg, [(doc_id, tokens) for _, doc_id, tokens in docs], vocab
+        for label, cfg in configs:
+            where = f"{path}:{lineno}: document {doc_id!r}{label}"
+            if len(tokens) < cfg.boundary_width:
+                raise InputError(f"{where}: {len(tokens)} tokens, fewer than "
+                                 f"boundary_width {cfg.boundary_width}")
+            if max(tokens) >= cfg.vocab_size:
+                raise InputError(f"{where}: token id {max(tokens)} outside vocab_size "
+                                 f"{cfg.vocab_size}; raise --vocab-size")
+    for label, cfg in configs:
+        for lineno, doc_id, tokens in docs:
+            count = segment_count(len(tokens), cfg.chunk_len, cfg.overlap)
+            if count < min_chunks:
+                raise InputError(f"{path}:{lineno}: document {doc_id!r}{label}: the position "
+                                 f"probe needs at least {min_chunks} chunks, got {count}")
+    return [cfg for _, cfg in configs], [(doc_id, tokens) for _, doc_id, tokens in docs], vocab
 
 
 def _safe_id(doc_id: str) -> str:
@@ -248,7 +268,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg, docs, vocab = _load_checked(args.corpus, build_config(args))
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))])
     out_dir: Path = args.out_dir or Path("chunkfuse-run")
 
     if not docs:
@@ -322,43 +344,32 @@ _AXES = {
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     field = _AXES[args.axis]
-    cast = float if field == "alpha" else int
-
-    # the swept field's base value is irrelevant (every row replaces it),
-    # so seed it from the sweep list unless a flag pinned it explicitly
-    if getattr(args, field, None) is None:
-        for raw in args.values.split(","):
-            try:
-                setattr(args, field, cast(raw))
-                break
-            except ValueError:
-                continue
-
-    cfg, docs, _ = _load_checked(args.corpus, build_config(args))
-    if not docs:
-        raise InputError("ablation needs a non-empty corpus")
-    rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
-    weights = init_weights(cfg.encoder_config())
-
+    values = _config_values(args)
+    sweep = []
     for raw in args.values.split(","):
         try:
-            value = cast(raw)
-            variant = replace(cfg, **{field: value})
+            sweep.append((f" at {args.axis} {raw}",
+                          PipelineConfig(**{**values, field: _field_type(field)(raw)})))
         except (ValueError, ConfigError) as exc:
             print(f"warning: skipping invalid {args.axis} value {raw!r}: {exc}",
                   file=sys.stderr)
-            continue
+    if not sweep:
+        raise ConfigError(f"no valid {args.axis} value in {args.values!r}")
+
+    variants, docs, _ = _load_checked(args.corpus, sweep, PROBE_MIN_CHUNKS)
+    # no swept field reaches the encoder, so every variant shares its weights
+    weights = init_weights(variants[0].encoder_config())
+    rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
+    for variant in variants:
+        runs = []
         fuse_seconds = 0.0
-        scale_rows = 0
         for doc_id, tokens in docs:
             segs, encodings = encode_document(tokens, variant, weights)
             started = time.perf_counter()
-            scale_rows += fuse_document(segs, encodings, variant, doc_id).rows
+            runs.append(fuse_document(segs, encodings, variant, doc_id))
             fuse_seconds += time.perf_counter() - started
-        probe = position_probe([t for _, t in docs], variant.alpha, variant,
-                               weights=weights)
-        rows.append([repr(float(value)) if field == "alpha" else value,
-                     repr(probe.mse), scale_rows, repr(fuse_seconds)])
+        rows.append([repr(getattr(variant, field)), repr(position_probe(runs)),
+                     sum(run.rows for run in runs), repr(fuse_seconds)])
 
     out = (args.out_dir / "ablation.csv") if args.out_dir else None
     _write_csv(out, rows)
@@ -415,20 +426,26 @@ def cmd_rouge(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     if args.corpus is not None:
-        cfg, docs_pairs, _ = _load_checked(args.corpus, cfg)
-        docs = [t for _, t in docs_pairs]
+        # alpha does not change the windows, so one config stands for the sweep
+        (cfg,), docs, _ = _load_checked(args.corpus, [("", cfg)], PROBE_MIN_CHUNKS)
     else:
-        docs = [make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
-                                        cfg.vocab_size, args.doc_seed + i)
+        docs = [(f"synthetic-{i}",
+                 make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
+                                         cfg.vocab_size, args.doc_seed + i))
                 for i in range(args.n_docs)]
+    variants = [replace(cfg, alpha=float(raw)) for raw in args.alphas.split(",")]
     weights = init_weights(cfg.encoder_config())
 
-    rows: list[list] = [["alpha", "probe_mse"]]
-    for raw in args.alphas.split(","):
-        alpha = float(raw)
-        result = position_probe(docs, alpha, cfg, weights=weights)
-        rows.append([repr(alpha), repr(result.mse)])
+    # encoding does not depend on alpha: encode each document once
+    runs: list[list] = [[] for _ in variants]
+    for doc_id, tokens in docs:
+        segs, encodings = encode_document(tokens, cfg, weights)
+        for variant, variant_runs in zip(variants, runs):
+            variant_runs.append(fuse_document(segs, encodings, variant, doc_id))
 
+    rows: list[list] = [["alpha", "probe_mse"]]
+    rows.extend([repr(variant.alpha), repr(position_probe(variant_runs))]
+                for variant, variant_runs in zip(variants, runs))
     out = (args.out_dir / "probe.csv") if args.out_dir else None
     _write_csv(out, rows)
     return 0

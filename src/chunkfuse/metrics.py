@@ -8,23 +8,21 @@ strings; anything hashable works.
 The position probe quantifies how much chunk-order information the
 fusion stage injects: it fits a ridge-regularized linear readout from
 each chunk's fused left boundary to the chunk's index and reports the
-mean squared error on the fitted set.
+mean squared error on the fitted set. It reads assembled sequences that
+the pipeline already produced and runs nothing itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .cumulation import LEFT, ROLE
-from .encoder import EncoderWeights, init_weights
+from .cumulation import LEFT, ROLE, FusedSequence
 from .errors import InputError, NumericalError
 from .numerics import SeededRng
-from .pipeline import run_document
-from .segmenter import segment_count
 
 
 @dataclass(frozen=True)
@@ -78,55 +76,38 @@ def rouge_l(candidate: Sequence[Hashable], reference: Sequence[Hashable]) -> Rou
 # position probe
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    alpha: float
-    mse: float
-    predictions: tuple[float, ...]
-    targets: tuple[float, ...]
-    chunk_indices: tuple[int, ...]
-
-
+# a readout over fewer chunk positions says nothing about order
+PROBE_MIN_CHUNKS = 3
 _RIDGE = 1e-8
 
 
-def position_probe(
-    docs: Sequence[Sequence[int]],
-    alpha: float,
-    cfg,
-    weights: EncoderWeights | None = None,
-) -> ProbeResult:
+def position_probe(runs: Sequence[FusedSequence]) -> float:
     """Linear readout from fused left boundaries to chunk position.
 
-    Every document runs through the pipeline under ``cfg`` (a
-    PipelineConfig) with its alpha replaced by ``alpha``, and the
-    flattened fused left blocks become feature rows. Targets are
-    the 1-based chunk indices, centered per document so the error is
-    comparable across chunk counts. The readout is solved in closed
-    form from the ridge normal equations.
+    ``runs`` holds one assembled sequence per document, as
+    ``fuse_document`` returns it; the flattened fused left blocks of each
+    chunk become feature rows. Targets are the 1-based chunk indices,
+    centered per document so the error is comparable across chunk
+    counts. The readout is solved in closed form from the ridge normal
+    equations, and its mean squared error on the fitted set is returned.
 
     Designed for synthetic documents whose chunks repeat the same token
     block, where any position signal must come from the fusion stage;
     arbitrary documents are accepted.
     """
-    if len(docs) == 0:
+    if len(runs) == 0:
         raise InputError("position_probe needs at least one document")
-    if weights is None:
-        weights = init_weights(cfg.encoder_config())
-    cfg = replace(cfg, alpha=alpha)
 
     features: list[np.ndarray] = []
     targets: list[float] = []
-    chunk_indices: list[int] = []
-    for doc in docs:
-        count = segment_count(len(doc), cfg.chunk_len, cfg.overlap)
-        if count < 3:
-            raise InputError(f"probe documents need at least 3 chunks, got {count}")
-        fused = run_document(doc, cfg, weights=weights).fused
+    for fused in runs:
+        count = fused.chunk_count
+        if count < PROBE_MIN_CHUNKS:
+            raise InputError(
+                f"probe documents need at least {PROBE_MIN_CHUNKS} chunks, got {count}")
         features.append(fused.flattened[fused.provenance[:, ROLE] == LEFT].reshape(count, -1))
         center = (count + 1) / 2.0
         targets.extend(i - center for i in range(1, count + 1))
-        chunk_indices.extend(range(1, count + 1))
 
     x = np.vstack(features)
     y = np.asarray(targets, dtype=np.float64)
@@ -135,15 +116,7 @@ def position_probe(
         readout = np.linalg.solve(gram, x.T @ y)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"probe normal equations are singular: {exc}") from exc
-    predictions = x @ readout
-    mse = float(np.mean((predictions - y) ** 2))
-    return ProbeResult(
-        alpha=alpha,
-        mse=mse,
-        predictions=tuple(float(p) for p in predictions),
-        targets=tuple(float(t) for t in y),
-        chunk_indices=tuple(chunk_indices),
-    )
+    return float(np.mean((x @ readout - y) ** 2))
 
 
 # ---------------------------------------------------------------------------

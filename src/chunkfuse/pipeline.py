@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +21,9 @@ from .encoder import EncoderWeights, ModelConfig, encode_all, init_weights
 from .errors import ConfigError
 from .numerics import SeededRng, fnv1a64
 from .segmenter import SegmentSet, segment
+
+# what each field annotation admits; bools are refused apart, being ints
+_ADMITS = {"int": int, "float": (int, float), "int | None": (int, type(None))}
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,10 @@ class PipelineConfig:
     middle_seed: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ADMITS[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.chunk_len < 2:
             raise ConfigError("chunk_len must be >= 2")
         if not 0 <= self.overlap < self.chunk_len:

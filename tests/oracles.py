@@ -4,20 +4,22 @@ These follow PAPER.md one chunk at a time, with explicit loops, so the
 library's array-shaped ``contexts`` and ``fuse`` can be checked against
 them. Boundaries are (C, k, d) arrays; chunk indices are 1-based.
 ``mean_of`` is the plain block average the brute-force context checks
-use, ``fsum_context`` a correctly rounded one for long documents, and
-``synthetic_chunks`` builds random encodings to assemble from.
+use, ``fsum_context`` a correctly rounded one for long documents,
+``synthetic_chunks`` builds random encodings to assemble from, and
+``probe_runs`` the assembled sequences the position probe reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from chunkfuse.errors import ConfigError, ContractError
 from chunkfuse.numerics import as_matrix, check_finite
+from chunkfuse.pipeline import run_document
 from chunkfuse.segmenter import segment
 
 
@@ -151,3 +153,9 @@ def synthetic_chunks(rng: np.random.Generator, n_chunks: int, chunk_len: int, di
     segs = segment(range(n_chunks * chunk_len), chunk_len, 0)
     encodings = [rng.normal(size=(chunk_len, dim)) for _ in segs]
     return segs, encodings
+
+
+def probe_runs(docs, alpha: float, cfg, weights=None):
+    """One assembled sequence per document, run under ``cfg`` at ``alpha``."""
+    cfg = replace(cfg, alpha=alpha)
+    return [run_document(doc, cfg, weights=weights).fused for doc in docs]

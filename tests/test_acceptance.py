@@ -17,6 +17,7 @@ from oracles import (
     forward_context,
     fusion_jacobian,
     mean_of,
+    probe_runs,
     synthetic_chunks,
 )
 
@@ -241,14 +242,14 @@ def test_criterion_09_structural_awareness():
     for i in range(1, 5):
         assert local_only[0].tobytes() == local_only[i].tobytes()
 
-    mse_blend = position_probe(ident_docs, 0.5, cfg, weights=weights).mse
-    mse_local = position_probe(ident_docs, 1.0, cfg, weights=weights).mse
+    mse_blend = position_probe(probe_runs(ident_docs, 0.5, cfg, weights))
+    mse_local = position_probe(probe_runs(ident_docs, 1.0, cfg, weights))
     assert mse_blend < mse_local
 
     # with distinct chunk content the five fused vectors are in general
     # position in 32 dimensions, so the readout interpolates exactly
     generic = make_random_doc(5 * 12, 64, seed=4)
-    mse_generic = position_probe([generic], 0.5, cfg, weights=weights).mse
+    mse_generic = position_probe(probe_runs([generic], 0.5, cfg, weights))
     assert mse_generic < 1e-6
     _pass(9, f"distinct at a=0.5, identical at a=1.0; probe mse "
              f"{mse_blend:.3f} < {mse_local:.3f}; single-doc mse "

@@ -28,6 +28,20 @@ def token_corpus(tmp_path: Path, name="corpus.jsonl") -> Path:
     ])
 
 
+def count_encode_calls(monkeypatch) -> list:
+    """Record one entry per ``encoder.encode`` call for the rest of the test."""
+    import chunkfuse.encoder as encoder_mod
+    calls = []
+    real = encoder_mod.encode
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(encoder_mod, "encode", counting)
+    return calls
+
+
 def read_tree(root: Path) -> dict:
     out = {}
     for path in sorted(root.rglob("*")):
@@ -125,6 +139,18 @@ class TestCorpusChecks:
         err = self._rejects(tmp_path, capsys, command, docs, ["--vocab-size", "4"])
         assert "token id 9" in err
 
+    def test_probe_document_with_too_few_chunks(self, tmp_path, capsys):
+        docs = [{"id": "a", "tokens": list(range(30))}, {"id": "short", "tokens": list(range(8))}]
+        err = self._rejects(tmp_path, capsys, "probe", docs, [])
+        assert "at least 3 chunks, got 1" in err
+
+    def test_ablate_names_the_sweep_value_with_too_few_chunks(self, tmp_path, capsys):
+        # 16 tokens in 8-token windows: 3 chunks at overlap 4, 2 at overlap 0
+        docs = [{"id": "a", "tokens": list(range(30))}, {"id": "short", "tokens": list(range(16))}]
+        err = self._rejects(tmp_path, capsys, "ablate", docs,
+                            ["--axis", "overlap", "--values", "4,0"])
+        assert "at overlap 0" in err and "at least 3 chunks, got 2" in err
+
 
 class TestConfigLayers:
     def test_flag_overrides_env_overrides_file(self, tmp_path, monkeypatch):
@@ -153,6 +179,25 @@ class TestConfigLayers:
         rc = main(["segment", str(token_corpus(tmp_path)), "--alpha", "2"])
         assert rc == 1
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_values, named", [
+        ({"middle_seed": "7"}, "middle_seed must be"),
+        ({"alpha": True}, "alpha must be"),
+        ({"chunk_len": "64", "overlap": 16}, "chunk_len must be"),
+        ({"chunk_len": 64.0, "overlap": 16}, "chunk_len must be"),
+        (["alpha"], "cfg.json must hold a JSON object"),
+        (5, "cfg.json must hold a JSON object"),
+    ])
+    def test_mistyped_config_file_rejected_before_writing(self, tmp_path, capsys,
+                                                          file_values, named):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(file_values))
+        out = tmp_path / "run"
+        rc = main(["pipeline", str(token_corpus(tmp_path)), "--config", str(cfg_file),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSegmentCommand:
@@ -213,6 +258,15 @@ class TestPipelineCommand:
         assert main([*args, "--out-dir", str(tmp_path / "s1")]) == 0
         assert main([*args, "--out-dir", str(tmp_path / "s2"), "--workers", "3"]) == 0
         assert read_tree(tmp_path / "s1") == read_tree(tmp_path / "s2")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        out = tmp_path / "run"
+        rc = main(["pipeline", str(token_corpus(tmp_path)), "--out-dir", str(out),
+                   "--workers", workers, *SMALL_FLAGS])
+        assert rc == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_token_id_above_vocab(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "big.jsonl",
@@ -291,6 +345,27 @@ class TestAblateCommand:
         assert len(rows) == 3  # header + two valid overlaps
         assert "skipping" in captured.err
 
+    def test_invalid_value_skipped_in_any_position(self, tmp_path, capsys):
+        corpus = self._identical_chunk_corpus(tmp_path)
+        at = SMALL_FLAGS.index("--middle-count")
+        flags = SMALL_FLAGS[:at] + SMALL_FLAGS[at + 2:]  # middle_count stays 300
+        rows = {}
+        for values in ("300,4", "4,300"):
+            assert main(["ablate", str(corpus), "--axis", "middle-count",
+                         "--values", values, *flags]) == 0
+            captured = capsys.readouterr()
+            assert "skipping invalid middle-count value '300'" in captured.err
+            rows[values] = list(csv.reader(captured.out.strip().splitlines()))[1:]
+        assert [r[:3] for r in rows["300,4"]] == [r[:3] for r in rows["4,300"]]
+        assert [r[0] for r in rows["4,300"]] == ["4"]
+
+    def test_encodes_each_chunk_once_per_value(self, tmp_path, capsys, monkeypatch):
+        calls = count_encode_calls(monkeypatch)
+        corpus = self._identical_chunk_corpus(tmp_path)  # two documents of 4 chunks
+        assert main(["ablate", str(corpus), "--axis", "alpha", "--values", "0.0,0.5,1.0",
+                     *SMALL_FLAGS]) == 0
+        assert len(calls) == 3 * 2 * 4
+
 
 class TestBenchCommand:
     def test_small_bench_emits_verdict(self, tmp_path, capsys):
@@ -315,6 +390,12 @@ class TestProbeCommand:
         assert rows[0] == ["alpha", "probe_mse"]
         assert len(rows) == 3
         assert float(rows[1][1]) < float(rows[2][1])
+
+    def test_encodes_each_chunk_once(self, tmp_path, capsys, monkeypatch):
+        calls = count_encode_calls(monkeypatch)
+        assert main(["probe", "--alphas", "0.0,0.5,1.0", "--n-chunks", "4",
+                     "--n-docs", "2", *SMALL_FLAGS]) == 0
+        assert len(calls) == 2 * 4
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from oracles import probe_runs
 
 from chunkfuse.errors import InputError
 from chunkfuse.metrics import (
@@ -128,32 +129,25 @@ class TestPositionProbe:
     def test_alpha_one_mse_is_target_variance(self):
         cfg = probe_config()
         docs = [make_repeated_chunk_doc(5, 12, 0, 64, seed=s) for s in (1, 2)]
-        result = position_probe(docs, 1.0, cfg)
+        mse = position_probe(probe_runs(docs, 1.0, cfg))
         variance = np.var([1, 2, 3, 4, 5])
-        assert result.mse == pytest.approx(variance, abs=1e-9)
+        assert mse == pytest.approx(variance, abs=1e-9)
 
     def test_blend_beats_local_only(self):
         cfg = probe_config()
         docs = [make_repeated_chunk_doc(5, 12, 0, 64, seed=s) for s in (1, 2, 3)]
-        assert position_probe(docs, 0.5, cfg).mse < \
-            position_probe(docs, 1.0, cfg).mse
+        assert position_probe(probe_runs(docs, 0.5, cfg)) < \
+            position_probe(probe_runs(docs, 1.0, cfg))
 
     def test_generic_document_interpolates(self):
         # distinct chunks with d >= chunk count: the readout can hit
         # every target up to the ridge term
         cfg = probe_config()
         doc = make_random_doc(5 * 12, 64, seed=8)
-        assert position_probe([doc], 0.5, cfg).mse < 1e-6
+        assert position_probe(probe_runs([doc], 0.5, cfg)) < 1e-6
 
     def test_needs_three_chunks(self):
         cfg = probe_config()
+        runs = probe_runs([make_repeated_chunk_doc(2, 12, 0, 64, seed=1)], 0.5, cfg)
         with pytest.raises(InputError):
-            position_probe([make_repeated_chunk_doc(2, 12, 0, 64, seed=1)], 0.5, cfg)
-
-    def test_records_predictions_per_chunk(self):
-        cfg = probe_config()
-        docs = [make_repeated_chunk_doc(4, 12, 0, 64, seed=9)]
-        result = position_probe(docs, 0.5, cfg)
-        assert len(result.predictions) == 4
-        assert result.chunk_indices == (1, 2, 3, 4)
-        assert result.targets == (-1.5, -0.5, 0.5, 1.5)
+            position_probe(runs)

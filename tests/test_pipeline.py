@@ -6,11 +6,13 @@ encoding's row at the position its provenance names.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE
 from chunkfuse.encoder import encode, init_weights
+from chunkfuse.errors import ConfigError
 from chunkfuse.metrics import make_random_doc
 from chunkfuse.pipeline import PipelineConfig, run_document
 
@@ -66,3 +68,17 @@ def test_rows_provenance_and_roles_property(case, doc_seed):
                       & (mine[:, POSITION] < seg.start + len(seg)))
         middles = len(mine) - 2 * k
         assert mine[:, ROLE].tolist() == [LEFT] * k + [MIDDLE] * middles + [RIGHT] * k
+
+
+@pytest.mark.parametrize("overrides", [
+    {"chunk_len": 16.0}, {"seed": "3"}, {"n_layers": True}, {"alpha": False},
+    {"alpha": "0.5"}, {"middle_seed": 1.5}, {"vocab_size": None},
+])
+def test_config_rejects_mistyped_values(overrides):
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        tiny_config(**overrides)
+
+
+def test_config_keeps_int_alpha_and_seedless_middles():
+    cfg = tiny_config(alpha=1, middle_seed=None)
+    assert '"alpha":1,' in cfg.canonical_json()
