@@ -24,9 +24,7 @@ from .errors import (
     ChunkfuseError,
     ConfigError,
     ContractError,
-    DegenerateChunkError,
     InputError,
-    NumericalError,
 )
 from .metrics import (
     RougeScore,

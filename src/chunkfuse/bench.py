@@ -83,7 +83,6 @@ def run_scaling(
     lengths: list[int],
     cfg: PipelineConfig,
     repeats: int = 3,
-    warmup: bool = True,
 ) -> ScalingReport:
     """Time the full encode+fuse pipeline across document lengths.
 
@@ -108,8 +107,7 @@ def run_scaling(
         rows = fuse_document(segs, encodings, cfg, doc_id).rows
         return t1 - t0, time.perf_counter() - t1, rows
 
-    if warmup:
-        one_pass(docs[lengths[0]], "warmup")
+    one_pass(docs[lengths[0]], "warmup")
 
     # interleave repeats across lengths so machine-load drift during the
     # benchmark biases every point alike instead of tilting the slope

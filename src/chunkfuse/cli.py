@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import bench as bench_mod
 from . import cumulation
@@ -56,6 +56,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _field_type(name: str):
     return float if name == "alpha" else int
+
+
+def _count(raw: str) -> int:
+    """An int of at least 1: the type of every count flag and ``--lengths`` entry."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not an int") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{raw!r} is below 1")
+    return value
+
+
+def _parse_list(flag: str, raw: str, parse: Callable[[str], object]) -> list:
+    """``parse`` each comma-separated entry of a list flag; a bad entry exits 1."""
+    items = []
+    for entry in raw.split(","):
+        try:
+            items.append(parse(entry))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"{flag} entry {entry!r}: {exc}") from exc
+    return items
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
@@ -268,8 +290,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))])
     out_dir: Path = args.out_dir or Path("chunkfuse-run")
 
@@ -292,7 +312,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     weights = init_weights(cfg.encoder_config())
     dec_cfg = cfg.decoder_config(max_len=len(_DECODE_PREFIX) + _DECODE_STEPS)
 
-    def process(doc_id: str, tokens: tuple[int, ...], safe: str) -> None:
+    # middle sampling is keyed on the document id, so corpus order changes no bytes
+    for (doc_id, tokens), safe in zip(docs, safe_ids):
         run = run_document(tokens, cfg, weights=weights, doc_id=doc_id)
         doc_dir = out_dir / "docs" / safe
         doc_dir.mkdir(parents=True, exist_ok=True)
@@ -315,15 +336,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                    [["chunk", "mass"],
                     *[[i + 1, repr(float(m))] for i, m in enumerate(mass)]])
 
-    if args.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            list(pool.map(lambda t: process(*t),
-                          [(d, toks, s) for (d, toks), s in zip(docs, safe_ids)]))
-    else:
-        for (doc_id, tokens), safe in zip(docs, safe_ids):
-            process(doc_id, tokens, safe)
-
     _write_json(out_dir / "run_meta.json", {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
@@ -345,17 +357,8 @@ _AXES = {
 def cmd_ablate(args: argparse.Namespace) -> int:
     field = _AXES[args.axis]
     values = _config_values(args)
-    sweep = []
-    for raw in args.values.split(","):
-        try:
-            sweep.append((f" at {args.axis} {raw}",
-                          PipelineConfig(**{**values, field: _field_type(field)(raw)})))
-        except (ValueError, ConfigError) as exc:
-            print(f"warning: skipping invalid {args.axis} value {raw!r}: {exc}",
-                  file=sys.stderr)
-    if not sweep:
-        raise ConfigError(f"no valid {args.axis} value in {args.values!r}")
-
+    sweep = _parse_list("--values", args.values, lambda raw: (
+        f" at {args.axis} {raw}", PipelineConfig(**{**values, field: _field_type(field)(raw)})))
     variants, docs, _ = _load_checked(args.corpus, sweep, PROBE_MIN_CHUNKS)
     # no swept field reaches the encoder, so every variant shares its weights
     weights = init_weights(variants[0].encoder_config())
@@ -378,7 +381,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    lengths = [int(v) for v in args.lengths.split(",")]
+    lengths = _parse_list("--lengths", args.lengths, _count)
     report = bench_mod.run_scaling(lengths, cfg, repeats=args.repeats)
     if not report.reliable:
         print("warning: smallest point ran under the reliable-timing floor; "
@@ -425,21 +428,20 @@ def cmd_rouge(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    variants = _parse_list("--alphas", args.alphas, lambda raw: replace(cfg, alpha=float(raw)))
     if args.corpus is not None:
-        # alpha does not change the windows, so one config stands for the sweep
-        (cfg,), docs, _ = _load_checked(args.corpus, [("", cfg)], PROBE_MIN_CHUNKS)
+        variants, docs, _ = _load_checked(args.corpus, [("", v) for v in variants],
+                                          PROBE_MIN_CHUNKS)
     else:
         docs = [(f"synthetic-{i}",
                  make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
                                          cfg.vocab_size, args.doc_seed + i))
                 for i in range(args.n_docs)]
-    variants = [replace(cfg, alpha=float(raw)) for raw in args.alphas.split(",")]
-    weights = init_weights(cfg.encoder_config())
-
     # encoding does not depend on alpha: encode each document once
+    weights = init_weights(variants[0].encoder_config())
     runs: list[list] = [[] for _ in variants]
     for doc_id, tokens in docs:
-        segs, encodings = encode_document(tokens, cfg, weights)
+        segs, encodings = encode_document(tokens, variants[0], weights)
         for variant, variant_runs in zip(variants, runs):
             variant_runs.append(fuse_document(segs, encodings, variant, doc_id))
 
@@ -468,8 +470,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="run the full pipeline over a corpus")
     _common_flags(p)
-    p.add_argument("--workers", type=int, default=1,
-                   help="documents processed in parallel threads")
     p.add_argument("corpus", type=Path)
     p.set_defaults(func=cmd_pipeline)
 
@@ -484,7 +484,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="measure scaling against document length")
     _common_flags(p)
     p.add_argument("--lengths", default="8192,16384,32768,65536")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_count, default=3)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("rouge", help="score candidate summaries against references")
@@ -497,8 +497,8 @@ def _build_parser() -> _Parser:
     _common_flags(p)
     p.add_argument("--corpus", type=Path, default=None)
     p.add_argument("--alphas", default="0.0,0.25,0.5,0.75,1.0")
-    p.add_argument("--n-chunks", type=int, default=5)
-    p.add_argument("--n-docs", type=int, default=3)
+    p.add_argument("--n-chunks", type=_count, default=5)
+    p.add_argument("--n-docs", type=_count, default=3)
     p.add_argument("--doc-seed", type=int, default=11)
     p.set_defaults(func=cmd_probe)
 
@@ -513,7 +513,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, InputError) as exc:
+    except (ConfigError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ContractError as exc:

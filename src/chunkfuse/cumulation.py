@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DegenerateChunkError
+from .errors import ConfigError, ContractError, InputError
 from .numerics import SeededRng, check_finite
 from .segmenter import SegmentSet
 
@@ -95,7 +95,7 @@ def boundaries_from_encodings(
         raise ContractError("no chunk encodings supplied")
     for i, enc in enumerate(encodings, start=1):
         if len(enc) < boundary_width:
-            raise DegenerateChunkError(
+            raise InputError(
                 f"chunk {i} has {len(enc)} rows, needs at least {boundary_width}"
             )
     lefts = np.stack([enc[:boundary_width] for enc in encodings])

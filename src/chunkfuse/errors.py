@@ -18,13 +18,5 @@ class InputError(ChunkfuseError, ValueError):
     """Malformed caller-supplied data (corpus lines, token ids, files)."""
 
 
-class DegenerateChunkError(InputError):
-    """A chunk has fewer rows than one boundary block."""
-
-
 class ContractError(ChunkfuseError, RuntimeError):
     """An internal invariant failed; indicates a bug, not bad input."""
-
-
-class NumericalError(ContractError):
-    """A numerical procedure (e.g. a linear solve) broke down."""

@@ -21,7 +21,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .cumulation import LEFT, ROLE, FusedSequence
-from .errors import InputError, NumericalError
+from .errors import ContractError, InputError
 from .numerics import SeededRng
 
 
@@ -115,7 +115,7 @@ def position_probe(runs: Sequence[FusedSequence]) -> float:
     try:
         readout = np.linalg.solve(gram, x.T @ y)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"probe normal equations are singular: {exc}") from exc
+        raise ContractError(f"probe normal equations are singular: {exc}") from exc
     return float(np.mean((x @ readout - y) ** 2))
 
 

@@ -135,7 +135,7 @@ class SeededRng:
         self._gauss_spare = r * math.sin(theta)
         return r * math.cos(theta)
 
-    def normal_matrix(self, rows: int, cols: int, std: float = 1.0) -> np.ndarray:
+    def normal_matrix(self, rows: int, cols: int, std: float) -> np.ndarray:
         """(rows x cols) matrix of independent N(0, std^2) draws, row-major fill."""
         out = np.empty(rows * cols, dtype=np.float64)
         for i in range(out.size):

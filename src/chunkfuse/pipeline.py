@@ -77,7 +77,7 @@ class PipelineConfig:
             seed=self.seed,
         )
 
-    def decoder_config(self, max_len: int = 256) -> ModelConfig:
+    def decoder_config(self, max_len: int) -> ModelConfig:
         # decoder weights draw from an offset seed so the two stacks differ
         return ModelConfig(
             vocab_size=self.vocab_size,

@@ -72,7 +72,7 @@ def test_run_scaling_validates_lengths():
 def test_run_scaling_report_structure():
     cfg = stock_config(chunk_len=64, overlap=8, middle_count=8, d_model=16,
                        n_heads=2, n_layers=1, d_ff=32)
-    report = run_scaling([512, 1024, 2048, 4096], cfg, repeats=1, warmup=False)
+    report = run_scaling([512, 1024, 2048, 4096], cfg, repeats=1)
     assert len(report.points) == 4
     for point in report.points:
         assert point.memory_rows == point.n_chunks * (2 * 1 + 8)

@@ -252,21 +252,14 @@ class TestPipelineCommand:
         assert main([*args, "--out-dir", str(tmp_path / "r2")]) == 0
         assert read_tree(tmp_path / "r1") == read_tree(tmp_path / "r2")
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        corpus = token_corpus(tmp_path)
-        args = ["pipeline", str(corpus), *SMALL_FLAGS]
-        assert main([*args, "--out-dir", str(tmp_path / "s1")]) == 0
-        assert main([*args, "--out-dir", str(tmp_path / "s2"), "--workers", "3"]) == 0
-        assert read_tree(tmp_path / "s1") == read_tree(tmp_path / "s2")
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
-        out = tmp_path / "run"
-        rc = main(["pipeline", str(token_corpus(tmp_path)), "--out-dir", str(out),
-                   "--workers", workers, *SMALL_FLAGS])
-        assert rc == 1
-        assert "--workers" in capsys.readouterr().err
-        assert not out.exists()
+    def test_corpus_order_does_not_change_document_bytes(self, tmp_path):
+        docs = [{"id": name, "tokens": [(7 * i + len(name)) % 64 for i in range(30)]}
+                for name in ("first", "second", "third")]
+        for name, order in (("fwd", docs), ("rev", docs[::-1])):
+            corpus = write_corpus(tmp_path / f"{name}.jsonl", order)
+            assert main(["pipeline", str(corpus), "--out-dir", str(tmp_path / name),
+                         *SMALL_FLAGS]) == 0
+        assert read_tree(tmp_path / "fwd" / "docs") == read_tree(tmp_path / "rev" / "docs")
 
     def test_token_id_above_vocab(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "big.jsonl",
@@ -335,29 +328,30 @@ class TestAblateCommand:
         assert mses[1.0] == max(mses.values())
         assert mses[0.5] < mses[1.0]
 
-    def test_overlap_sweep_and_invalid_value_skipped(self, tmp_path, capsys):
+    def test_overlap_sweep_and_invalid_value_rejected(self, tmp_path, capsys):
         corpus = self._identical_chunk_corpus(tmp_path)
-        rc = main(["ablate", str(corpus), "--axis", "overlap",
-                   "--values", "2,4,99", *SMALL_FLAGS])
-        assert rc == 0
+        argv = ["ablate", str(corpus), "--axis", "overlap", *SMALL_FLAGS]
+        assert main([*argv, "--values", "2,4"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+        assert len(rows) == 3  # header + two overlaps
+        assert main([*argv, "--values", "2,4,99"]) == 1
         captured = capsys.readouterr()
-        rows = list(csv.reader(captured.out.strip().splitlines()))
-        assert len(rows) == 3  # header + two valid overlaps
-        assert "skipping" in captured.err
+        assert captured.out == ""
+        assert "--values entry '99'" in captured.err
 
-    def test_invalid_value_skipped_in_any_position(self, tmp_path, capsys):
+    def test_invalid_value_rejected_in_any_position(self, tmp_path, capsys):
         corpus = self._identical_chunk_corpus(tmp_path)
         at = SMALL_FLAGS.index("--middle-count")
         flags = SMALL_FLAGS[:at] + SMALL_FLAGS[at + 2:]  # middle_count stays 300
-        rows = {}
+        errors = {}
         for values in ("300,4", "4,300"):
             assert main(["ablate", str(corpus), "--axis", "middle-count",
-                         "--values", values, *flags]) == 0
+                         "--values", values, *flags]) == 1
             captured = capsys.readouterr()
-            assert "skipping invalid middle-count value '300'" in captured.err
-            rows[values] = list(csv.reader(captured.out.strip().splitlines()))[1:]
-        assert [r[:3] for r in rows["300,4"]] == [r[:3] for r in rows["4,300"]]
-        assert [r[0] for r in rows["4,300"]] == ["4"]
+            assert captured.out == ""
+            errors[values] = captured.err
+        assert errors["300,4"] == errors["4,300"]
+        assert "--values entry '300'" in errors["4,300"]
 
     def test_encodes_each_chunk_once_per_value(self, tmp_path, capsys, monkeypatch):
         calls = count_encode_calls(monkeypatch)
@@ -396,6 +390,56 @@ class TestProbeCommand:
         assert main(["probe", "--alphas", "0.0,0.5,1.0", "--n-chunks", "4",
                      "--n-docs", "2", *SMALL_FLAGS]) == 0
         assert len(calls) == 2 * 4
+
+
+class TestListAndCountFlags:
+    """A bad list entry or count exits 1, naming the flag and the entry, before any work."""
+
+    @pytest.mark.parametrize("command, flag, value, entry", [
+        (["probe"], "--alphas", "0.5,abc", "abc"),
+        (["probe"], "--alphas", "", ""),
+        (["probe"], "--alphas", "2.0", "2.0"),
+        (["bench"], "--lengths", "1,x", "x"),
+        (["bench"], "--lengths", "0,8,16,32", "0"),
+        (["bench"], "--repeats", "0", "0"),
+        (["probe"], "--n-chunks", "0", "0"),
+        (["probe"], "--n-docs", "-2", "-2"),
+        (["ablate", "CORPUS", "--axis", "alpha"], "--values", "x,0.5", "x"),
+        (["ablate", "CORPUS", "--axis", "alpha"], "--values", "0.5,2.0", "2.0"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_bad_entry_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                 command, flag, value, entry):
+        calls = count_encode_calls(monkeypatch)
+        corpus = str(token_corpus(tmp_path))
+        argv = [corpus if a == "CORPUS" else a for a in command]
+        out = tmp_path / "run"
+        assert main([*argv, flag, value, "--out-dir", str(out), *SMALL_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and repr(entry) in err
+        assert "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
+
+
+class TestOutDirThatIsAFile:
+    COMMANDS = {
+        "pipeline": lambda corpus: ["pipeline", str(corpus)],
+        "probe": lambda corpus: ["probe", "--n-chunks", "4", "--n-docs", "1"],
+        "segment": lambda corpus: ["segment", str(corpus)],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("below", [False, True])
+    def test_exits_one_naming_the_path(self, tmp_path, capsys, command, below):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        out = afile / "sub" if below else afile
+        argv = [*self.COMMANDS[command](token_corpus(tmp_path)), "--out-dir", str(out),
+                *SMALL_FLAGS]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(afile) in err
+        assert afile.read_text() == "keep\n"
 
 
 class TestExitCodes:

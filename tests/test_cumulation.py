@@ -21,7 +21,7 @@ from chunkfuse.cumulation import (
     fused_sequence_manifest,
     sample_middle_indices,
 )
-from chunkfuse.errors import ConfigError, ContractError, DegenerateChunkError
+from chunkfuse.errors import ConfigError, ContractError, InputError
 from chunkfuse.numerics import SeededRng
 from chunkfuse.pipeline import PipelineConfig
 
@@ -74,7 +74,7 @@ class TestExtractBoundaries:
         np.testing.assert_array_equal(rights[0], rows[1:])
 
     def test_too_short_even_for_sharing(self):
-        with pytest.raises(DegenerateChunkError):
+        with pytest.raises(InputError):
             boundaries_from_encodings([np.zeros((1, 2))], 2)
 
 
