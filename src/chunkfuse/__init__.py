@@ -19,7 +19,7 @@ from .cumulation import (
     sample_middle_indices,
 )
 from .decoder import attention_mass_by_chunk, decode_step, init_decoder_weights
-from .encoder import EncoderWeights, ModelConfig, encode, encode_all, init_weights
+from .encoder import EncoderWeights, ModelConfig, encode, init_weights
 from .errors import (
     ChunkfuseError,
     ConfigError,

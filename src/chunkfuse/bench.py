@@ -79,6 +79,15 @@ def fit_loglog_slope(ns, times) -> float:
                             np.log(np.asarray(times, dtype=np.float64)), 1)[0])
 
 
+def check_lengths(lengths: list[int]) -> list[int]:
+    """``lengths`` if a scaling run can fit a slope to them: at least 4, increasing."""
+    if len(lengths) < 4:
+        raise ConfigError("run_scaling needs at least 4 lengths")
+    if any(b >= a for a, b in zip(lengths[1:], lengths)):
+        raise ConfigError("lengths must be strictly increasing")
+    return lengths
+
+
 def run_scaling(
     lengths: list[int],
     cfg: PipelineConfig,
@@ -91,11 +100,7 @@ def run_scaling(
     run at the smallest length is discarded. Runs are sequential by
     design so the slope reflects algorithmic cost.
     """
-    if len(lengths) < 4:
-        raise ConfigError("run_scaling needs at least 4 lengths")
-    if any(b >= a for a, b in zip(lengths[1:], lengths)):
-        raise ConfigError("lengths must be strictly increasing")
-
+    check_lengths(lengths)
     weights = init_weights(cfg.encoder_config())
     docs = {n: make_random_doc(n, cfg.vocab_size, DOC_SEED + n) for n in lengths}
 

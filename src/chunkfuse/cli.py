@@ -58,15 +58,17 @@ def _field_type(name: str):
     return float if name == "alpha" else int
 
 
-def _count(raw: str) -> int:
-    """An int of at least 1: the type of every count flag and ``--lengths`` entry."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{raw!r} is not an int") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{raw!r} is below 1")
-    return value
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """The type of an int flag or list entry that must be at least ``minimum``."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{raw!r} is not an int") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{raw!r} is below {minimum}")
+        return value
+    return parse
 
 
 def _parse_list(flag: str, raw: str, parse: Callable[[str], object]) -> list:
@@ -259,6 +261,12 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def _make_out_dir(args: argparse.Namespace) -> None:
+    """Create ``--out-dir`` once the checks pass, so an unwritable one fails before any encode."""
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+
+
 def _write_csv(path: Path | None, rows: list[list]) -> None:
     if path is None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -360,6 +368,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     sweep = _parse_list("--values", args.values, lambda raw: (
         f" at {args.axis} {raw}", PipelineConfig(**{**values, field: _field_type(field)(raw)})))
     variants, docs, _ = _load_checked(args.corpus, sweep, PROBE_MIN_CHUNKS)
+    _make_out_dir(args)
     # no swept field reaches the encoder, so every variant shares its weights
     weights = init_weights(variants[0].encoder_config())
     rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
@@ -381,7 +390,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    lengths = _parse_list("--lengths", args.lengths, _count)
+    lengths = bench_mod.check_lengths(_parse_list("--lengths", args.lengths, _at_least(1)))
+    _make_out_dir(args)
     report = bench_mod.run_scaling(lengths, cfg, repeats=args.repeats)
     if not report.reliable:
         print("warning: smallest point ran under the reliable-timing floor; "
@@ -437,6 +447,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
                  make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
                                          cfg.vocab_size, args.doc_seed + i))
                 for i in range(args.n_docs)]
+    _make_out_dir(args)
     # encoding does not depend on alpha: encode each document once
     weights = init_weights(variants[0].encoder_config())
     runs: list[list] = [[] for _ in variants]
@@ -484,7 +495,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="measure scaling against document length")
     _common_flags(p)
     p.add_argument("--lengths", default="8192,16384,32768,65536")
-    p.add_argument("--repeats", type=_count, default=3)
+    p.add_argument("--repeats", type=_at_least(1), default=3)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("rouge", help="score candidate summaries against references")
@@ -497,8 +508,8 @@ def _build_parser() -> _Parser:
     _common_flags(p)
     p.add_argument("--corpus", type=Path, default=None)
     p.add_argument("--alphas", default="0.0,0.25,0.5,0.75,1.0")
-    p.add_argument("--n-chunks", type=_count, default=5)
-    p.add_argument("--n-docs", type=_count, default=3)
+    p.add_argument("--n-chunks", type=_at_least(PROBE_MIN_CHUNKS), default=5)
+    p.add_argument("--n-docs", type=_at_least(1), default=3)
     p.add_argument("--doc-seed", type=int, default=11)
     p.set_defaults(func=cmd_probe)
 

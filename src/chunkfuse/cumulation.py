@@ -21,12 +21,19 @@ The mechanism has no learned parameters. The assembled decoder input
 holds, per chunk, the fused left block, the sampled interior rows, and
 the fused right block, giving C * (2 * boundary_width + middle_count)
 rows when every chunk is long enough.
+
+All windows of a document have one length n (the segmenter anchors the
+last window to the document end; only a document shorter than one window
+has a shorter window, its only one). So the encodings are one (C, n, d)
+array and the interior sample one (C, t) array, t = min(m, max(n - 2k, 0)).
+:func:`boundaries_from_encodings` relies on this to take two slices, and
+:func:`assemble` to gather all chunks at once, to give every chunk or none
+a shortfall, and to derive window starts from the stride and the last start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -81,26 +88,22 @@ class FusedSequence:
 
 
 def boundaries_from_encodings(
-    encodings: Sequence[np.ndarray],
+    encodings: np.ndarray,
     boundary_width: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First and last ``boundary_width`` rows of every chunk, as (C, k, d) arrays.
+    """First and last ``boundary_width`` rows of every chunk, as (C, k, d) views.
 
-    A chunk shorter than twice the width gives blocks that share rows;
-    one shorter than the width itself cannot be represented at all.
+    Chunks shorter than twice the width give blocks that share rows;
+    chunks shorter than the width itself cannot be represented at all.
     """
     if boundary_width < 1:
         raise ConfigError("boundary_width must be >= 1")
-    if len(encodings) == 0:
+    c, n = encodings.shape[:2]
+    if c == 0:
         raise ContractError("no chunk encodings supplied")
-    for i, enc in enumerate(encodings, start=1):
-        if len(enc) < boundary_width:
-            raise InputError(
-                f"chunk {i} has {len(enc)} rows, needs at least {boundary_width}"
-            )
-    lefts = np.stack([enc[:boundary_width] for enc in encodings])
-    rights = np.stack([enc[len(enc) - boundary_width:] for enc in encodings])
-    return lefts, rights
+    if n < boundary_width:
+        raise InputError(f"chunks have {n} rows, need at least {boundary_width}")
+    return encodings[:, :boundary_width], encodings[:, n - boundary_width:]
 
 
 def contexts(lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,8 +161,8 @@ def sample_middle_indices(
 def assemble(
     fused_lefts: np.ndarray,
     fused_rights: np.ndarray,
-    encodings: Sequence[np.ndarray],
-    middle_indices: Sequence[Sequence[int]],
+    encodings: np.ndarray,
+    middle_indices: np.ndarray,
     segments: SegmentSet,
     middle_requested: int,
     alpha: float,
@@ -167,37 +170,36 @@ def assemble(
     """Gather fused boundaries and sampled interior rows into the decoder input.
 
     Block order per chunk is fused-left, middle, fused-right, chunks in
-    document order. ``middle_indices`` holds chunk-local row indices,
-    one list per chunk; provenance records every row's document position.
+    document order. ``middle_indices`` is a (C, t) array of chunk-local
+    row indices; provenance records every row's document position.
     """
     c, k, d = fused_lefts.shape
-    if not len(encodings) == len(middle_indices) == segments.count == c:
-        raise ContractError(
-            f"{c} boundary pairs, {len(encodings)} encodings, "
-            f"{len(middle_indices)} index lists, {segments.count} segments"
-        )
-    rows = sum(2 * k + len(idx) for idx in middle_indices)
-    flattened = np.empty((rows, d), dtype=np.float64)
-    provenance = np.empty((rows, 3), dtype=np.int64)
-    r = 0
-    for i, (enc, idx, seg) in enumerate(zip(encodings, middle_indices, segments)):
-        n, m = len(enc), len(idx)
-        end = r + 2 * k + m
-        flattened[r:r + k] = fused_lefts[i]
-        flattened[r + k:end - k] = enc[idx]
-        flattened[end - k:end] = fused_rights[i]
-        provenance[r:end, CHUNK] = i + 1
-        provenance[r:end, ROLE] = [LEFT] * k + [MIDDLE] * m + [RIGHT] * k
-        provenance[r:end, POSITION] = [*range(k), *idx, *range(n - k, n)]
-        provenance[r:end, POSITION] += seg.start
-        r = end
+    n = encodings.shape[1]
+    idx = np.asarray(middle_indices, dtype=np.int64)
+    if not len(encodings) == len(idx) == segments.count == c:
+        raise ContractError(f"{c} boundary pairs, {len(encodings)} encodings, "
+                            f"{len(idx)} index rows, {segments.count} segments")
+    block = 2 * k + idx.shape[1]
+    # filled in place: concatenating the parts left a freed temporary under
+    # the kept array, which raised peak RSS over a run of long documents
+    flattened = np.empty((c, block, d))
+    flattened[:, :k] = fused_lefts
+    flattened[:, block - k:] = fused_rights
+    flattened[:, k:block - k] = encodings[np.arange(c)[:, None], idx]
+    lead = np.broadcast_to(np.arange(k), (c, k))
+    # every window but the last starts at a multiple of the stride
+    starts = np.minimum(np.arange(c) * segments.stride, segments.segments[-1].start)
+    positions = np.concatenate([lead, idx, lead + (n - k)], axis=1) + starts[:, None]
+    roles = np.repeat([LEFT, MIDDLE, RIGHT], [k, idx.shape[1], k])
+    provenance = np.stack([np.repeat(np.arange(1, c + 1), block), np.tile(roles, c),
+                           positions.ravel()], axis=1)
     return FusedSequence(
-        flattened=check_finite(flattened, "assembled sequence"),
+        flattened=check_finite(flattened.reshape(c * block, d), "assembled sequence"),
         provenance=provenance,
         boundary_width=k,
         middle_requested=middle_requested,
         alpha=alpha,
-        short_chunks=tuple(i + 1 for i, enc in enumerate(encodings) if len(enc) < 2 * k),
+        short_chunks=tuple(range(1, c + 1)) if n < 2 * k else (),
     )
 
 

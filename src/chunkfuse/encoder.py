@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .numerics import SeededRng, check_finite
-from .segmenter import Segment, SegmentSet
+from .segmenter import Segment
 
 _LN_EPS = 1e-5
 
@@ -195,11 +195,3 @@ def encode(
         h = h + _feed_forward(_layer_norm(h), lw)
     return check_finite(_layer_norm(h), f"chunk {seg.index} encoding")
 
-
-def encode_all(
-    segments: SegmentSet,
-    weights: EncoderWeights,
-    cfg: ModelConfig,
-) -> list[np.ndarray]:
-    """Encode every segment, results in segment order."""
-    return [encode(seg, weights, cfg) for seg in segments]

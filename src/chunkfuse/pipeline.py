@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import mmap
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from . import cumulation
+from . import cumulation, encoder
 from .decoder import decode_step
-from .encoder import EncoderWeights, ModelConfig, encode_all, init_weights
+from .encoder import EncoderWeights, ModelConfig, init_weights
 from .errors import ConfigError
 from .numerics import SeededRng, fnv1a64
 from .segmenter import SegmentSet, segment
@@ -100,7 +102,6 @@ class PipelineConfig:
 class DocumentRun:
     """Everything one document produced on its way through the pipeline."""
 
-    doc_id: str
     segments: SegmentSet
     fused: cumulation.FusedSequence
 
@@ -110,26 +111,34 @@ def middle_rng_for(cfg: PipelineConfig, doc_id: str) -> SeededRng:
     return SeededRng(cfg.effective_middle_seed() ^ fnv1a64(doc_id))
 
 
-def sample_document_middles(encodings, cfg: PipelineConfig, rng: SeededRng):
-    """Chunk-local interior row indices for every chunk, in chunk order."""
-    return [cumulation.sample_middle_indices(len(enc), cfg.middle_count,
-                                             cfg.boundary_width, rng)
-            for enc in encodings]
+def sample_document_middles(encodings, cfg: PipelineConfig, rng: SeededRng) -> np.ndarray:
+    """(C, t) chunk-local interior row indices, drawn chunk by chunk."""
+    c, n = encodings.shape[:2]
+    return np.array([cumulation.sample_middle_indices(n, cfg.middle_count,
+                                                      cfg.boundary_width, rng)
+                     for _ in range(c)], dtype=np.int64)
 
 
 def encode_document(
     tokens: Sequence[int],
     cfg: PipelineConfig,
     weights: EncoderWeights,
-) -> tuple[SegmentSet, list[np.ndarray]]:
-    """First stage: cut the document into windows and encode each one."""
+) -> tuple[SegmentSet, np.ndarray]:
+    """First stage: cut the document into windows, encode them into one (C, n, d) array."""
     segs = segment(tokens, cfg.chunk_len, cfg.overlap)
-    return segs, encode_all(segs, weights, cfg.encoder_config())
+    model = cfg.encoder_config()
+    parts = [encoder.encode(seg, weights, model) for seg in segs]
+    shape = (len(parts), *parts[0].shape)
+    # stacked after the encodes, into an anonymous mmap rather than the malloc
+    # heap: in perfbench, an array allocated before the encodes raised long-doc
+    # peak RSS by 8%, and a heap block raised small-window's by 11% in 1 run of 4
+    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
+    return segs, np.stack(parts, out=out.reshape(shape))
 
 
 def fuse_document(
     segs: SegmentSet,
-    encodings: list[np.ndarray],
+    encodings: np.ndarray,
     cfg: PipelineConfig,
     doc_id: str,
 ) -> cumulation.FusedSequence:
@@ -151,8 +160,7 @@ def run_document(
     if weights is None:
         weights = init_weights(cfg.encoder_config())
     segs, encodings = encode_document(tokens, cfg, weights)
-    return DocumentRun(doc_id=doc_id, segments=segs,
-                       fused=fuse_document(segs, encodings, cfg, doc_id))
+    return DocumentRun(segments=segs, fused=fuse_document(segs, encodings, cfg, doc_id))
 
 
 def greedy_decode(

@@ -5,6 +5,7 @@ library's array-shaped ``contexts`` and ``fuse`` can be checked against
 them. Boundaries are (C, k, d) arrays; chunk indices are 1-based.
 ``mean_of`` is the plain block average the brute-force context checks
 use, ``fsum_context`` a correctly rounded one for long documents,
+``assemble_per_chunk`` the chunk-by-chunk reference for ``assemble``,
 ``synthetic_chunks`` builds random encodings to assemble from, and
 ``probe_runs`` the assembled sequences the position probe reads.
 """
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE, FusedSequence
 from chunkfuse.errors import ConfigError, ContractError
 from chunkfuse.numerics import as_matrix, check_finite
 from chunkfuse.pipeline import run_document
@@ -148,11 +150,43 @@ def fusion_jacobian(lefts: np.ndarray, alpha: float, index: int) -> FusionJacobi
                           d_fused_left=d_left, d_fused_right=d_right)
 
 
+def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, segments,
+                       middle_requested: int, alpha: float) -> FusedSequence:
+    """``assemble`` one chunk at a time, reading each chunk's length and start.
+
+    Each chunk may bring its own number of rows and of middle indices,
+    so this checks nothing the array version assumes about equal lengths.
+    """
+    c, k, d = fused_lefts.shape
+    rows = sum(2 * k + len(idx) for idx in middle_indices)
+    flattened = np.empty((rows, d), dtype=np.float64)
+    provenance = np.empty((rows, 3), dtype=np.int64)
+    r = 0
+    for i, (enc, idx, seg) in enumerate(zip(encodings, middle_indices, segments)):
+        n, m = len(enc), len(idx)
+        end = r + 2 * k + m
+        flattened[r:r + k] = fused_lefts[i]
+        flattened[r + k:end - k] = enc[idx]
+        flattened[end - k:end] = fused_rights[i]
+        provenance[r:end, CHUNK] = i + 1
+        provenance[r:end, ROLE] = [LEFT] * k + [MIDDLE] * m + [RIGHT] * k
+        provenance[r:end, POSITION] = [*range(k), *idx, *range(n - k, n)]
+        provenance[r:end, POSITION] += seg.start
+        r = end
+    return FusedSequence(
+        flattened=flattened,
+        provenance=provenance,
+        boundary_width=k,
+        middle_requested=middle_requested,
+        alpha=alpha,
+        short_chunks=tuple(i + 1 for i, enc in enumerate(encodings) if len(enc) < 2 * k),
+    )
+
+
 def synthetic_chunks(rng: np.random.Generator, n_chunks: int, chunk_len: int, dim: int):
-    """Back-to-back windows of ``chunk_len`` tokens with random encodings."""
+    """Back-to-back windows of ``chunk_len`` tokens with random (C, n, d) encodings."""
     segs = segment(range(n_chunks * chunk_len), chunk_len, 0)
-    encodings = [rng.normal(size=(chunk_len, dim)) for _ in segs]
-    return segs, encodings
+    return segs, rng.normal(size=(n_chunks, chunk_len, dim))
 
 
 def probe_runs(docs, alpha: float, cfg, weights=None):

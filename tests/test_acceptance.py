@@ -24,7 +24,7 @@ from oracles import (
 from chunkfuse.bench import compare_naive_concat, run_scaling
 from chunkfuse.cli import main
 from chunkfuse.cumulation import assemble, boundaries_from_encodings, contexts, fuse
-from chunkfuse.encoder import encode_all, init_weights
+from chunkfuse.encoder import init_weights
 from chunkfuse.metrics import (
     lcs_length,
     make_random_doc,
@@ -33,7 +33,7 @@ from chunkfuse.metrics import (
     rouge_l,
     rouge_n,
 )
-from chunkfuse.pipeline import PipelineConfig
+from chunkfuse.pipeline import PipelineConfig, encode_document
 from chunkfuse.segmenter import reconstruct, segment, segment_count
 
 
@@ -153,7 +153,7 @@ def test_criterion_05_assembly_length_formula():
             for m in range(0, 17):
                 segs, encs = synthetic_chunks(rng, c, 2 * k + m, 2)
                 fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, k), 0.5)
-                middles = [list(range(k, k + m))] * c
+                middles = np.tile(np.arange(k, k + m), (c, 1))
                 out = assemble(fused_lefts, fused_rights, encs, middles, segs, m, 0.5)
                 assert out.rows == c * (2 * k + m)
                 assert len(out.provenance) == out.rows
@@ -227,8 +227,7 @@ def test_criterion_09_structural_awareness():
     weights = init_weights(cfg.encoder_config())
 
     def fused_lefts(doc, alpha):
-        segs = segment(doc, cfg.chunk_len, cfg.overlap)
-        encs = encode_all(segs, weights, cfg.encoder_config())
+        _, encs = encode_document(doc, cfg, weights)
         return fuse(*boundaries_from_encodings(encs, cfg.boundary_width), alpha)[0]
 
     ident_docs = [make_repeated_chunk_doc(5, 12, 0, 64, seed=s) for s in (1, 2, 3)]

@@ -28,6 +28,15 @@ def token_corpus(tmp_path: Path, name="corpus.jsonl") -> Path:
     ])
 
 
+def identical_chunk_corpus(tmp_path: Path) -> Path:
+    """Two documents of 4 identical 8-token chunks under SMALL_FLAGS."""
+    from chunkfuse.metrics import make_repeated_chunk_doc
+    docs = [{"id": f"d{i}",
+             "tokens": list(make_repeated_chunk_doc(4, 8, 2, 64, seed=40 + i))}
+            for i in range(2)]
+    return write_corpus(tmp_path / "ident.jsonl", docs)
+
+
 def count_encode_calls(monkeypatch) -> list:
     """Record one entry per ``encoder.encode`` call for the rest of the test."""
     import chunkfuse.encoder as encoder_mod
@@ -301,15 +310,8 @@ class TestRougeCommand:
 
 
 class TestAblateCommand:
-    def _identical_chunk_corpus(self, tmp_path):
-        from chunkfuse.metrics import make_repeated_chunk_doc
-        docs = [{"id": f"d{i}",
-                 "tokens": list(make_repeated_chunk_doc(4, 8, 2, 64, seed=40 + i))}
-                for i in range(2)]
-        return write_corpus(tmp_path / "ident.jsonl", docs)
-
     def test_alpha_sweep_row_count(self, tmp_path, capsys):
-        corpus = self._identical_chunk_corpus(tmp_path)
+        corpus = identical_chunk_corpus(tmp_path)
         values = ",".join(str(v / 10) for v in range(11))
         rc = main(["ablate", str(corpus), "--axis", "alpha", "--values", values,
                    *SMALL_FLAGS])
@@ -319,7 +321,7 @@ class TestAblateCommand:
         assert rows[0] == ["alpha", "probe_mse", "scale_rows", "fuse_seconds"]
 
     def test_alpha_one_has_max_probe_mse(self, tmp_path, capsys):
-        corpus = self._identical_chunk_corpus(tmp_path)
+        corpus = identical_chunk_corpus(tmp_path)
         rc = main(["ablate", str(corpus), "--axis", "alpha",
                    "--values", "0.0,0.5,1.0", *SMALL_FLAGS])
         assert rc == 0
@@ -329,7 +331,7 @@ class TestAblateCommand:
         assert mses[0.5] < mses[1.0]
 
     def test_overlap_sweep_and_invalid_value_rejected(self, tmp_path, capsys):
-        corpus = self._identical_chunk_corpus(tmp_path)
+        corpus = identical_chunk_corpus(tmp_path)
         argv = ["ablate", str(corpus), "--axis", "overlap", *SMALL_FLAGS]
         assert main([*argv, "--values", "2,4"]) == 0
         rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
@@ -340,7 +342,7 @@ class TestAblateCommand:
         assert "--values entry '99'" in captured.err
 
     def test_invalid_value_rejected_in_any_position(self, tmp_path, capsys):
-        corpus = self._identical_chunk_corpus(tmp_path)
+        corpus = identical_chunk_corpus(tmp_path)
         at = SMALL_FLAGS.index("--middle-count")
         flags = SMALL_FLAGS[:at] + SMALL_FLAGS[at + 2:]  # middle_count stays 300
         errors = {}
@@ -355,7 +357,7 @@ class TestAblateCommand:
 
     def test_encodes_each_chunk_once_per_value(self, tmp_path, capsys, monkeypatch):
         calls = count_encode_calls(monkeypatch)
-        corpus = self._identical_chunk_corpus(tmp_path)  # two documents of 4 chunks
+        corpus = identical_chunk_corpus(tmp_path)  # two documents of 4 chunks
         assert main(["ablate", str(corpus), "--axis", "alpha", "--values", "0.0,0.5,1.0",
                      *SMALL_FLAGS]) == 0
         assert len(calls) == 3 * 2 * 4
@@ -403,6 +405,7 @@ class TestListAndCountFlags:
         (["bench"], "--lengths", "0,8,16,32", "0"),
         (["bench"], "--repeats", "0", "0"),
         (["probe"], "--n-chunks", "0", "0"),
+        (["probe"], "--n-chunks", "2", "2"),
         (["probe"], "--n-docs", "-2", "-2"),
         (["ablate", "CORPUS", "--axis", "alpha"], "--values", "x,0.5", "x"),
         (["ablate", "CORPUS", "--axis", "alpha"], "--values", "0.5,2.0", "2.0"),
@@ -422,24 +425,30 @@ class TestListAndCountFlags:
 
 
 class TestOutDirThatIsAFile:
+    """Checked before the first encode, so no work is thrown away."""
+
     COMMANDS = {
-        "pipeline": lambda corpus: ["pipeline", str(corpus)],
-        "probe": lambda corpus: ["probe", "--n-chunks", "4", "--n-docs", "1"],
-        "segment": lambda corpus: ["segment", str(corpus)],
+        "ablate": lambda tmp: ["ablate", str(identical_chunk_corpus(tmp)),
+                               "--axis", "alpha", "--values", "0.5"],
+        "bench": lambda tmp: ["bench", "--lengths", "16,32,64,128", "--repeats", "1"],
+        "pipeline": lambda tmp: ["pipeline", str(token_corpus(tmp))],
+        "probe": lambda tmp: ["probe", "--n-chunks", "4", "--n-docs", "1"],
+        "segment": lambda tmp: ["segment", str(token_corpus(tmp))],
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize("below", [False, True])
-    def test_exits_one_naming_the_path(self, tmp_path, capsys, command, below):
+    def test_exits_one_naming_the_path(self, tmp_path, capsys, monkeypatch, command, below):
+        calls = count_encode_calls(monkeypatch)
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
         out = afile / "sub" if below else afile
-        argv = [*self.COMMANDS[command](token_corpus(tmp_path)), "--out-dir", str(out),
-                *SMALL_FLAGS]
+        argv = [*self.COMMANDS[command](tmp_path), "--out-dir", str(out), *SMALL_FLAGS]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(afile) in err
         assert afile.read_text() == "keep\n"
+        assert calls == []
 
 
 class TestExitCodes:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
+    assemble_per_chunk,
     backward_context,
     forward_context,
     fsum_context,
@@ -23,7 +26,8 @@ from chunkfuse.cumulation import (
 )
 from chunkfuse.errors import ConfigError, ContractError, InputError
 from chunkfuse.numerics import SeededRng
-from chunkfuse.pipeline import PipelineConfig
+from chunkfuse.pipeline import PipelineConfig, sample_document_middles
+from chunkfuse.segmenter import segment
 
 
 def scalar_set() -> tuple[np.ndarray, np.ndarray]:
@@ -57,25 +61,31 @@ def oracle_forward(lefts, rights, i: int) -> np.ndarray:
 class TestExtractBoundaries:
     def test_width_one(self):
         enc = np.arange(10.0).reshape(5, 2)
-        lefts, rights = boundaries_from_encodings([enc], 1)
+        lefts, rights = boundaries_from_encodings(enc[None], 1)
         np.testing.assert_array_equal(lefts[0], [[0.0, 1.0]])
         np.testing.assert_array_equal(rights[0], [[8.0, 9.0]])
 
     def test_width_two(self):
         rows = np.arange(15.0).reshape(5, 3)
-        lefts, rights = boundaries_from_encodings([rows], 2)
+        lefts, rights = boundaries_from_encodings(rows[None], 2)
         np.testing.assert_array_equal(lefts[0], rows[:2])
         np.testing.assert_array_equal(rights[0], rows[3:])
 
     def test_short_chunk_policy_shares_rows(self):
         rows = np.arange(6.0).reshape(3, 2)
-        lefts, rights = boundaries_from_encodings([rows], 2)
+        lefts, rights = boundaries_from_encodings(rows[None], 2)
         np.testing.assert_array_equal(lefts[0], rows[:2])
         np.testing.assert_array_equal(rights[0], rows[1:])
 
     def test_too_short_even_for_sharing(self):
         with pytest.raises(InputError):
-            boundaries_from_encodings([np.zeros((1, 2))], 2)
+            boundaries_from_encodings(np.zeros((1, 1, 2)), 2)
+
+    def test_no_chunks_and_zero_width(self):
+        with pytest.raises(ContractError):
+            boundaries_from_encodings(np.zeros((0, 4, 2)), 1)
+        with pytest.raises(ConfigError):
+            boundaries_from_encodings(np.zeros((1, 4, 2)), 0)
 
 
 class TestDirectionalContext:
@@ -333,35 +343,47 @@ class TestSampleMiddle:
 
 def assemble_synthetic(rng, n_chunks, width, middle_indices, dim, chunk_len=None,
                        middle_requested=None):
-    """Random chunks, fused at alpha 0.5 and assembled with the given indices."""
+    """Random chunks, fused at alpha 0.5 and assembled with the (C, t) indices."""
+    middle_indices = np.asarray(middle_indices, dtype=np.int64).reshape(n_chunks, -1)
     if chunk_len is None:
-        chunk_len = 2 * width + max(len(idx) for idx in middle_indices)
+        chunk_len = 2 * width + middle_indices.shape[1]
     segs, encs = synthetic_chunks(rng, n_chunks, chunk_len, dim)
     fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, width), 0.5)
     if middle_requested is None:
-        middle_requested = max(len(idx) for idx in middle_indices)
+        middle_requested = middle_indices.shape[1]
     out = assemble(fused_lefts, fused_rights, encs, middle_indices, segs,
                    middle_requested, 0.5)
     return out, encs, fused_lefts, fused_rights
 
 
+@st.composite
+def chunked_documents(draw):
+    """(segments, k, m): 1 to 6 windows of one length n >= k, with n < 2k and t < m."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 6))
+    chunk_len = draw(st.integers(max(2, k), 12))
+    overlap = draw(st.integers(0, chunk_len - 1))
+    longest = chunk_len + 5 * (chunk_len - overlap)  # six windows
+    return segment(range(draw(st.integers(k, longest))), chunk_len, overlap), k, m
+
+
 class TestAssemble:
     def test_shape_instantiation(self):
         rng = np.random.default_rng(11)
-        out, *_ = assemble_synthetic(rng, 3, 1, [[1, 2]] * 3, 8)
+        out, *_ = assemble_synthetic(rng, 3, 1, np.tile([1, 2], (3, 1)), 8)
         assert out.flattened.shape == (12, 8)
         assert out.rows == 3 * (2 * 1 + 2)
 
     def test_single_chunk_boundaries_only(self):
         rng = np.random.default_rng(12)
-        out, _, fused_lefts, fused_rights = assemble_synthetic(rng, 1, 1, [[]], 4)
+        out, _, fused_lefts, fused_rights = assemble_synthetic(rng, 1, 1, np.empty((1, 0)), 4)
         assert out.rows == 2
         np.testing.assert_array_equal(out.flattened[0:1], fused_lefts[0])
         np.testing.assert_array_equal(out.flattened[1:2], fused_rights[0])
 
     def test_block_order_and_roles(self):
         rng = np.random.default_rng(13)
-        out, encs, _, _ = assemble_synthetic(rng, 2, 2, [[2], [3]], 3, chunk_len=6)
+        out, encs, _, _ = assemble_synthetic(rng, 2, 2, np.array([[2], [3]]), 3, chunk_len=6)
         roles = out.provenance[:, 1].tolist()
         assert roles == [LEFT, LEFT, MIDDLE, RIGHT, RIGHT] * 2
         chunks = out.provenance[:, 0].tolist()
@@ -374,7 +396,7 @@ class TestAssemble:
         segs, encs = synthetic_chunks(rng, 3, 4, 4)
         fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, 1), 0.5)
         with pytest.raises(ContractError):
-            assemble(fused_lefts, fused_rights, encs, [[1]] * 2, segs, 1, 0.5)
+            assemble(fused_lefts, fused_rights, encs, np.ones((2, 1), np.int64), segs, 1, 0.5)
 
     def test_compressed_versus_naive_row_arithmetic(self):
         # 10 full windows at stock settings: 3020 assembled rows versus
@@ -384,36 +406,54 @@ class TestAssemble:
         assert chunks * chunk_len == 10240
 
     def test_manifest_counts_shortfall(self):
+        # one 3-row chunk at k = 1 has a single interior row for 3 requested
         rng = np.random.default_rng(17)
-        out, *_ = assemble_synthetic(rng, 2, 1, [[1, 2, 3], [2]], 4)
-        assert out.middle_counts() == [3, 1]
-        assert out.middle_shortfall() == {2: 2}
+        out, *_ = assemble_synthetic(rng, 1, 1, np.array([[1]]), 4, chunk_len=3,
+                                     middle_requested=3)
+        assert out.middle_counts() == [1]
+        assert out.middle_shortfall() == {1: 2}
         manifest = fused_sequence_manifest(out)
         assert manifest["rows"] == out.rows
-        assert manifest["middle_shortfall"] == {"2": 2}
+        assert manifest["middle_shortfall"] == {"1": 2}
         assert len(manifest["provenance"]) == out.rows
+
+    @given(chunked_documents(), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_chunk_oracle(self, case, dim, seed):
+        segs, k, m = case
+        rng = np.random.default_rng(seed)
+        encs = rng.normal(size=(segs.count, len(segs.segments[0]), dim))
+        # the sampler reads only boundary_width and middle_count
+        cfg = PipelineConfig(chunk_len=2 * k + m, overlap=0, boundary_width=k,
+                             middle_count=m)
+        idx = sample_document_middles(encs, cfg, SeededRng(seed))
+        fused = fuse(*boundaries_from_encodings(encs, k), 0.5)
+        got = assemble(*fused, encs, idx, segs, m, 0.5)
+        want = assemble_per_chunk(*fused, list(encs), idx.tolist(), segs, m, 0.5)
+        assert got.flattened.tobytes() == want.flattened.tobytes()
+        np.testing.assert_array_equal(got.provenance, want.provenance)
+        assert got.short_chunks == want.short_chunks
+        assert got.middle_shortfall() == want.middle_shortfall()
 
 
 class TestBoundariesFromEncodings:
     def test_offsets_recorded(self):
         rng = np.random.default_rng(18)
-        encs = [rng.normal(size=(6, 4)) for _ in range(3)]
-        from chunkfuse.segmenter import segment
+        encs = rng.normal(size=(3, 6, 4))
         segs = segment(list(range(14)), 6, 2)
         lefts, rights = boundaries_from_encodings(encs, 2)
         np.testing.assert_array_equal(lefts[1], encs[1][:2])
         np.testing.assert_array_equal(rights[1], encs[1][4:])
-        out = assemble(*fuse(lefts, rights, 0.5), encs, [[]] * 3, segs, 0, 0.5)
+        out = assemble(*fuse(lefts, rights, 0.5), encs, np.empty((3, 0)), segs, 0, 0.5)
         assert out.provenance[::4, 2].tolist() == [0, 4, 8]
         assert out.provenance[3::4, 2].tolist() == [5, 9, 13]
 
     def test_global_positions_in_provenance(self):
         rng = np.random.default_rng(19)
-        encs = [rng.normal(size=(6, 2)) for _ in range(2)]
-        from chunkfuse.segmenter import segment
+        encs = rng.normal(size=(2, 6, 2))
         segs = segment(list(range(10)), 6, 2)
         fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, 1), 0.5)
-        out = assemble(fused_lefts, fused_rights, encs, [[2], [3]], segs, 1, 0.5)
+        out = assemble(fused_lefts, fused_rights, encs, np.array([[2], [3]]), segs, 1, 0.5)
         positions = [(c, ROLES[r], p) for c, r, p in out.provenance.tolist()]
         assert positions == [
             (1, "left", 0), (1, "middle", 2), (1, "right", 5),

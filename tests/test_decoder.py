@@ -21,7 +21,7 @@ def make_memory(rng, n_chunks=3, width=1, middle=2, dim=16, alpha=0.5):
     """(chunks, boundaries, memory): random chunks assembled into a memory."""
     segs, encs = synthetic_chunks(rng, n_chunks, 2 * width + middle, dim)
     lefts, rights = boundaries_from_encodings(encs, width)
-    indices = [list(range(width, width + middle))] * n_chunks
+    indices = np.tile(np.arange(width, width + middle), (n_chunks, 1))
     memory = assemble(*fuse(lefts, rights, alpha), encs, indices, segs, middle, alpha)
     return (segs, encs, indices), (lefts, rights), memory
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from chunkfuse.encoder import ModelConfig, encode, encode_all, init_weights, sinusoidal_positions
+from chunkfuse.encoder import ModelConfig, encode, init_weights, sinusoidal_positions
 from chunkfuse.errors import ConfigError, InputError
-from chunkfuse.pipeline import PipelineConfig
-from chunkfuse.segmenter import Segment, segment
+from chunkfuse.pipeline import PipelineConfig, encode_document
+from chunkfuse.segmenter import Segment
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -101,18 +101,26 @@ def test_attention_rows_sum_to_one_every_layer():
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
 
-def test_encode_all_order_and_chunk_independence():
-    cfg = small_config()
-    w = init_weights(cfg)
+def pipeline_config() -> PipelineConfig:
+    """small_config's model, cut into 8-token windows overlapping by 2."""
+    return PipelineConfig(chunk_len=8, overlap=2, middle_count=2, vocab_size=50,
+                          d_model=16, n_heads=4, n_layers=2, d_ff=32, seed=77)
+
+
+def test_encode_document_order_and_chunk_independence():
+    cfg = pipeline_config()
+    w = init_weights(cfg.encoder_config())
     tokens = list(range(24))
-    segs = segment(tokens, 8, 2)
-    encs = encode_all(segs, w, cfg)
-    assert [e.shape for e in encs] == [(len(s), cfg.d_model) for s in segs]
+    segs, encs = encode_document(tokens, cfg, w)
+    assert encs.shape == (segs.count, 8, cfg.d_model)
+    assert [len(s) for s in segs] == [8] * segs.count
+    for seg, enc in zip(segs, encs):
+        assert enc.tobytes() == encode(seg, w, cfg.encoder_config()).tobytes()
 
     # editing one chunk's tokens leaves the others bitwise unchanged
     edited = list(tokens)
     edited[0] = 42  # only inside chunk 1
-    encs2 = encode_all(segment(edited, 8, 2), w, cfg)
+    _, encs2 = encode_document(edited, cfg, w)
     assert np.max(np.abs(encs[0] - encs2[0])) > 0
     for a, b in zip(encs[1:], encs2[1:]):
         np.testing.assert_array_equal(a, b)
@@ -126,10 +134,9 @@ def test_sinusoidal_positions_bounds():
 
 
 def test_encodings_deterministic_from_seed():
-    cfg = small_config()
-    segs = segment(list(range(30)), 8, 2)
-    a = encode_all(segs, init_weights(cfg), cfg)
-    b = encode_all(segs, init_weights(cfg), cfg)
+    cfg = pipeline_config()
+    _, a = encode_document(list(range(30)), cfg, init_weights(cfg.encoder_config()))
+    _, b = encode_document(list(range(30)), cfg, init_weights(cfg.encoder_config()))
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
 

@@ -1,0 +1,78 @@
+"""Golden hashes of the run artifacts that do not depend on the platform.
+
+``segments.json`` and ``fused_manifest.json`` hold only ints and config
+values: window layout, sampled middle positions, provenance, shortfall
+and short chunks. Their bytes follow from the segmenter, the seeded
+middle sampler and the assembly alone, so they are pinned here for
+``chunkfuse pipeline`` on both shipped corpora with README's flags and
+on a corpus of short documents. The matrix, decode and attention files
+are left out: their float rounding can differ between BLAS builds.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from chunkfuse.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+README_FLAGS = ["--chunk-len", "64", "--overlap", "16", "--middle-count", "8",
+                "--d-model", "32", "--n-heads", "4", "--n-layers", "2", "--d-ff", "64"]
+# at boundary_width 3 and 8 middles: a window shorter than 2k, one shorter
+# than 2k + m, and a document of two full windows
+SHORT_DOCS = {"below-2k": 4, "below-2k-m": 10, "multi": 100}
+
+GOLDEN = {
+    "tiny_tokens": {
+        "synth-1": ("ba340532352f587f77e09b351b507200e08ff06589defffb9917ae15d2d816dc",
+                    "1b6e80fb3b50767ca0cbe0872014a1c661316b1b23c72aa45c5400899eea92ea"),
+        "synth-2": ("fbc75a94864924e5d22a1d1bd036cf135b67d3104e771ce31db3c7a263dde255",
+                    "36ca7685c80ceb2207247cb7a41ea7de06c9a5afb07c0056ccf26b71141f86d9"),
+        "synth-3": ("460abd7f8e100db12baa27be0007f1d37592bb80765e0f889b387d0c5042fec1",
+                    "2c01aa3fe045601e6f3ef3c243e6f8ecec6d3266fd230c0b16c89a3018c951ef"),
+    },
+    "tiny_text": {
+        "memo-1": ("8f4960bfb07f4e7a4dc682928ae95345616b7cdb3e05a0627aa95b686bdaad3c",
+                   "3e27f04df1b9bf8cd4b369ea66412e89c31cac72bfb07773ca1552264da058b2"),
+        "memo-2": ("e45ff575b949f49d39cc1a49f8ca26da7cac4dc0fa23906daf8df6bc64848e3e",
+                   "ac9d5d9eaa2d47827752b17ad539df64e0aab6ccf2922c531193353db5bce393"),
+        "memo-3": ("ae73fd1b416353856691686153762f0b9cd4fef497d47cb9cee85192281bc928",
+                   "b8ce07643ced1c5379a4d8f696a1602b78e10cec8d6eebee47e2601f3055260b"),
+    },
+    "short": {
+        "below-2k": ("72328d4f01e020e23d8fde10d0a904a707fc7379f0594bd4e7f4be026315b2b0",
+                     "2d7ebb80bcd84e1ae1dcf08594b1f4fe8569a41affcb22b44fd6929374deb242"),
+        "below-2k-m": ("e0a2892d93a17094e1fb68a11f7a7d996d52d2cded71de27dae8f1ad1c8d51c8",
+                       "7634b9005e302a47e6cf582b43ed1b7454cf2f3811b0cdb8391b0a457449b31e"),
+        "multi": ("417553638c60798ba26882936ec0509a6c0c06d54f4764de8ab7e0fb60f44f52",
+                  "752df1fdddacad09c3de1d87722542df2146df1f97681efa150ff1ccf5b8e265"),
+    },
+}
+
+
+def corpus_and_flags(name: str, tmp_path: Path) -> tuple[Path, list[str]]:
+    if name != "short":
+        return ROOT / "corpora" / f"{name}.jsonl", README_FLAGS
+    path = tmp_path / "short.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc_id, n in SHORT_DOCS.items():
+            fh.write(json.dumps({"id": doc_id,
+                                 "tokens": [(7 * i + 3) % 64 for i in range(n)]}) + "\n")
+    return path, [*README_FLAGS, "--boundary-width", "3"]
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_integer_artifacts_match_golden_hashes(name, tmp_path):
+    corpus, flags = corpus_and_flags(name, tmp_path)
+    out = tmp_path / "run"
+    assert main(["pipeline", str(corpus), "--out-dir", str(out), *flags]) == 0
+    docs = out / "docs"
+    got = {d.name: (sha256(d / "segments.json"), sha256(d / "fused_manifest.json"))
+           for d in sorted(docs.iterdir())}
+    assert got == GOLDEN[name]
