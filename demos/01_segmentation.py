@@ -13,11 +13,12 @@ tokens = list(range(100, 126))  # 26 fake token ids
 # windows of 8 tokens, consecutive windows sharing 3 positions
 windows = segment(tokens, chunk_len=8, overlap=3)
 
+# the windows are two arrays: one row of token ids and one start per window
 print(f"{len(tokens)} tokens -> {windows.count} windows "
-      f"(stride {windows.stride})\n")
+      f"(stride {windows.chunk_len - windows.overlap})\n")
 print("idx  start  tokens")
-for w in windows:
-    print(f"{w.index:>3}  {w.start:>5}  {list(w.tokens)}")
+for i, (start, row) in enumerate(zip(windows.starts, windows.tokens), start=1):
+    print(f"{i:>3}  {start:>5}  {row.tolist()}")
 
 # the last window is anchored to the end of the stream, so it can share
 # more than `overlap` positions with its neighbor but is never padded

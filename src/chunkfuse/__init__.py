@@ -50,6 +50,6 @@ from .pipeline import (
     greedy_decode,
     run_document,
 )
-from .segmenter import Segment, SegmentSet, reconstruct, segment, segment_count
+from .segmenter import SegmentSet, reconstruct, segment, segment_count
 
 __version__ = "0.1.0"

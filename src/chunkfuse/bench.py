@@ -79,12 +79,20 @@ def fit_loglog_slope(ns, times) -> float:
                             np.log(np.asarray(times, dtype=np.float64)), 1)[0])
 
 
-def check_lengths(lengths: list[int]) -> list[int]:
-    """``lengths`` if a scaling run can fit a slope to them: at least 4, increasing."""
+def check_lengths(lengths: list[int], cfg: PipelineConfig) -> list[int]:
+    """``lengths`` if a scaling run can fit a slope to them.
+
+    There must be at least 4, strictly increasing, and each long enough
+    that every chunk supplies its full ``2*boundary_width + middle_count`` rows.
+    """
     if len(lengths) < 4:
         raise ConfigError("run_scaling needs at least 4 lengths")
     if any(b >= a for a, b in zip(lengths[1:], lengths)):
         raise ConfigError("lengths must be strictly increasing")
+    shortest = 2 * cfg.boundary_width + cfg.middle_count
+    if lengths[0] < shortest:
+        raise ConfigError(f"--lengths entry {str(lengths[0])!r}: fewer tokens than "
+                          f"2*boundary_width + middle_count = {shortest}")
     return lengths
 
 
@@ -100,7 +108,7 @@ def run_scaling(
     run at the smallest length is discarded. Runs are sequential by
     design so the slope reflects algorithmic cost.
     """
-    check_lengths(lengths)
+    check_lengths(lengths, cfg)
     weights = init_weights(cfg.encoder_config())
     docs = {n: make_random_doc(n, cfg.vocab_size, DOC_SEED + n) for n in lengths}
 

@@ -203,20 +203,34 @@ def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], di
     docs = []
     for lineno, doc_id, obj in docs_raw:
         toks = obj["tokens"]
-        # type(t) is int rejects bools, which isinstance would take as 0 and 1
-        if (not isinstance(toks, list) or not toks
-                or any(type(t) is not int or t < 0 for t in toks)):
+        # comparing types rejects bools, which isinstance would take as 0 and 1;
+        # windows are int64 arrays, so every id must fit in one
+        if (not isinstance(toks, list) or not toks or set(map(type, toks)) != {int}
+                or not 0 <= min(toks) <= max(toks) < 1 << 63):
             raise InputError(
                 f"{path}:{lineno}: document {doc_id!r}: tokens must be a non-empty "
-                "list of non-negative ints")
+                "list of ints in [0, 2**63)")
         docs.append((lineno, doc_id, tuple(toks)))
     return docs, None
+
+
+def _check_file_names(path: Path, docs: Sequence[tuple[int, str, object]]) -> None:
+    """Reject two documents whose ids sanitize to one file name, naming both."""
+    seen: dict[str, tuple[int, str]] = {}
+    for lineno, doc_id, _ in docs:
+        name = _safe_id(doc_id)
+        if name in seen:
+            first_line, first_id = seen[name]
+            raise InputError(f"{path}:{first_line}: document {first_id!r} and {path}:{lineno}: "
+                             f"document {doc_id!r} both write to file name {name!r}")
+        seen[name] = (lineno, doc_id)
 
 
 def _load_checked(
     path: Path,
     configs: Sequence[tuple[str, PipelineConfig]],
     min_chunks: int = 1,
+    file_names: bool = False,
 ) -> tuple[list[PipelineConfig], list[tuple[str, tuple[int, ...]]], dict | None]:
     """Load a corpus and check every document against every config before any write.
 
@@ -225,9 +239,12 @@ def _load_checked(
     sets each config's ``vocab_size`` to the size of its vocabulary. A
     document shorter than one boundary block, holding a token id outside
     the vocabulary, or cut into fewer than ``min_chunks`` windows is
-    rejected with its line and id.
+    rejected with its line and id, and so, if ``file_names``, are two
+    documents that would write to one file.
     """
     docs, vocab = _read_corpus(path)
+    if file_names:
+        _check_file_names(path, docs)
     if vocab is not None:
         configs = [(label, replace(cfg, vocab_size=max(len(vocab), 1)))
                    for label, cfg in configs]
@@ -283,8 +300,10 @@ def _write_csv(path: Path | None, rows: list[list]) -> None:
 
 def cmd_segment(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    docs, _ = load_corpus(args.corpus)
-    for doc_id, tokens in docs:
+    docs, _ = _read_corpus(args.corpus)
+    if args.out_dir is not None:
+        _check_file_names(args.corpus, docs)
+    for _, doc_id, tokens in docs:
         seg_json = segment_set_to_dict(
             segment(tokens, cfg.chunk_len, cfg.overlap),
             include_tokens=args.include_tokens)
@@ -298,17 +317,14 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))])
+    (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))],
+                                        file_names=True)
     out_dir: Path = args.out_dir or Path("chunkfuse-run")
 
     if not docs:
         print(f"warning: corpus {args.corpus} holds no documents; "
               "nothing to do", file=sys.stderr)
         return 0
-
-    safe_ids = [_safe_id(d) for d, _ in docs]
-    if len(set(safe_ids)) != len(safe_ids):
-        raise InputError("document ids collide after filesystem sanitizing")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", json.loads(cfg.canonical_json()))
@@ -321,9 +337,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     dec_cfg = cfg.decoder_config(max_len=len(_DECODE_PREFIX) + _DECODE_STEPS)
 
     # middle sampling is keyed on the document id, so corpus order changes no bytes
-    for (doc_id, tokens), safe in zip(docs, safe_ids):
+    for doc_id, tokens in docs:
         run = run_document(tokens, cfg, weights=weights, doc_id=doc_id)
-        doc_dir = out_dir / "docs" / safe
+        doc_dir = out_dir / "docs" / _safe_id(doc_id)
         doc_dir.mkdir(parents=True, exist_ok=True)
         _write_json(doc_dir / "segments.json",
                     segment_set_to_dict(run.segments))
@@ -390,7 +406,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    lengths = bench_mod.check_lengths(_parse_list("--lengths", args.lengths, _at_least(1)))
+    lengths = bench_mod.check_lengths(_parse_list("--lengths", args.lengths, _at_least(1)),
+                                      cfg)
     _make_out_dir(args)
     report = bench_mod.run_scaling(lengths, cfg, repeats=args.repeats)
     if not report.reliable:

@@ -27,8 +27,9 @@ last window to the document end; only a document shorter than one window
 has a shorter window, its only one). So the encodings are one (C, n, d)
 array and the interior sample one (C, t) array, t = min(m, max(n - 2k, 0)).
 :func:`boundaries_from_encodings` relies on this to take two slices, and
-:func:`assemble` to gather all chunks at once, to give every chunk or none
-a shortfall, and to derive window starts from the stride and the last start.
+:func:`assemble` to gather all chunks at once and to give every chunk or
+none a shortfall. :func:`assemble` reads each window's document offset
+from the (C,) starts the segmenter laid out; it does not derive them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, InputError
 from .numerics import SeededRng, check_finite
-from .segmenter import SegmentSet
 
 # provenance columns, and the role codes stored in the ROLE column
 CHUNK, ROLE, POSITION = 0, 1, 2
@@ -163,7 +163,7 @@ def assemble(
     fused_rights: np.ndarray,
     encodings: np.ndarray,
     middle_indices: np.ndarray,
-    segments: SegmentSet,
+    starts: np.ndarray,
     middle_requested: int,
     alpha: float,
 ) -> FusedSequence:
@@ -171,14 +171,15 @@ def assemble(
 
     Block order per chunk is fused-left, middle, fused-right, chunks in
     document order. ``middle_indices`` is a (C, t) array of chunk-local
-    row indices; provenance records every row's document position.
+    row indices and ``starts`` the (C,) document offsets of the windows;
+    provenance records every row's document position.
     """
     c, k, d = fused_lefts.shape
     n = encodings.shape[1]
     idx = np.asarray(middle_indices, dtype=np.int64)
-    if not len(encodings) == len(idx) == segments.count == c:
+    if not len(encodings) == len(idx) == len(starts) == c:
         raise ContractError(f"{c} boundary pairs, {len(encodings)} encodings, "
-                            f"{len(idx)} index rows, {segments.count} segments")
+                            f"{len(idx)} index rows, {len(starts)} window starts")
     block = 2 * k + idx.shape[1]
     # filled in place: concatenating the parts left a freed temporary under
     # the kept array, which raised peak RSS over a run of long documents
@@ -187,8 +188,6 @@ def assemble(
     flattened[:, block - k:] = fused_rights
     flattened[:, k:block - k] = encodings[np.arange(c)[:, None], idx]
     lead = np.broadcast_to(np.arange(k), (c, k))
-    # every window but the last starts at a multiple of the stride
-    starts = np.minimum(np.arange(c) * segments.stride, segments.segments[-1].start)
     positions = np.concatenate([lead, idx, lead + (n - k)], axis=1) + starts[:, None]
     roles = np.repeat([LEFT, MIDDLE, RIGHT], [k, idx.shape[1], k])
     provenance = np.stack([np.repeat(np.arange(1, c + 1), block), np.tile(roles, c),

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .numerics import SeededRng, check_finite
-from .segmenter import Segment
 
 _LN_EPS = 1e-5
 
@@ -161,28 +160,24 @@ def _feed_forward(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
 
 
 def encode(
-    seg: Segment,
+    tokens: np.ndarray,
     weights: EncoderWeights,
     cfg: ModelConfig,
     attention_hook: AttentionHook | None = None,
 ) -> np.ndarray:
-    """Encode one segment to its (length x d_model) top-layer hidden states.
+    """Encode one window's token ids to its (length x d_model) top-layer hidden states.
 
-    Pure function of (segment, weights, config): embeddings plus
+    Pure function of (tokens, weights, config): embeddings plus
     positions restarted at 0, then ``n_layers`` pre-norm blocks of
     self-attention and feed-forward with residuals, then a final norm.
     """
-    ids = np.asarray(seg.tokens, dtype=np.int64)
+    ids = np.asarray(tokens, dtype=np.int64)
     if ids.size == 0:
-        raise InputError("cannot encode an empty segment")
+        raise InputError("cannot encode an empty window")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise InputError(
-            f"token id outside [0, {cfg.vocab_size}) in segment {seg.index}"
-        )
+        raise InputError(f"token id outside [0, {cfg.vocab_size})")
     if ids.size > cfg.max_len:
-        raise InputError(
-            f"segment length {ids.size} exceeds max_len {cfg.max_len}"
-        )
+        raise InputError(f"window length {ids.size} exceeds max_len {cfg.max_len}")
 
     h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:ids.size]
     for li, lw in enumerate(weights.layers):
@@ -193,5 +188,4 @@ def encode(
         h = h + out
         del out, attn  # not kept alive through the next layer's attention
         h = h + _feed_forward(_layer_norm(h), lw)
-    return check_finite(_layer_norm(h), f"chunk {seg.index} encoding")
-
+    return check_finite(_layer_norm(h), "window encoding")

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import mmap
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -81,15 +81,8 @@ class PipelineConfig:
 
     def decoder_config(self, max_len: int) -> ModelConfig:
         # decoder weights draw from an offset seed so the two stacks differ
-        return ModelConfig(
-            vocab_size=self.vocab_size,
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            n_layers=self.n_layers,
-            d_ff=self.d_ff,
-            max_len=max_len,
-            seed=(self.seed + 1) & ((1 << 64) - 1),
-        )
+        return replace(self.encoder_config(), max_len=max_len,
+                       seed=(self.seed + 1) & ((1 << 64) - 1))
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -111,9 +104,10 @@ def middle_rng_for(cfg: PipelineConfig, doc_id: str) -> SeededRng:
     return SeededRng(cfg.effective_middle_seed() ^ fnv1a64(doc_id))
 
 
-def sample_document_middles(encodings, cfg: PipelineConfig, rng: SeededRng) -> np.ndarray:
-    """(C, t) chunk-local interior row indices, drawn chunk by chunk."""
-    c, n = encodings.shape[:2]
+def sample_document_middles(segs: SegmentSet, cfg: PipelineConfig,
+                            rng: SeededRng) -> np.ndarray:
+    """(C, t) chunk-local interior row indices, drawn chunk by chunk from the window layout."""
+    c, n = segs.tokens.shape
     return np.array([cumulation.sample_middle_indices(n, cfg.middle_count,
                                                       cfg.boundary_width, rng)
                      for _ in range(c)], dtype=np.int64)
@@ -127,7 +121,7 @@ def encode_document(
     """First stage: cut the document into windows, encode them into one (C, n, d) array."""
     segs = segment(tokens, cfg.chunk_len, cfg.overlap)
     model = cfg.encoder_config()
-    parts = [encoder.encode(seg, weights, model) for seg in segs]
+    parts = [encoder.encode(window, weights, model) for window in segs.tokens]
     shape = (len(parts), *parts[0].shape)
     # stacked after the encodes, into an anonymous mmap rather than the malloc
     # heap: in perfbench, an array allocated before the encodes raised long-doc
@@ -145,8 +139,8 @@ def fuse_document(
     """Second stage: fuse the boundaries, sample middles, assemble the memory."""
     lefts, rights = cumulation.boundaries_from_encodings(encodings, cfg.boundary_width)
     fused_lefts, fused_rights = cumulation.fuse(lefts, rights, cfg.alpha)
-    indices = sample_document_middles(encodings, cfg, middle_rng_for(cfg, doc_id))
-    return cumulation.assemble(fused_lefts, fused_rights, encodings, indices, segs,
+    indices = sample_document_middles(segs, cfg, middle_rng_for(cfg, doc_id))
+    return cumulation.assemble(fused_lefts, fused_rights, encodings, indices, segs.starts,
                                cfg.middle_count, cfg.alpha)
 
 

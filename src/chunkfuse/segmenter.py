@@ -12,37 +12,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError, ContractError, InputError
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One window: 1-based index, 0-based source offset, token slice."""
-
-    index: int
-    start: int
-    tokens: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
 class SegmentSet:
-    segments: tuple[Segment, ...]
+    """A document's windows as arrays.
+
+    ``tokens`` is a (C, n) int64 array, one row per window, and ``starts``
+    the (C,) int64 source offsets: window i holds the document positions
+    ``starts[i]`` to ``starts[i] + n - 1``.
+    """
+
+    tokens: np.ndarray
+    starts: np.ndarray
     chunk_len: int
     overlap: int
 
     @property
-    def stride(self) -> int:
-        return self.chunk_len - self.overlap
-
-    @property
     def count(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self):
-        return iter(self.segments)
+        return len(self.starts)
 
 
 def segment_count(n_tokens: int, chunk_len: int, overlap: int) -> int:
@@ -50,39 +41,25 @@ def segment_count(n_tokens: int, chunk_len: int, overlap: int) -> int:
     _validate_window(chunk_len, overlap)
     if n_tokens < 1:
         raise InputError("token sequence must contain at least one token")
-    if n_tokens <= chunk_len:
-        return 1
-    stride = chunk_len - overlap
-    return -(-max(n_tokens - overlap, 1) // stride)
+    # a sequence of at most chunk_len tokens gives max(N - overlap, 1) <= stride: one window
+    return -(-max(n_tokens - overlap, 1) // (chunk_len - overlap))
 
 
 def segment(tokens: Sequence[int], chunk_len: int, overlap: int) -> SegmentSet:
     """Cut ``tokens`` into overlapping windows, left to right.
 
-    Starts advance by ``chunk_len - overlap``; if the last stride would
-    overrun the sequence, the final window is shifted left to end at the
-    last token (it then shares more than ``overlap`` positions with its
-    neighbor, never less).
+    Window i starts at ``min(i * stride, N - n)``, with stride
+    ``chunk_len - overlap`` and window length ``n = min(chunk_len, N)``:
+    if the last stride would overrun the sequence, the final window is
+    shifted left to end at the last token (it then shares more than
+    ``overlap`` positions with its neighbor, never less).
     """
-    _validate_window(chunk_len, overlap)
-    toks = tuple(int(t) for t in tokens)
-    n = len(toks)
-    if n < 1:
-        raise InputError("token sequence must contain at least one token")
-
-    if n <= chunk_len:
-        segs = (Segment(index=1, start=0, tokens=toks),)
-        return SegmentSet(segments=segs, chunk_len=chunk_len, overlap=overlap)
-
-    stride = chunk_len - overlap
-    count = segment_count(n, chunk_len, overlap)
-    segs = []
-    for i in range(count):
-        start = i * stride
-        if start + chunk_len > n:
-            start = n - chunk_len
-        segs.append(Segment(index=i + 1, start=start, tokens=toks[start:start + chunk_len]))
-    return SegmentSet(segments=tuple(segs), chunk_len=chunk_len, overlap=overlap)
+    toks = np.asarray(tokens, dtype=np.int64)
+    count = segment_count(toks.size, chunk_len, overlap)
+    n = min(chunk_len, toks.size)
+    starts = np.minimum(np.arange(count) * (chunk_len - overlap), toks.size - n)
+    return SegmentSet(tokens=np.lib.stride_tricks.sliding_window_view(toks, n)[starts],
+                      starts=starts, chunk_len=chunk_len, overlap=overlap)
 
 
 def reconstruct(segment_set: SegmentSet) -> tuple[int, ...]:
@@ -94,29 +71,27 @@ def reconstruct(segment_set: SegmentSet) -> tuple[int, ...]:
     """
     out: list[int] = []
     covered = 0
-    for seg in segment_set.segments:
-        if seg.start > covered:
+    for i, (start, window) in enumerate(zip(segment_set.starts.tolist(),
+                                            segment_set.tokens.tolist()), start=1):
+        if start > covered:
             raise ContractError(
-                f"segment {seg.index} starts at {seg.start} but only "
-                f"{covered} positions are covered"
+                f"window {i} starts at {start} but only {covered} positions are covered"
             )
-        if seg.start + len(seg.tokens) < covered:
-            raise ContractError(
-                f"segment {seg.index} ends before already-covered positions"
-            )
-        out.extend(seg.tokens[covered - seg.start:])
-        covered = seg.start + len(seg.tokens)
+        if start + len(window) < covered:
+            raise ContractError(f"window {i} ends before already-covered positions")
+        out.extend(window[covered - start:])
+        covered = start + len(window)
     return tuple(out)
 
 
 def segment_set_to_dict(segment_set: SegmentSet, include_tokens: bool = False) -> dict:
     """JSON-ready form; token payloads included only on request."""
-    entries = []
-    for seg in segment_set.segments:
-        entry: dict = {"i": seg.index, "start": seg.start, "len": len(seg.tokens)}
-        if include_tokens:
-            entry["tokens"] = list(seg.tokens)
-        entries.append(entry)
+    n = segment_set.tokens.shape[1]
+    entries = [{"i": i, "start": start, "len": n}
+               for i, start in enumerate(segment_set.starts.tolist(), start=1)]
+    if include_tokens:
+        for entry, window in zip(entries, segment_set.tokens.tolist()):
+            entry["tokens"] = window
     return {
         "L": segment_set.chunk_len,
         "O": segment_set.overlap,

@@ -6,8 +6,10 @@ them. Boundaries are (C, k, d) arrays; chunk indices are 1-based.
 ``mean_of`` is the plain block average the brute-force context checks
 use, ``fsum_context`` a correctly rounded one for long documents,
 ``assemble_per_chunk`` the chunk-by-chunk reference for ``assemble``,
-``synthetic_chunks`` builds random encodings to assemble from, and
-``probe_runs`` the assembled sequences the position probe reads.
+``windows_one_by_one`` the window-by-window reference for ``segment``,
+``synthetic_chunks`` builds window starts and random encodings to
+assemble from, and ``probe_runs`` the assembled sequences the position
+probe reads.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE, Fus
 from chunkfuse.errors import ConfigError, ContractError
 from chunkfuse.numerics import as_matrix, check_finite
 from chunkfuse.pipeline import run_document
-from chunkfuse.segmenter import segment
 
 
 def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -150,7 +151,7 @@ def fusion_jacobian(lefts: np.ndarray, alpha: float, index: int) -> FusionJacobi
                           d_fused_left=d_left, d_fused_right=d_right)
 
 
-def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, segments,
+def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, starts,
                        middle_requested: int, alpha: float) -> FusedSequence:
     """``assemble`` one chunk at a time, reading each chunk's length and start.
 
@@ -162,7 +163,7 @@ def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, seg
     flattened = np.empty((rows, d), dtype=np.float64)
     provenance = np.empty((rows, 3), dtype=np.int64)
     r = 0
-    for i, (enc, idx, seg) in enumerate(zip(encodings, middle_indices, segments)):
+    for i, (enc, idx, start) in enumerate(zip(encodings, middle_indices, starts)):
         n, m = len(enc), len(idx)
         end = r + 2 * k + m
         flattened[r:r + k] = fused_lefts[i]
@@ -171,7 +172,7 @@ def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, seg
         provenance[r:end, CHUNK] = i + 1
         provenance[r:end, ROLE] = [LEFT] * k + [MIDDLE] * m + [RIGHT] * k
         provenance[r:end, POSITION] = [*range(k), *idx, *range(n - k, n)]
-        provenance[r:end, POSITION] += seg.start
+        provenance[r:end, POSITION] += start
         r = end
     return FusedSequence(
         flattened=flattened,
@@ -183,10 +184,29 @@ def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, seg
     )
 
 
+def windows_one_by_one(tokens: Sequence[int], chunk_len: int,
+                       overlap: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(start, tokens) of each window, placed one at a time until the end is covered.
+
+    Each window starts a stride after the previous one; a window that
+    would run past the end is pulled back to end at the last token. The
+    window count comes out of the loop, not from a formula.
+    """
+    toks = tuple(tokens)
+    width = min(chunk_len, len(toks))
+    out = []
+    start = 0
+    while True:
+        start = min(start, len(toks) - width)
+        out.append((start, toks[start:start + width]))
+        if start + width >= len(toks):
+            return out
+        start += chunk_len - overlap
+
+
 def synthetic_chunks(rng: np.random.Generator, n_chunks: int, chunk_len: int, dim: int):
-    """Back-to-back windows of ``chunk_len`` tokens with random (C, n, d) encodings."""
-    segs = segment(range(n_chunks * chunk_len), chunk_len, 0)
-    return segs, rng.normal(size=(n_chunks, chunk_len, dim))
+    """Starts of back-to-back windows of ``chunk_len`` tokens, and random (C, n, d) encodings."""
+    return np.arange(n_chunks) * chunk_len, rng.normal(size=(n_chunks, chunk_len, dim))
 
 
 def probe_runs(docs, alpha: float, cfg, weights=None):

@@ -151,10 +151,10 @@ def test_criterion_05_assembly_length_formula():
     for c in range(1, 9):
         for k in range(1, 4):
             for m in range(0, 17):
-                segs, encs = synthetic_chunks(rng, c, 2 * k + m, 2)
+                starts, encs = synthetic_chunks(rng, c, 2 * k + m, 2)
                 fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, k), 0.5)
                 middles = np.tile(np.arange(k, k + m), (c, 1))
-                out = assemble(fused_lefts, fused_rights, encs, middles, segs, m, 0.5)
+                out = assemble(fused_lefts, fused_rights, encs, middles, starts, m, 0.5)
                 assert out.rows == c * (2 * k + m)
                 assert len(out.provenance) == out.rows
                 checked += 1
@@ -173,18 +173,19 @@ def test_criterion_06_segmentation_round_trip():
         assert segs.count == segment_count(n, chunk_len, overlap)
 
         # coverage: contiguous windows, first at 0, no gaps, ending at n
-        assert segs.segments[0].start == 0
+        width = segs.tokens.shape[1]
+        assert segs.starts[0] == 0
         end = 0
-        for seg in segs:
-            assert seg.start <= end
-            end = max(end, seg.start + len(seg))
+        for start in segs.starts.tolist():
+            assert start <= end
+            end = max(end, start + width)
         assert end == n
 
         if n > chunk_len:
-            assert all(len(s) == chunk_len for s in segs)
-            pairs = list(zip(segs.segments, segs.segments[1:]))
+            assert width == chunk_len
+            pairs = list(zip(segs.starts.tolist(), segs.starts[1:].tolist()))
             for idx, (a, b) in enumerate(pairs):
-                shared = a.start + len(a) - b.start
+                shared = a + width - b
                 assert shared >= overlap
                 if idx < len(pairs) - 1:
                     assert shared == overlap

@@ -116,6 +116,54 @@ class TestCorpusLoading:
         assert f"{path}:2:" in err and "'hollow'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["segment", "pipeline"])
+    def test_token_id_beyond_int64_exits_one(self, tmp_path, capsys, command):
+        path = write_corpus(tmp_path / "h.jsonl", [
+            {"id": "good", "tokens": [1, 2, 3]},
+            {"id": "huge", "tokens": [1, 2**63, 3]},
+        ])
+        out = tmp_path / "run"
+        assert main([command, str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 1
+        captured = capsys.readouterr()
+        assert f"{path}:2:" in captured.err and "'huge'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_largest_int64_token_id_is_kept(self, tmp_path, capsys):
+        path = write_corpus(tmp_path / "h.jsonl", [{"id": "edge", "tokens": [2**63 - 1]}])
+        assert main(["segment", str(path), "--include-tokens"]) == 0
+        line = json.loads(capsys.readouterr().out)
+        assert line["segments"][0]["tokens"] == [2**63 - 1]
+
+
+class TestFileNameCollisions:
+    """Two ids that sanitize to one file name exit 1 before any write, naming both."""
+
+    def corpus(self, tmp_path: Path) -> Path:
+        return write_corpus(tmp_path / "c.jsonl", [
+            {"id": "a/b", "tokens": [1, 2, 3]},
+            {"id": "other", "tokens": [4, 5, 6]},
+            {"id": "a_b", "tokens": [7, 8, 9]},
+        ])
+
+    @pytest.mark.parametrize("command", [["pipeline"], ["segment", "--include-tokens"]])
+    def test_exits_one_naming_both_ids_and_lines(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        calls = count_encode_calls(monkeypatch)
+        path = self.corpus(tmp_path)
+        out = tmp_path / "run"
+        assert main([command[0], str(path), *command[1:], "--out-dir", str(out),
+                     *SMALL_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:1: document 'a/b'" in err and f"{path}:3: document 'a_b'" in err
+        assert calls == []
+        assert not out.exists()
+
+    def test_segment_to_stdout_keeps_both(self, tmp_path, capsys):
+        assert main(["segment", str(self.corpus(tmp_path)), *SMALL_FLAGS]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["id"] for line in lines] == ["a/b", "other", "a_b"]
+
 
 class TestCorpusChecks:
     """Per-document checks against the config run before anything is written."""
@@ -403,6 +451,7 @@ class TestListAndCountFlags:
         (["probe"], "--alphas", "2.0", "2.0"),
         (["bench"], "--lengths", "1,x", "x"),
         (["bench"], "--lengths", "0,8,16,32", "0"),
+        (["bench"], "--lengths", "2,8,16,32", "2"),  # below 2*boundary_width + middle_count
         (["bench"], "--repeats", "0", "0"),
         (["probe"], "--n-chunks", "0", "0"),
         (["probe"], "--n-chunks", "2", "2"),

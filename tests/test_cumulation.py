@@ -347,18 +347,18 @@ def assemble_synthetic(rng, n_chunks, width, middle_indices, dim, chunk_len=None
     middle_indices = np.asarray(middle_indices, dtype=np.int64).reshape(n_chunks, -1)
     if chunk_len is None:
         chunk_len = 2 * width + middle_indices.shape[1]
-    segs, encs = synthetic_chunks(rng, n_chunks, chunk_len, dim)
+    starts, encs = synthetic_chunks(rng, n_chunks, chunk_len, dim)
     fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, width), 0.5)
     if middle_requested is None:
         middle_requested = middle_indices.shape[1]
-    out = assemble(fused_lefts, fused_rights, encs, middle_indices, segs,
+    out = assemble(fused_lefts, fused_rights, encs, middle_indices, starts,
                    middle_requested, 0.5)
     return out, encs, fused_lefts, fused_rights
 
 
 @st.composite
 def chunked_documents(draw):
-    """(segments, k, m): 1 to 6 windows of one length n >= k, with n < 2k and t < m."""
+    """(segment set, k, m): 1 to 6 windows of one length n >= k, with n < 2k and t < m."""
     k = draw(st.integers(1, 3))
     m = draw(st.integers(0, 6))
     chunk_len = draw(st.integers(max(2, k), 12))
@@ -393,10 +393,10 @@ class TestAssemble:
 
     def test_missing_middle_block(self):
         rng = np.random.default_rng(14)
-        segs, encs = synthetic_chunks(rng, 3, 4, 4)
+        starts, encs = synthetic_chunks(rng, 3, 4, 4)
         fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, 1), 0.5)
         with pytest.raises(ContractError):
-            assemble(fused_lefts, fused_rights, encs, np.ones((2, 1), np.int64), segs, 1, 0.5)
+            assemble(fused_lefts, fused_rights, encs, np.ones((2, 1), np.int64), starts, 1, 0.5)
 
     def test_compressed_versus_naive_row_arithmetic(self):
         # 10 full windows at stock settings: 3020 assembled rows versus
@@ -422,14 +422,15 @@ class TestAssemble:
     def test_matches_per_chunk_oracle(self, case, dim, seed):
         segs, k, m = case
         rng = np.random.default_rng(seed)
-        encs = rng.normal(size=(segs.count, len(segs.segments[0]), dim))
+        encs = rng.normal(size=(*segs.tokens.shape, dim))
         # the sampler reads only boundary_width and middle_count
         cfg = PipelineConfig(chunk_len=2 * k + m, overlap=0, boundary_width=k,
                              middle_count=m)
-        idx = sample_document_middles(encs, cfg, SeededRng(seed))
+        idx = sample_document_middles(segs, cfg, SeededRng(seed))
         fused = fuse(*boundaries_from_encodings(encs, k), 0.5)
-        got = assemble(*fused, encs, idx, segs, m, 0.5)
-        want = assemble_per_chunk(*fused, list(encs), idx.tolist(), segs, m, 0.5)
+        got = assemble(*fused, encs, idx, segs.starts, m, 0.5)
+        want = assemble_per_chunk(*fused, list(encs), idx.tolist(), segs.starts.tolist(),
+                                  m, 0.5)
         assert got.flattened.tobytes() == want.flattened.tobytes()
         np.testing.assert_array_equal(got.provenance, want.provenance)
         assert got.short_chunks == want.short_chunks
@@ -444,7 +445,7 @@ class TestBoundariesFromEncodings:
         lefts, rights = boundaries_from_encodings(encs, 2)
         np.testing.assert_array_equal(lefts[1], encs[1][:2])
         np.testing.assert_array_equal(rights[1], encs[1][4:])
-        out = assemble(*fuse(lefts, rights, 0.5), encs, np.empty((3, 0)), segs, 0, 0.5)
+        out = assemble(*fuse(lefts, rights, 0.5), encs, np.empty((3, 0)), segs.starts, 0, 0.5)
         assert out.provenance[::4, 2].tolist() == [0, 4, 8]
         assert out.provenance[3::4, 2].tolist() == [5, 9, 13]
 
@@ -453,7 +454,8 @@ class TestBoundariesFromEncodings:
         encs = rng.normal(size=(2, 6, 2))
         segs = segment(list(range(10)), 6, 2)
         fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, 1), 0.5)
-        out = assemble(fused_lefts, fused_rights, encs, np.array([[2], [3]]), segs, 1, 0.5)
+        out = assemble(fused_lefts, fused_rights, encs, np.array([[2], [3]]), segs.starts,
+                       1, 0.5)
         positions = [(c, ROLES[r], p) for c, r, p in out.provenance.tolist()]
         assert positions == [
             (1, "left", 0), (1, "middle", 2), (1, "right", 5),

@@ -19,11 +19,11 @@ def decoder_config(**overrides) -> ModelConfig:
 
 def make_memory(rng, n_chunks=3, width=1, middle=2, dim=16, alpha=0.5):
     """(chunks, boundaries, memory): random chunks assembled into a memory."""
-    segs, encs = synthetic_chunks(rng, n_chunks, 2 * width + middle, dim)
+    starts, encs = synthetic_chunks(rng, n_chunks, 2 * width + middle, dim)
     lefts, rights = boundaries_from_encodings(encs, width)
     indices = np.tile(np.arange(width, width + middle), (n_chunks, 1))
-    memory = assemble(*fuse(lefts, rights, alpha), encs, indices, segs, middle, alpha)
-    return (segs, encs, indices), (lefts, rights), memory
+    memory = assemble(*fuse(lefts, rights, alpha), encs, indices, starts, middle, alpha)
+    return (starts, encs, indices), (lefts, rights), memory
 
 
 def test_decode_step_shapes_and_stochastic_rows():
@@ -56,13 +56,13 @@ def test_decode_is_deterministic():
 
 def test_perturbing_last_right_boundary_moves_logits():
     rng = np.random.default_rng(3)
-    (segs, encs, indices), (lefts, rights), memory = make_memory(rng, n_chunks=3, alpha=0.5)
+    (starts, encs, indices), (lefts, rights), memory = make_memory(rng, n_chunks=3, alpha=0.5)
     cfg = decoder_config()
     base_logits, _ = decode_step([1], memory, cfg)
 
     bumped = rights.copy()
     bumped[-1] += 0.25
-    new_memory = assemble(*fuse(lefts, bumped, 0.5), encs, indices, segs, 2, 0.5)
+    new_memory = assemble(*fuse(lefts, bumped, 0.5), encs, indices, starts, 2, 0.5)
     new_logits, _ = decode_step([1], new_memory, cfg)
     assert np.max(np.abs(new_logits - base_logits)) > 0
 

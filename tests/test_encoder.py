@@ -4,7 +4,6 @@ import pytest
 from chunkfuse.encoder import ModelConfig, encode, init_weights, sinusoidal_positions
 from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.pipeline import PipelineConfig, encode_document
-from chunkfuse.segmenter import Segment
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -48,9 +47,9 @@ def test_init_variance_matches_fan_in():
 def test_encode_is_pure():
     cfg = small_config()
     w = init_weights(cfg)
-    seg = Segment(index=1, start=0, tokens=(1, 2, 3, 4, 5))
-    np.testing.assert_array_equal(encode(seg, w, cfg),
-                                  encode(seg, w, cfg))
+    window = (1, 2, 3, 4, 5)
+    np.testing.assert_array_equal(encode(window, w, cfg),
+                                  encode(window, w, cfg))
 
 
 def test_encode_shape():
@@ -60,7 +59,7 @@ def test_encode_shape():
     for _ in range(5):
         n = int(rng.integers(1, cfg.max_len + 1))
         toks = tuple(int(t) for t in rng.integers(0, cfg.vocab_size, n))
-        out = encode(Segment(index=1, start=0, tokens=toks), w, cfg)
+        out = encode(toks, w, cfg)
         assert out.shape == (n, cfg.d_model)
         assert np.all(np.isfinite(out))
 
@@ -70,8 +69,8 @@ def test_positions_make_order_matter():
     w = init_weights(cfg)
     tokens = (3, 9, 9, 4, 20, 31)
     swapped = (9, 3, 9, 4, 20, 31)
-    a = encode(Segment(1, 0, tokens), w, cfg)
-    b = encode(Segment(1, 0, swapped), w, cfg)
+    a = encode(tokens, w, cfg)
+    b = encode(swapped, w, cfg)
     assert np.max(np.abs(a - b)) > 0
 
 
@@ -79,21 +78,21 @@ def test_token_id_out_of_range():
     cfg = small_config()
     w = init_weights(cfg)
     with pytest.raises(InputError):
-        encode(Segment(1, 0, (0, cfg.vocab_size)), w, cfg)
+        encode((0, cfg.vocab_size), w, cfg)
 
 
 def test_segment_longer_than_max_len():
     cfg = small_config(max_len=4)
     w = init_weights(cfg)
     with pytest.raises(InputError):
-        encode(Segment(1, 0, (0, 1, 2, 3, 4)), w, cfg)
+        encode((0, 1, 2, 3, 4), w, cfg)
 
 
 def test_attention_rows_sum_to_one_every_layer():
     cfg = small_config()
     w = init_weights(cfg)
     seen = []
-    encode(Segment(1, 0, tuple(range(10))), w, cfg,
+    encode(tuple(range(10)), w, cfg,
            attention_hook=lambda layer, attn: seen.append((layer, attn)))
     assert [layer for layer, _ in seen] == list(range(cfg.n_layers))
     for _, attn in seen:
@@ -113,9 +112,9 @@ def test_encode_document_order_and_chunk_independence():
     tokens = list(range(24))
     segs, encs = encode_document(tokens, cfg, w)
     assert encs.shape == (segs.count, 8, cfg.d_model)
-    assert [len(s) for s in segs] == [8] * segs.count
-    for seg, enc in zip(segs, encs):
-        assert enc.tobytes() == encode(seg, w, cfg.encoder_config()).tobytes()
+    assert segs.tokens.shape == (segs.count, 8)
+    for window, enc in zip(segs.tokens, encs):
+        assert enc.tobytes() == encode(window, w, cfg.encoder_config()).tobytes()
 
     # editing one chunk's tokens leaves the others bitwise unchanged
     edited = list(tokens)

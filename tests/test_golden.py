@@ -6,7 +6,9 @@ and short chunks. Their bytes follow from the segmenter, the seeded
 middle sampler and the assembly alone, so they are pinned here for
 ``chunkfuse pipeline`` on both shipped corpora with README's flags and
 on a corpus of short documents. The matrix, decode and attention files
-are left out: their float rounding can differ between BLAS builds.
+are left out: their float rounding can differ between BLAS builds. The
+per-document files of ``chunkfuse segment --include-tokens --out-dir``,
+which add every window's token ids, are pinned for the same corpora.
 """
 
 import hashlib
@@ -51,6 +53,24 @@ GOLDEN = {
     },
 }
 
+SEGMENT_GOLDEN = {
+    "tiny_tokens": {
+        "synth-1": "d1b25039d497a36985809e7a156e6d59c15f5c418f033533d767afd9e89b9e3a",
+        "synth-2": "1ab85cf461fc58e44fb42c737455380cce4008cb980fa501e2cb556f4a164fdb",
+        "synth-3": "f86cbd4435d088c50bc68da9e4a811765149b6607828b08b9c265c78d29bf9b3",
+    },
+    "tiny_text": {
+        "memo-1": "8628417f757b8ef71ce0c8ab2375c75dfd0be702cf7a25483f5d6bba54f1278d",
+        "memo-2": "175b2a3bed52aea5f24dbbcea2f921976e93a996fe5c15b451dad684b7189c84",
+        "memo-3": "f715a11854e30a21cd46b0c35779f90337f66b139fa2cd9f62d65bf8c13843b3",
+    },
+    "short": {
+        "below-2k": "1c0fad069c1163392faf29c019fc9b8eec44960518440547680cafd60d39fff1",
+        "below-2k-m": "3685d353f932872abe8e4653b8a830f716ac9bd42f9ecb0c19d48bf67472aace",
+        "multi": "4a585c989dfcb4af4b7734bf7329459a9e9e587db0ccfb3f8f0ae9553320e87a",
+    },
+}
+
 
 def corpus_and_flags(name: str, tmp_path: Path) -> tuple[Path, list[str]]:
     if name != "short":
@@ -76,3 +96,13 @@ def test_integer_artifacts_match_golden_hashes(name, tmp_path):
     got = {d.name: (sha256(d / "segments.json"), sha256(d / "fused_manifest.json"))
            for d in sorted(docs.iterdir())}
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_GOLDEN))
+def test_segment_files_match_golden_hashes(name, tmp_path):
+    corpus, flags = corpus_and_flags(name, tmp_path)
+    out = tmp_path / "segments"
+    assert main(["segment", str(corpus), "--include-tokens", "--out-dir", str(out),
+                 *flags]) == 0
+    got = {p.name.removesuffix(".segments.json"): sha256(p) for p in sorted(out.iterdir())}
+    assert got == SEGMENT_GOLDEN[name]

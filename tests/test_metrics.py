@@ -121,8 +121,8 @@ class TestRepeatedChunkDocs:
         doc = make_repeated_chunk_doc(5, 12, overlap, 64, seed=4)
         segs = segment(doc, 12, overlap)
         assert segs.count == 5
-        first = segs.segments[0].tokens
-        assert all(s.tokens == first for s in segs)
+        first = segs.tokens[0].tolist()
+        assert all(row == first for row in segs.tokens.tolist())
 
 
 class TestPositionProbe:

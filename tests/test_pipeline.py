@@ -30,11 +30,10 @@ def test_alpha_one_rows_are_full_encoder_rows():
     weights = init_weights(cfg.encoder_config())
     # the last window is anchored to the end, so it overlaps more
     run = run_document(make_random_doc(61, cfg.vocab_size, 5), cfg, weights=weights)
-    full = {seg.index: encode(seg, weights, cfg.encoder_config())
-            for seg in run.segments}
-    starts = {seg.index: seg.start for seg in run.segments}
+    full = [encode(window, weights, cfg.encoder_config()) for window in run.segments.tokens]
+    starts = run.segments.starts
     for row, (chunk, _role, pos) in zip(run.fused.flattened, run.fused.provenance):
-        assert row.tobytes() == full[chunk][pos - starts[chunk]].tobytes()
+        assert row.tobytes() == full[chunk - 1][pos - starts[chunk - 1]].tobytes()
 
 
 @st.composite
@@ -62,10 +61,11 @@ def test_rows_provenance_and_roles_property(case, doc_seed):
 
     chunks = fused.provenance[:, CHUNK]
     assert chunks.tolist() == sorted(chunks.tolist())
-    for seg in segs:
-        mine = fused.provenance[chunks == seg.index]
-        assert np.all((seg.start <= mine[:, POSITION])
-                      & (mine[:, POSITION] < seg.start + len(seg)))
+    width = segs.tokens.shape[1]
+    for index, start in enumerate(segs.starts.tolist(), start=1):
+        mine = fused.provenance[chunks == index]
+        assert np.all((start <= mine[:, POSITION])
+                      & (mine[:, POSITION] < start + width))
         middles = len(mine) - 2 * k
         assert mine[:, ROLE].tolist() == [LEFT] * k + [MIDDLE] * middles + [RIGHT] * k
 

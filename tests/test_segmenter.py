@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import windows_one_by_one
 
 from chunkfuse.errors import ConfigError, ContractError, InputError
 from chunkfuse.segmenter import (
-    Segment,
     SegmentSet,
     reconstruct,
     segment,
@@ -17,32 +18,33 @@ from chunkfuse.segmenter import (
 
 def test_hand_case_n10_l4_o2():
     segs = segment(list(range(10)), 4, 2)
-    assert [s.start for s in segs] == [0, 2, 4, 6]
+    assert segs.starts.tolist() == [0, 2, 4, 6]
     assert segs.count == 4
-    assert all(len(s) == 4 for s in segs)
-    assert segs.segments[1].tokens == (2, 3, 4, 5)
+    assert segs.tokens.shape == (4, 4)
+    assert segs.tokens[1].tolist() == [2, 3, 4, 5]
+    assert segs.tokens.dtype == segs.starts.dtype == np.int64
 
 
 def test_short_input_single_window():
     segs = segment([7, 8, 9], 1024, 150)
     assert segs.count == 1
-    assert segs.segments[0].tokens == (7, 8, 9)
-    assert segs.segments[0].start == 0
+    assert segs.tokens.tolist() == [[7, 8, 9]]
+    assert segs.starts.tolist() == [0]
 
 
 def test_reference_defaults_window():
     # 1024-token windows overlapping by 150 are the stock setting
     segs = segment(list(range(5000)), 1024, 150)
     assert segs.chunk_len == 1024 and segs.overlap == 150
-    assert all(len(s) == 1024 for s in segs)
+    assert segs.tokens.shape[1] == 1024
 
 
 def test_anchored_tail_keeps_full_length():
     segs = segment(list(range(11)), 4, 2)
     # stride-2 starts would be 0,2,4,6,8 but 8+4 > 11, so the last
     # window is pulled back to end at the sequence end
-    assert [s.start for s in segs] == [0, 2, 4, 6, 7]
-    assert all(len(s) == 4 for s in segs)
+    assert segs.starts.tolist() == [0, 2, 4, 6, 7]
+    assert segs.tokens.shape == (5, 4)
 
 
 def test_overlap_must_be_below_chunk_len():
@@ -73,19 +75,21 @@ def test_count_formula_matches_construction():
         n = rnd.randint(1, 400)
         segs = segment(range(n), chunk_len, overlap)
         assert segs.count == segment_count(n, chunk_len, overlap)
+        assert segs.tokens.shape[0] == segs.count
 
 
 def _check_invariants(segs: SegmentSet, n: int) -> None:
     chunk_len, overlap = segs.chunk_len, segs.overlap
+    width = segs.tokens.shape[1]
     covered = set()
-    for seg in segs:
-        covered.update(range(seg.start, seg.start + len(seg)))
+    for start in segs.starts.tolist():
+        covered.update(range(start, start + width))
     assert covered == set(range(n)), "coverage has gaps"
     if n > chunk_len:
-        assert all(len(s) == chunk_len for s in segs)
-        pairs = list(zip(segs.segments, segs.segments[1:]))
+        assert width == chunk_len
+        pairs = list(zip(segs.starts.tolist(), segs.starts[1:].tolist()))
         for idx, (a, b) in enumerate(pairs):
-            shared = (a.start + len(a)) - b.start
+            shared = (a + width) - b
             assert shared >= overlap
             if idx < len(pairs) - 1:
                 assert shared == overlap
@@ -112,6 +116,17 @@ def test_round_trip_property(chunk_len, data):
     assert reconstruct(segs) == tokens
 
 
+@given(st.integers(2, 30), st.data())
+@settings(max_examples=200, deadline=None)
+def test_matches_window_by_window_oracle(chunk_len, data):
+    overlap = data.draw(st.integers(0, chunk_len - 1))
+    tokens = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=300))
+    segs = segment(tokens, chunk_len, overlap)
+    want = windows_one_by_one(tokens, chunk_len, overlap)
+    assert segs.starts.tolist() == [start for start, _ in want]
+    assert segs.tokens.tolist() == [list(window) for _, window in want]
+
+
 def test_linear_growth_of_chunk_count():
     # with overlap at most half a window, doubling the input never more
     # than doubles the window count plus one
@@ -125,9 +140,8 @@ def test_linear_growth_of_chunk_count():
 
 
 def test_reconstruct_rejects_gap():
-    bad = SegmentSet(
-        segments=(Segment(1, 0, (1, 2)), Segment(2, 3, (9, 9))),
-        chunk_len=2, overlap=0)
+    bad = SegmentSet(tokens=np.array([[1, 2], [9, 9]]), starts=np.array([0, 3]),
+                     chunk_len=2, overlap=0)
     with pytest.raises(ContractError):
         reconstruct(bad)
 
