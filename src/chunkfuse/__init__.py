@@ -12,11 +12,9 @@ from .cumulation import (
     ROLES,
     FusedSequence,
     assemble,
-    boundaries_from_encodings,
     contexts,
     fuse,
     fused_sequence_manifest,
-    sample_middle_indices,
 )
 from .decoder import attention_mass_by_chunk, decode_step, init_decoder_weights
 from .encoder import EncoderWeights, ModelConfig, encode, init_weights

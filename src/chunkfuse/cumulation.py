@@ -1,4 +1,4 @@
-"""Boundary extraction, cumulative directional context, and fusion.
+"""Cumulative directional context, fusion, and the decoder memory layout.
 
 Boundaries are two stacked ``(C, k, d)`` arrays: ``lefts[i - 1]`` and
 ``rights[i - 1]`` hold the first and last ``k = boundary_width`` rows
@@ -22,14 +22,13 @@ holds, per chunk, the fused left block, the sampled interior rows, and
 the fused right block, giving C * (2 * boundary_width + middle_count)
 rows when every chunk is long enough.
 
-All windows of a document have one length n (the segmenter anchors the
-last window to the document end; only a document shorter than one window
-has a shorter window, its only one). So the encodings are one (C, n, d)
-array and the interior sample one (C, t) array, t = min(m, max(n - 2k, 0)).
-:func:`boundaries_from_encodings` relies on this to take two slices, and
-:func:`assemble` to gather all chunks at once and to give every chunk or
-none a shortfall. :func:`assemble` reads each window's document offset
-from the (C,) starts the segmenter laid out; it does not derive them.
+Which rows survive is decided once, in ``pipeline.fuse_document``: its
+``keep`` array holds each chunk's rows 0..k-1, its sorted interior
+sample and rows n-k..n-1, and it gathers those rows from the encodings.
+:func:`assemble` reads only the kept rows and their document positions:
+it fuses each chunk's first and last k kept rows in place and lays the
+rows out chunk after chunk. All windows of a document have one length,
+so every chunk keeps the same number of rows.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, InputError
-from .numerics import SeededRng, check_finite
+from .errors import ConfigError, ContractError
+from .numerics import check_finite
 
 # provenance columns, and the role codes stored in the ROLE column
 CHUNK, ROLE, POSITION = 0, 1, 2
@@ -87,25 +86,6 @@ class FusedSequence:
                 if got < self.middle_requested}
 
 
-def boundaries_from_encodings(
-    encodings: np.ndarray,
-    boundary_width: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and last ``boundary_width`` rows of every chunk, as (C, k, d) views.
-
-    Chunks shorter than twice the width give blocks that share rows;
-    chunks shorter than the width itself cannot be represented at all.
-    """
-    if boundary_width < 1:
-        raise ConfigError("boundary_width must be >= 1")
-    c, n = encodings.shape[:2]
-    if c == 0:
-        raise ContractError("no chunk encodings supplied")
-    if n < boundary_width:
-        raise InputError(f"chunks have {n} rows, need at least {boundary_width}")
-    return encodings[:, :boundary_width], encodings[:, n - boundary_width:]
-
-
 def contexts(lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backward and forward contexts of every chunk, one O(C) scan each."""
     c = lefts.shape[0]
@@ -135,70 +115,40 @@ def fuse(lefts: np.ndarray, rights: np.ndarray, alpha: float) -> tuple[np.ndarra
             check_finite(alpha * rights + (1.0 - alpha) * fwd, "fused right"))
 
 
-def sample_middle_indices(
-    n_rows: int,
-    middle_count: int,
-    boundary_width: int,
-    rng: SeededRng,
-) -> list[int]:
-    """Row indices for the interior sample, ascending.
-
-    The interior excludes the ``boundary_width`` rows at each end so no
-    row appears twice in the assembled sequence. If the interior is
-    smaller than the request, every interior row is taken; the
-    shortfall is visible in the assembled provenance, not an error.
-    """
-    if middle_count < 0:
-        raise ConfigError("middle_count must be >= 0")
-    interior = max(n_rows - 2 * boundary_width, 0)
-    take = min(middle_count, interior)
-    if take == 0:
-        return []
-    chosen = rng.sample_indices(interior, take)
-    return sorted(boundary_width + idx for idx in chosen)
-
-
 def assemble(
-    fused_lefts: np.ndarray,
-    fused_rights: np.ndarray,
-    encodings: np.ndarray,
-    middle_indices: np.ndarray,
-    starts: np.ndarray,
+    rows: np.ndarray,
+    positions: np.ndarray,
+    boundary_width: int,
     middle_requested: int,
     alpha: float,
 ) -> FusedSequence:
-    """Gather fused boundaries and sampled interior rows into the decoder input.
+    """Fuse the kept rows' boundary blocks and lay the rows out as the decoder input.
 
-    Block order per chunk is fused-left, middle, fused-right, chunks in
-    document order. ``middle_indices`` is a (C, t) array of chunk-local
-    row indices and ``starts`` the (C,) document offsets of the windows;
-    provenance records every row's document position.
+    ``rows`` is the (C, 2k + t, d) array of every chunk's kept rows: its
+    first k rows, t sampled interior rows and last k rows. Their first
+    and last k rows are fused in place. ``positions`` is the (C, 2k + t)
+    array of the rows' document positions, which provenance records. A
+    chunk is short when its left and right blocks share a position.
     """
-    c, k, d = fused_lefts.shape
-    n = encodings.shape[1]
-    idx = np.asarray(middle_indices, dtype=np.int64)
-    if not len(encodings) == len(idx) == len(starts) == c:
-        raise ContractError(f"{c} boundary pairs, {len(encodings)} encodings, "
-                            f"{len(idx)} index rows, {len(starts)} window starts")
-    block = 2 * k + idx.shape[1]
-    # filled in place: concatenating the parts left a freed temporary under
-    # the kept array, which raised peak RSS over a run of long documents
-    flattened = np.empty((c, block, d))
-    flattened[:, :k] = fused_lefts
-    flattened[:, block - k:] = fused_rights
-    flattened[:, k:block - k] = encodings[np.arange(c)[:, None], idx]
-    lead = np.broadcast_to(np.arange(k), (c, k))
-    positions = np.concatenate([lead, idx, lead + (n - k)], axis=1) + starts[:, None]
-    roles = np.repeat([LEFT, MIDDLE, RIGHT], [k, idx.shape[1], k])
+    c, block, d = rows.shape
+    k = boundary_width
+    if positions.shape != (c, block) or block < 2 * k:
+        raise ContractError(f"kept rows of shape {rows.shape} with positions of shape "
+                            f"{positions.shape} at boundary width {k}")
+    # fused in place: concatenating fused blocks and middles left a freed
+    # temporary under the kept array, which raised peak RSS over long documents
+    rows[:, :k], rows[:, block - k:] = fuse(rows[:, :k], rows[:, block - k:], alpha)
+    roles = np.repeat([LEFT, MIDDLE, RIGHT], [k, block - 2 * k, k])
     provenance = np.stack([np.repeat(np.arange(1, c + 1), block), np.tile(roles, c),
                            positions.ravel()], axis=1)
+    short = positions[:, k - 1] >= positions[:, block - k]
     return FusedSequence(
-        flattened=check_finite(flattened.reshape(c * block, d), "assembled sequence"),
+        flattened=check_finite(rows.reshape(c * block, d), "assembled sequence"),
         provenance=provenance,
         boundary_width=k,
         middle_requested=middle_requested,
         alpha=alpha,
-        short_chunks=tuple(range(1, c + 1)) if n < 2 * k else (),
+        short_chunks=tuple((np.flatnonzero(short) + 1).tolist()),
     )
 
 

@@ -120,7 +120,6 @@ def decode_step(
     mask = _causal_mask(n)
 
     h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:n]
-    cross_attention: np.ndarray | None = None
     for lw in weights.layers:
         sa = lw.self_attn
         x = _layer_norm(h)
@@ -128,14 +127,13 @@ def decode_step(
         # cross-attention over the raw memory rows
         out, cross = _attention(_layer_norm(h), mem, lw.cross_q, lw.cross_k,
                                 lw.cross_v, lw.cross_o, cfg.n_heads)
-        cross_attention = cross.mean(axis=0)
         h = h + out
         h = h + _feed_forward(_layer_norm(h), sa)
 
     logits = _layer_norm(h) @ weights.out_proj
     check_finite(logits, "decoder logits")
-    assert cross_attention is not None
-    return logits, cross_attention
+    # ModelConfig admits no fewer than one layer, so ``cross`` is the last layer's
+    return logits, cross.mean(axis=0)
 
 
 def attention_mass_by_chunk(

@@ -20,7 +20,7 @@ import numpy as np
 from . import cumulation, encoder
 from .decoder import decode_step
 from .encoder import EncoderWeights, ModelConfig, init_weights
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .numerics import SeededRng, fnv1a64
 from .segmenter import SegmentSet, segment
 
@@ -106,11 +106,19 @@ def middle_rng_for(cfg: PipelineConfig, doc_id: str) -> SeededRng:
 
 def sample_document_middles(segs: SegmentSet, cfg: PipelineConfig,
                             rng: SeededRng) -> np.ndarray:
-    """(C, t) chunk-local interior row indices, drawn chunk by chunk from the window layout."""
+    """(C, t) chunk-local interior row indices, ascending, drawn chunk by chunk.
+
+    The interior excludes the ``boundary_width`` rows at each end so no
+    row is kept twice. A chunk whose interior is smaller than
+    ``middle_count`` gives all of it, t = min(m, max(n - 2k, 0)); the
+    shortfall is visible in the assembled provenance, not an error.
+    """
     c, n = segs.tokens.shape
-    return np.array([cumulation.sample_middle_indices(n, cfg.middle_count,
-                                                      cfg.boundary_width, rng)
-                     for _ in range(c)], dtype=np.int64)
+    k = cfg.boundary_width
+    interior = max(n - 2 * k, 0)
+    take = min(cfg.middle_count, interior)
+    drawn = [sorted(rng.sample_indices(interior, take)) for _ in range(c)]
+    return np.array(drawn, dtype=np.int64) + k
 
 
 def encode_document(
@@ -136,12 +144,22 @@ def fuse_document(
     cfg: PipelineConfig,
     doc_id: str,
 ) -> cumulation.FusedSequence:
-    """Second stage: fuse the boundaries, sample middles, assemble the memory."""
-    lefts, rights = cumulation.boundaries_from_encodings(encodings, cfg.boundary_width)
-    fused_lefts, fused_rights = cumulation.fuse(lefts, rights, cfg.alpha)
-    indices = sample_document_middles(segs, cfg, middle_rng_for(cfg, doc_id))
-    return cumulation.assemble(fused_lefts, fused_rights, encodings, indices, segs.starts,
-                               cfg.middle_count, cfg.alpha)
+    """Second stage: sample the interior rows, gather the kept rows, fuse and assemble them.
+
+    ``keep`` lists each chunk's kept rows: 0..k-1, the interior sample,
+    then n-k..n-1. Chunks shorter than 2k keep some rows twice; chunks
+    shorter than k cannot be represented at all.
+    """
+    c, n = segs.tokens.shape
+    k = cfg.boundary_width
+    if n < k:
+        raise InputError(f"chunks have {n} rows, need at least {k}")
+    lead = np.broadcast_to(np.arange(k), (c, k))
+    middles = sample_document_middles(segs, cfg, middle_rng_for(cfg, doc_id))
+    keep = np.concatenate([lead, middles, lead + (n - k)], axis=1)
+    rows = encodings[np.arange(c)[:, None], keep]
+    return cumulation.assemble(rows, keep + segs.starts[:, None], k, cfg.middle_count,
+                               cfg.alpha)
 
 
 def run_document(

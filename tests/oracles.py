@@ -7,9 +7,10 @@ them. Boundaries are (C, k, d) arrays; chunk indices are 1-based.
 use, ``fsum_context`` a correctly rounded one for long documents,
 ``assemble_per_chunk`` the chunk-by-chunk reference for ``assemble``,
 ``windows_one_by_one`` the window-by-window reference for ``segment``,
-``synthetic_chunks`` builds window starts and random encodings to
-assemble from, and ``probe_runs`` the assembled sequences the position
-probe reads.
+``synthetic_chunks`` builds window starts and random encodings,
+``kept_rows`` picks from them, one chunk at a time, the rows and
+positions ``assemble`` reads, and ``probe_runs`` the assembled sequences
+the position probe reads.
 """
 
 from __future__ import annotations
@@ -207,6 +208,23 @@ def windows_one_by_one(tokens: Sequence[int], chunk_len: int,
 def synthetic_chunks(rng: np.random.Generator, n_chunks: int, chunk_len: int, dim: int):
     """Starts of back-to-back windows of ``chunk_len`` tokens, and random (C, n, d) encodings."""
     return np.arange(n_chunks) * chunk_len, rng.normal(size=(n_chunks, chunk_len, dim))
+
+
+def kept_rows(encodings: np.ndarray, boundary_width: int, middle_indices,
+              starts) -> tuple[np.ndarray, np.ndarray]:
+    """(C, 2k + t, d) kept rows and (C, 2k + t) document positions, chunk by chunk.
+
+    Each chunk keeps its first k rows, the rows ``middle_indices`` names
+    and its last k rows, as ``fuse_document`` does.
+    """
+    k = boundary_width
+    rows, positions = [], []
+    for enc, idx, start in zip(encodings, np.asarray(middle_indices).tolist(),
+                               np.asarray(starts).tolist()):
+        keep = [*range(k), *idx, *range(len(enc) - k, len(enc))]
+        rows.append(enc[keep])
+        positions.append([start + i for i in keep])
+    return np.stack(rows), np.array(positions, dtype=np.int64)
 
 
 def probe_runs(docs, alpha: float, cfg, weights=None):

@@ -16,6 +16,7 @@ from oracles import (
     backward_context,
     forward_context,
     fusion_jacobian,
+    kept_rows,
     mean_of,
     probe_runs,
     synthetic_chunks,
@@ -23,7 +24,7 @@ from oracles import (
 
 from chunkfuse.bench import compare_naive_concat, run_scaling
 from chunkfuse.cli import main
-from chunkfuse.cumulation import assemble, boundaries_from_encodings, contexts, fuse
+from chunkfuse.cumulation import assemble, contexts, fuse
 from chunkfuse.encoder import init_weights
 from chunkfuse.metrics import (
     lcs_length,
@@ -152,9 +153,8 @@ def test_criterion_05_assembly_length_formula():
         for k in range(1, 4):
             for m in range(0, 17):
                 starts, encs = synthetic_chunks(rng, c, 2 * k + m, 2)
-                fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, k), 0.5)
                 middles = np.tile(np.arange(k, k + m), (c, 1))
-                out = assemble(fused_lefts, fused_rights, encs, middles, starts, m, 0.5)
+                out = assemble(*kept_rows(encs, k, middles, starts), k, m, 0.5)
                 assert out.rows == c * (2 * k + m)
                 assert len(out.provenance) == out.rows
                 checked += 1
@@ -229,7 +229,8 @@ def test_criterion_09_structural_awareness():
 
     def fused_lefts(doc, alpha):
         _, encs = encode_document(doc, cfg, weights)
-        return fuse(*boundaries_from_encodings(encs, cfg.boundary_width), alpha)[0]
+        k = cfg.boundary_width
+        return fuse(encs[:, :k], encs[:, encs.shape[1] - k:], alpha)[0]
 
     ident_docs = [make_repeated_chunk_doc(5, 12, 0, 64, seed=s) for s in (1, 2, 3)]
 

@@ -424,6 +424,22 @@ class TestBenchCommand:
         rows = list(csv.reader(out_lines[:-1]))
         assert rows[0][0] == "N" and len(rows) == 5
 
+    def test_out_dir_writes_scaling_csv_and_verdict(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        rc = main(["bench", "--lengths", "256,512,1024,2048", "--repeats", "1",
+                   "--chunk-len", "64", "--overlap", "16", "--middle-count", "4",
+                   "--d-model", "8", "--n-heads", "2", "--n-layers", "1",
+                   "--d-ff", "16", "--vocab-size", "32", "--out-dir", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out.strip().splitlines()
+        assert len(printed) == 1
+        with open(out / "scaling.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["N", "C", "encode_s", "fuse_s", "total_s", "scale_rows",
+                           "naive_rows"]
+        assert [row[0] for row in rows[1:]] == ["256", "512", "1024", "2048"]
+        assert json.loads((out / "verdict.json").read_text()) == json.loads(printed[0])
+
 
 class TestProbeCommand:
     def test_probe_csv(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from oracles import (
     forward_context,
     fsum_context,
     fusion_jacobian,
+    kept_rows,
     mean_of,
     synthetic_chunks,
 )
@@ -18,16 +19,26 @@ from chunkfuse.cumulation import (
     RIGHT,
     ROLES,
     assemble,
-    boundaries_from_encodings,
     contexts,
     fuse,
     fused_sequence_manifest,
-    sample_middle_indices,
 )
 from chunkfuse.errors import ConfigError, ContractError, InputError
 from chunkfuse.numerics import SeededRng
-from chunkfuse.pipeline import PipelineConfig, sample_document_middles
+from chunkfuse.pipeline import (
+    PipelineConfig,
+    fuse_document,
+    middle_rng_for,
+    run_document,
+    sample_document_middles,
+)
 from chunkfuse.segmenter import segment
+
+
+def fusion_config(k: int, m: int, alpha: float = 0.5) -> PipelineConfig:
+    """A config for the fusion stage: it reads only k, m, alpha and the seeds."""
+    return PipelineConfig(chunk_len=max(2, 2 * k + m), overlap=0, boundary_width=k,
+                          middle_count=m, alpha=alpha)
 
 
 def scalar_set() -> tuple[np.ndarray, np.ndarray]:
@@ -58,34 +69,46 @@ def oracle_forward(lefts, rights, i: int) -> np.ndarray:
     return mean_of(blocks)
 
 
+def kept_boundaries(encs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``fuse_document`` keeps as one chunk's left and right blocks, at alpha 1."""
+    n = encs.shape[1]
+    fused = fuse_document(segment(range(n), max(n, 2), 0), encs, fusion_config(k, 0, 1.0),
+                          "doc")
+    return fused.flattened[:k], fused.flattened[k:]
+
+
 class TestExtractBoundaries:
     def test_width_one(self):
         enc = np.arange(10.0).reshape(5, 2)
-        lefts, rights = boundaries_from_encodings(enc[None], 1)
-        np.testing.assert_array_equal(lefts[0], [[0.0, 1.0]])
-        np.testing.assert_array_equal(rights[0], [[8.0, 9.0]])
+        lefts, rights = kept_boundaries(enc[None], 1)
+        np.testing.assert_array_equal(lefts, [[0.0, 1.0]])
+        np.testing.assert_array_equal(rights, [[8.0, 9.0]])
 
     def test_width_two(self):
         rows = np.arange(15.0).reshape(5, 3)
-        lefts, rights = boundaries_from_encodings(rows[None], 2)
-        np.testing.assert_array_equal(lefts[0], rows[:2])
-        np.testing.assert_array_equal(rights[0], rows[3:])
+        lefts, rights = kept_boundaries(rows[None], 2)
+        np.testing.assert_array_equal(lefts, rows[:2])
+        np.testing.assert_array_equal(rights, rows[3:])
 
     def test_short_chunk_policy_shares_rows(self):
         rows = np.arange(6.0).reshape(3, 2)
-        lefts, rights = boundaries_from_encodings(rows[None], 2)
-        np.testing.assert_array_equal(lefts[0], rows[:2])
-        np.testing.assert_array_equal(rights[0], rows[1:])
+        lefts, rights = kept_boundaries(rows[None], 2)
+        np.testing.assert_array_equal(lefts, rows[:2])
+        np.testing.assert_array_equal(rights, rows[1:])
 
     def test_too_short_even_for_sharing(self):
         with pytest.raises(InputError):
-            boundaries_from_encodings(np.zeros((1, 1, 2)), 2)
+            fuse_document(segment([0], 2, 0), np.zeros((1, 1, 2)), fusion_config(2, 0), "doc")
+        cfg = PipelineConfig(chunk_len=8, overlap=0, boundary_width=2, middle_count=0,
+                             d_model=8, n_heads=2, n_layers=1, d_ff=8, vocab_size=8)
+        with pytest.raises(InputError):
+            run_document([0], cfg)
 
     def test_no_chunks_and_zero_width(self):
-        with pytest.raises(ContractError):
-            boundaries_from_encodings(np.zeros((0, 4, 2)), 1)
+        with pytest.raises(InputError):
+            segment([], 4, 0)
         with pytest.raises(ConfigError):
-            boundaries_from_encodings(np.zeros((1, 4, 2)), 0)
+            fusion_config(0, 0)
 
 
 class TestDirectionalContext:
@@ -314,44 +337,46 @@ def _central_difference(lefts, rights, alpha, i, side, j, entry, h):
     return (up_l - dn_l) / (2 * h), (up_r - dn_r) / (2 * h)
 
 
+def sample_middles(n: int, m: int, k: int, seed: int, chunks: int = 1) -> np.ndarray:
+    """``sample_document_middles`` over ``chunks`` back-to-back windows of n rows."""
+    segs = segment(range(n * chunks), max(n, 2), 0)
+    return sample_document_middles(segs, fusion_config(k, m), SeededRng(seed))
+
+
 class TestSampleMiddle:
     def test_zero_request_is_empty(self):
-        assert sample_middle_indices(10, 0, 1, SeededRng(0)) == []
+        assert sample_middles(10, 0, 1, 0).shape == (1, 0)
 
     def test_exhaustion_takes_whole_interior_in_order(self):
-        assert sample_middle_indices(6, 99, 1, SeededRng(0)) == [1, 2, 3, 4]
+        assert sample_middles(6, 99, 1, 0).tolist() == [[1, 2, 3, 4]]
 
     def test_indices_sorted_distinct_interior(self):
-        idx = sample_middle_indices(50, 10, 2, SeededRng(3))
-        assert idx == sorted(idx)
-        assert len(set(idx)) == 10
-        assert all(2 <= i < 48 for i in idx)
+        for idx in sample_middles(50, 10, 2, 3, chunks=3).tolist():
+            assert idx == sorted(idx)
+            assert len(set(idx)) == 10
+            assert all(2 <= i < 48 for i in idx)
 
     def test_equal_seeds_equal_selection(self):
-        a = sample_middle_indices(100, 20, 1, SeededRng(42))
-        b = sample_middle_indices(100, 20, 1, SeededRng(42))
-        assert a == b
+        a = sample_middles(100, 20, 1, 42, chunks=2)
+        b = sample_middles(100, 20, 1, 42, chunks=2)
+        np.testing.assert_array_equal(a, b)
 
     def test_short_interior_no_error(self):
         # boundary rows eat the whole chunk; nothing to sample
-        assert sample_middle_indices(4, 5, 2, SeededRng(1)) == []
-
-    def test_negative_request_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_middle_indices(10, -1, 1, SeededRng(1))
+        assert sample_middles(4, 5, 2, 1).shape == (1, 0)
 
 
 def assemble_synthetic(rng, n_chunks, width, middle_indices, dim, chunk_len=None,
                        middle_requested=None):
-    """Random chunks, fused at alpha 0.5 and assembled with the (C, t) indices."""
+    """Random chunks whose kept rows are fused at alpha 0.5 and assembled."""
     middle_indices = np.asarray(middle_indices, dtype=np.int64).reshape(n_chunks, -1)
     if chunk_len is None:
         chunk_len = 2 * width + middle_indices.shape[1]
     starts, encs = synthetic_chunks(rng, n_chunks, chunk_len, dim)
-    fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, width), 0.5)
+    fused_lefts, fused_rights = fuse(encs[:, :width], encs[:, chunk_len - width:], 0.5)
     if middle_requested is None:
         middle_requested = middle_indices.shape[1]
-    out = assemble(fused_lefts, fused_rights, encs, middle_indices, starts,
+    out = assemble(*kept_rows(encs, width, middle_indices, starts), width,
                    middle_requested, 0.5)
     return out, encs, fused_lefts, fused_rights
 
@@ -394,9 +419,11 @@ class TestAssemble:
     def test_missing_middle_block(self):
         rng = np.random.default_rng(14)
         starts, encs = synthetic_chunks(rng, 3, 4, 4)
-        fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, 1), 0.5)
+        rows, positions = kept_rows(encs, 1, np.ones((3, 1), np.int64), starts)
         with pytest.raises(ContractError):
-            assemble(fused_lefts, fused_rights, encs, np.ones((2, 1), np.int64), starts, 1, 0.5)
+            assemble(rows, positions[:2], 1, 1, 0.5)
+        with pytest.raises(ContractError):
+            assemble(rows, positions, 2, 1, 0.5)  # 3 kept rows cannot hold two 2-row blocks
 
     def test_compressed_versus_naive_row_arithmetic(self):
         # 10 full windows at stock settings: 3020 assembled rows versus
@@ -423,14 +450,17 @@ class TestAssemble:
         segs, k, m = case
         rng = np.random.default_rng(seed)
         encs = rng.normal(size=(*segs.tokens.shape, dim))
-        # the sampler reads only boundary_width and middle_count
-        cfg = PipelineConfig(chunk_len=2 * k + m, overlap=0, boundary_width=k,
-                             middle_count=m)
-        idx = sample_document_middles(segs, cfg, SeededRng(seed))
-        fused = fuse(*boundaries_from_encodings(encs, k), 0.5)
-        got = assemble(*fused, encs, idx, segs.starts, m, 0.5)
-        want = assemble_per_chunk(*fused, list(encs), idx.tolist(), segs.starts.tolist(),
-                                  m, 0.5)
+        cfg = fusion_config(k, m)
+        doc_id = f"doc-{seed}"
+        got = fuse_document(segs, encs, cfg, doc_id)
+        # one sample_indices call per chunk in chunk order, from the document's stream
+        draw = middle_rng_for(cfg, doc_id)
+        n = segs.tokens.shape[1]
+        interior = max(n - 2 * k, 0)
+        idx = [sorted(k + i for i in draw.sample_indices(interior, min(m, interior)))
+               for _ in range(segs.count)]
+        fused = fuse(encs[:, :k], encs[:, n - k:], 0.5)
+        want = assemble_per_chunk(*fused, list(encs), idx, segs.starts.tolist(), m, 0.5)
         assert got.flattened.tobytes() == want.flattened.tobytes()
         np.testing.assert_array_equal(got.provenance, want.provenance)
         assert got.short_chunks == want.short_chunks
@@ -438,14 +468,16 @@ class TestAssemble:
 
 
 class TestBoundariesFromEncodings:
+    """The encoding rows each chunk keeps, and the document positions they carry."""
+
     def test_offsets_recorded(self):
         rng = np.random.default_rng(18)
         encs = rng.normal(size=(3, 6, 4))
         segs = segment(list(range(14)), 6, 2)
-        lefts, rights = boundaries_from_encodings(encs, 2)
-        np.testing.assert_array_equal(lefts[1], encs[1][:2])
-        np.testing.assert_array_equal(rights[1], encs[1][4:])
-        out = assemble(*fuse(lefts, rights, 0.5), encs, np.empty((3, 0)), segs.starts, 0, 0.5)
+        out = fuse_document(segs, encs, fusion_config(2, 0, 1.0), "doc")
+        rows = out.flattened.reshape(3, 4, 4)
+        np.testing.assert_array_equal(rows[1, :2], encs[1][:2])
+        np.testing.assert_array_equal(rows[1, 2:], encs[1][4:])
         assert out.provenance[::4, 2].tolist() == [0, 4, 8]
         assert out.provenance[3::4, 2].tolist() == [5, 9, 13]
 
@@ -453,9 +485,7 @@ class TestBoundariesFromEncodings:
         rng = np.random.default_rng(19)
         encs = rng.normal(size=(2, 6, 2))
         segs = segment(list(range(10)), 6, 2)
-        fused_lefts, fused_rights = fuse(*boundaries_from_encodings(encs, 1), 0.5)
-        out = assemble(fused_lefts, fused_rights, encs, np.array([[2], [3]]), segs.starts,
-                       1, 0.5)
+        out = assemble(*kept_rows(encs, 1, [[2], [3]], segs.starts), 1, 1, 0.5)
         positions = [(c, ROLES[r], p) for c, r, p in out.provenance.tolist()]
         assert positions == [
             (1, "left", 0), (1, "middle", 2), (1, "right", 5),

@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import synthetic_chunks
+from oracles import kept_rows, synthetic_chunks
 
-from chunkfuse.cumulation import MIDDLE, assemble, boundaries_from_encodings, fuse
+from chunkfuse.cumulation import MIDDLE, assemble
 from chunkfuse.decoder import attention_mass_by_chunk, decode_step, init_decoder_weights
 from chunkfuse.encoder import ModelConfig
 from chunkfuse.errors import ConfigError, ContractError, InputError
@@ -18,12 +18,13 @@ def decoder_config(**overrides) -> ModelConfig:
 
 
 def make_memory(rng, n_chunks=3, width=1, middle=2, dim=16, alpha=0.5):
-    """(chunks, boundaries, memory): random chunks assembled into a memory."""
+    """(kept rows, their positions, memory): random chunks assembled into a memory."""
     starts, encs = synthetic_chunks(rng, n_chunks, 2 * width + middle, dim)
-    lefts, rights = boundaries_from_encodings(encs, width)
     indices = np.tile(np.arange(width, width + middle), (n_chunks, 1))
-    memory = assemble(*fuse(lefts, rights, alpha), encs, indices, starts, middle, alpha)
-    return (starts, encs, indices), (lefts, rights), memory
+    rows, positions = kept_rows(encs, width, indices, starts)
+    # assemble fuses the boundary rows in place, so it gets a copy
+    memory = assemble(rows.copy(), positions, width, middle, alpha)
+    return rows, positions, memory
 
 
 def test_decode_step_shapes_and_stochastic_rows():
@@ -56,13 +57,13 @@ def test_decode_is_deterministic():
 
 def test_perturbing_last_right_boundary_moves_logits():
     rng = np.random.default_rng(3)
-    (starts, encs, indices), (lefts, rights), memory = make_memory(rng, n_chunks=3, alpha=0.5)
+    rows, positions, memory = make_memory(rng, n_chunks=3, alpha=0.5)
     cfg = decoder_config()
     base_logits, _ = decode_step([1], memory, cfg)
 
-    bumped = rights.copy()
-    bumped[-1] += 0.25
-    new_memory = assemble(*fuse(lefts, bumped, 0.5), encs, indices, starts, 2, 0.5)
+    bumped = rows.copy()
+    bumped[-1, -1] += 0.25  # the last chunk's right boundary row
+    new_memory = assemble(bumped, positions, 1, 2, 0.5)
     new_logits, _ = decode_step([1], new_memory, cfg)
     assert np.max(np.abs(new_logits - base_logits)) > 0
 

@@ -13,8 +13,10 @@ from chunkfuse.numerics import (
     SeededRng,
     as_matrix,
     fnv1a64,
+    load_matrix,
     matrix_from_text,
     matrix_to_text,
+    save_matrix,
 )
 
 
@@ -139,6 +141,31 @@ class TestSerialization:
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             matrix_from_text("1 1\ninf\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty matrix text"),
+        ("\n  \n", "empty matrix text"),
+        ("-1 3\n", "bad matrix shape -1x3"),
+        ("2 -1\n\n\n", "bad matrix shape 2x-1"),
+        ("2 1\n1.0\n", "expected 2 rows, found 1"),
+        ("1 1\n1.0\n2.0\n", "expected 1 rows, found 2"),
+    ])
+    def test_rejects_empty_text_negative_shape_and_row_count(self, text, message):
+        with pytest.raises(InputError, match=message):
+            matrix_from_text(text)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (0, 5)])
+    def test_save_load_round_trip_bit_exact(self, tmp_path, shape):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+        if a.size:
+            a[0, 0] = -0.0
+            a[-1, -1] = np.nextafter(1.0, 2.0)
+        path = tmp_path / "m.txt"
+        save_matrix(a, path)
+        b = load_matrix(path)
+        assert b.shape == shape and b.dtype == np.float64
+        assert b.tobytes() == a.tobytes()
 
 
 class TestSeededRng:

@@ -1,6 +1,8 @@
-"""README's command lines run as written against the CLI.
+"""README's code runs as written against the library and the CLI.
 
-Each ``chunkfuse segment``, ``pipeline``, ``ablate`` and ``probe`` line of
+The ``python`` library tour runs as one script, so a tour that imports
+or calls a name the library no longer has fails here. Each
+``chunkfuse segment``, ``pipeline``, ``ablate`` and ``probe`` line of
 README's command block goes through ``cli.main`` in a temporary working
 directory, with the shipped corpora given by absolute path, and must
 exit 0. ``bench`` is left out because it times 64k-token documents, and
@@ -19,9 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 CHECKED = ("segment", "pipeline", "ablate", "probe")
 
 
+def readme_text() -> str:
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
 def readme_commands() -> dict[str, list[str]]:
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"```bash\n(chunkfuse .*?)```", text, re.S).group(1)
+    block = re.search(r"```bash\n(chunkfuse .*?)```", readme_text(), re.S).group(1)
     commands = {}
     for line in block.replace("\\\n", " ").splitlines():
         argv = shlex.split(line)[1:]
@@ -39,3 +44,12 @@ def test_readme_command_exits_zero(command, tmp_path, monkeypatch, capsys):
             for a in readme_commands()[command]]
     monkeypatch.chdir(tmp_path)  # a relative --out-dir lands under tmp_path
     assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_library_tour_runs(capsys):
+    text = readme_text()
+    tour = re.search(r"```python\n(.*?)```", text, re.S)
+    # padded so that a traceback names README's own line numbers
+    source = "\n" * text.count("\n", 0, tour.start(1)) + tour.group(1)
+    exec(compile(source, str(ROOT / "README.md"), "exec"), {"__name__": "readme_tour"})
+    assert capsys.readouterr().out
