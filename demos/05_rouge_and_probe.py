@@ -43,14 +43,14 @@ docs = [make_repeated_chunk_doc(5, cfg.chunk_len, cfg.overlap,
                                 cfg.vocab_size, seed=30 + i) for i in range(3)]
 # encoding does not depend on alpha, so each document is encoded once
 weights = init_weights(cfg.encoder_config())
-encoded = [(f"doc-{i}", *encode_document(doc, cfg, weights)) for i, doc in enumerate(docs)]
+encoded = [encode_document(doc, cfg, weights, f"doc-{i}")[1:] for i, doc in enumerate(docs)]
 
 print("\nposition probe on identical-chunk documents (5 chunks each):")
 print("  alpha   readout mse")
 for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
     variant = replace(cfg, alpha=alpha)
-    mse = position_probe([fuse_document(segs, encodings, variant, doc_id)
-                          for doc_id, segs, encodings in encoded])
+    mse = position_probe([fuse_document(rows, positions, variant)
+                          for rows, positions in encoded])
     print(f"  {alpha:>5.2f}   {mse:.4f}")
 print("(alpha = 1.0 gives the variance of the targets: nothing learned;")
 print(" every alpha < 1 scores the same here because changing alpha only")

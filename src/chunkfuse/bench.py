@@ -113,11 +113,11 @@ def run_scaling(
     docs = {n: make_random_doc(n, cfg.vocab_size, DOC_SEED + n) for n in lengths}
 
     def one_pass(tokens, doc_id: str) -> tuple[float, float]:
-        """(encode seconds, fuse seconds) of one pass through both stages."""
+        """(encode seconds, middle sampling included; fuse seconds) of one pass."""
         t0 = time.perf_counter()
-        segs, encodings = encode_document(tokens, cfg, weights)
+        _, rows, positions = encode_document(tokens, cfg, weights, doc_id)
         t1 = time.perf_counter()
-        fuse_document(segs, encodings, cfg, doc_id)
+        fuse_document(rows, positions, cfg)
         return t1 - t0, time.perf_counter() - t1
 
     one_pass(docs[lengths[0]], "warmup")

@@ -392,9 +392,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         runs = []
         fuse_seconds = 0.0
         for doc_id, tokens in docs:
-            segs, encodings = encode_document(tokens, variant, weights)
+            _, kept, positions = encode_document(tokens, variant, weights, doc_id)
             started = time.perf_counter()
-            runs.append(fuse_document(segs, encodings, variant, doc_id))
+            runs.append(fuse_document(kept, positions, variant))
             fuse_seconds += time.perf_counter() - started
         rows.append([repr(getattr(variant, field)), repr(position_probe(runs)),
                      sum(run.rows for run in runs), repr(fuse_seconds)])
@@ -469,9 +469,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
     weights = init_weights(variants[0].encoder_config())
     runs: list[list] = [[] for _ in variants]
     for doc_id, tokens in docs:
-        segs, encodings = encode_document(tokens, variants[0], weights)
+        _, kept, positions = encode_document(tokens, variants[0], weights, doc_id)
         for variant, variant_runs in zip(variants, runs):
-            variant_runs.append(fuse_document(segs, encodings, variant, doc_id))
+            variant_runs.append(fuse_document(kept, positions, variant))
 
     rows: list[list] = [["alpha", "probe_mse"]]
     rows.extend([repr(variant.alpha), repr(position_probe(variant_runs))]

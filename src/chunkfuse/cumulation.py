@@ -22,13 +22,13 @@ holds, per chunk, the fused left block, the sampled interior rows, and
 the fused right block, giving C * (2 * boundary_width + middle_count)
 rows when every chunk is long enough.
 
-Which rows survive is decided once, in ``pipeline.fuse_document``: its
-``keep`` array holds each chunk's rows 0..k-1, its sorted interior
-sample and rows n-k..n-1, and it gathers those rows from the encodings.
-:func:`assemble` reads only the kept rows and their document positions:
-it fuses each chunk's first and last k kept rows in place and lays the
-rows out chunk after chunk. All windows of a document have one length,
-so every chunk keeps the same number of rows.
+Which rows survive is decided once, before any encode, in
+``pipeline.encode_document``: its ``keep`` array holds each chunk's rows
+0..k-1, its sorted interior sample and rows n-k..n-1, and the encoder
+computes those rows alone. :func:`assemble` reads only the kept rows
+and their document positions: it fuses a copy of each chunk's first and
+last k rows and lays the rows out chunk after chunk. All windows of a
+document have one length, so every chunk keeps the same number of rows.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ def fuse(lefts: np.ndarray, rights: np.ndarray, alpha: float) -> tuple[np.ndarra
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     back, fwd = contexts(lefts, rights)
-    return (check_finite(alpha * lefts + (1.0 - alpha) * back, "fused left"),
-            check_finite(alpha * rights + (1.0 - alpha) * fwd, "fused right"))
+    return alpha * lefts + (1.0 - alpha) * back, alpha * rights + (1.0 - alpha) * fwd
 
 
 def assemble(
@@ -125,18 +124,18 @@ def assemble(
     """Fuse the kept rows' boundary blocks and lay the rows out as the decoder input.
 
     ``rows`` is the (C, 2k + t, d) array of every chunk's kept rows: its
-    first k rows, t sampled interior rows and last k rows. Their first
-    and last k rows are fused in place. ``positions`` is the (C, 2k + t)
-    array of the rows' document positions, which provenance records. A
-    chunk is short when its left and right blocks share a position.
+    first k rows, t sampled interior rows and last k rows. A copy with
+    its first and last k rows fused becomes the memory; ``rows`` is left
+    unchanged. ``positions`` is the (C, 2k + t) array of the rows'
+    document positions, which provenance records. A chunk is short when
+    its left and right blocks share a position.
     """
     c, block, d = rows.shape
     k = boundary_width
     if positions.shape != (c, block) or block < 2 * k:
         raise ContractError(f"kept rows of shape {rows.shape} with positions of shape "
                             f"{positions.shape} at boundary width {k}")
-    # fused in place: concatenating fused blocks and middles left a freed
-    # temporary under the kept array, which raised peak RSS over long documents
+    rows = rows.copy()
     rows[:, :k], rows[:, block - k:] = fuse(rows[:, :k], rows[:, block - k:], alpha)
     roles = np.repeat([LEFT, MIDDLE, RIGHT], [k, block - 2 * k, k])
     provenance = np.stack([np.repeat(np.arange(1, c + 1), block), np.tile(roles, c),

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import mmap
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
@@ -125,31 +123,18 @@ def encode_document(
     tokens: Sequence[int],
     cfg: PipelineConfig,
     weights: EncoderWeights,
-) -> tuple[SegmentSet, np.ndarray]:
-    """First stage: cut the document into windows, encode them into one (C, n, d) array."""
-    segs = segment(tokens, cfg.chunk_len, cfg.overlap)
-    model = cfg.encoder_config()
-    parts = [encoder.encode(window, weights, model) for window in segs.tokens]
-    shape = (len(parts), *parts[0].shape)
-    # stacked after the encodes, into an anonymous mmap rather than the malloc
-    # heap: in perfbench, an array allocated before the encodes raised long-doc
-    # peak RSS by 8%, and a heap block raised small-window's by 11% in 1 run of 4
-    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
-    return segs, np.stack(parts, out=out.reshape(shape))
-
-
-def fuse_document(
-    segs: SegmentSet,
-    encodings: np.ndarray,
-    cfg: PipelineConfig,
     doc_id: str,
-) -> cumulation.FusedSequence:
-    """Second stage: sample the interior rows, gather the kept rows, fuse and assemble them.
+) -> tuple[SegmentSet, np.ndarray, np.ndarray]:
+    """First stage: cut the document into windows and encode each chunk's kept rows.
 
     ``keep`` lists each chunk's kept rows: 0..k-1, the interior sample,
-    then n-k..n-1. Chunks shorter than 2k keep some rows twice; chunks
-    shorter than k cannot be represented at all.
+    then n-k..n-1. The sample reads only the window layout, so it is
+    drawn before any encode, and no array holds a row nobody reads.
+    Chunks shorter than 2k keep some rows twice; chunks shorter than k
+    cannot be represented at all. Returns the windows, the (C, 2k + t, d)
+    kept rows and their (C, 2k + t) document positions.
     """
+    segs = segment(tokens, cfg.chunk_len, cfg.overlap)
     c, n = segs.tokens.shape
     k = cfg.boundary_width
     if n < k:
@@ -157,8 +142,16 @@ def fuse_document(
     lead = np.broadcast_to(np.arange(k), (c, k))
     middles = sample_document_middles(segs, cfg, middle_rng_for(cfg, doc_id))
     keep = np.concatenate([lead, middles, lead + (n - k)], axis=1)
-    rows = encodings[np.arange(c)[:, None], keep]
-    return cumulation.assemble(rows, keep + segs.starts[:, None], k, cfg.middle_count,
+    model = cfg.encoder_config()
+    rows = np.stack([encoder.encode(window, weights, model, kept)
+                     for window, kept in zip(segs.tokens, keep)])
+    return segs, rows, keep + segs.starts[:, None]
+
+
+def fuse_document(rows: np.ndarray, positions: np.ndarray,
+                  cfg: PipelineConfig) -> cumulation.FusedSequence:
+    """Second stage: fuse the kept rows' boundary blocks and assemble the memory."""
+    return cumulation.assemble(rows, positions, cfg.boundary_width, cfg.middle_count,
                                cfg.alpha)
 
 
@@ -168,11 +161,11 @@ def run_document(
     weights: EncoderWeights | None = None,
     doc_id: str = "doc",
 ) -> DocumentRun:
-    """Segment, encode, fuse, sample, and assemble one document."""
+    """Segment, sample, encode, fuse, and assemble one document."""
     if weights is None:
         weights = init_weights(cfg.encoder_config())
-    segs, encodings = encode_document(tokens, cfg, weights)
-    return DocumentRun(segments=segs, fused=fuse_document(segs, encodings, cfg, doc_id))
+    segs, rows, positions = encode_document(tokens, cfg, weights, doc_id)
+    return DocumentRun(segments=segs, fused=fuse_document(rows, positions, cfg))
 
 
 def greedy_decode(

@@ -215,7 +215,7 @@ def kept_rows(encodings: np.ndarray, boundary_width: int, middle_indices,
     """(C, 2k + t, d) kept rows and (C, 2k + t) document positions, chunk by chunk.
 
     Each chunk keeps its first k rows, the rows ``middle_indices`` names
-    and its last k rows, as ``fuse_document`` does.
+    and its last k rows, as ``encode_document`` does.
     """
     k = boundary_width
     rows, positions = [], []

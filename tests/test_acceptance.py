@@ -228,9 +228,9 @@ def test_criterion_09_structural_awareness():
     weights = init_weights(cfg.encoder_config())
 
     def fused_lefts(doc, alpha):
-        _, encs = encode_document(doc, cfg, weights)
+        _, rows, _ = encode_document(doc, cfg, weights, "doc")
         k = cfg.boundary_width
-        return fuse(encs[:, :k], encs[:, encs.shape[1] - k:], alpha)[0]
+        return fuse(rows[:, :k], rows[:, rows.shape[1] - k:], alpha)[0]
 
     ident_docs = [make_repeated_chunk_doc(5, 12, 0, 64, seed=s) for s in (1, 2, 3)]
 

@@ -451,6 +451,23 @@ class TestProbeCommand:
         assert len(rows) == 3
         assert float(rows[1][1]) < float(rows[2][1])
 
+    def test_matches_independent_runs(self, capsys):
+        # every alpha fuses the same kept rows; an in-place fuse would carry
+        # one alpha's blend into the next
+        from oracles import probe_runs
+
+        from chunkfuse.metrics import make_repeated_chunk_doc, position_probe
+        from chunkfuse.pipeline import PipelineConfig
+        assert main(["probe", "--alphas", "0.0,0.5,1.0", "--n-chunks", "4",
+                     "--n-docs", "2", *SMALL_FLAGS]) == 0
+        printed = list(csv.reader(capsys.readouterr().out.strip().splitlines()))[1:]
+        cfg = PipelineConfig(chunk_len=8, overlap=2, boundary_width=1, middle_count=2,
+                             d_model=16, n_heads=2, n_layers=1, d_ff=32, vocab_size=64,
+                             seed=5)
+        docs = [make_repeated_chunk_doc(4, 8, 2, 64, 11 + i) for i in range(2)]
+        assert printed == [[repr(alpha), repr(position_probe(probe_runs(docs, alpha, cfg)))]
+                           for alpha in (0.0, 0.5, 1.0)]
+
     def test_encodes_each_chunk_once(self, tmp_path, capsys, monkeypatch):
         calls = count_encode_calls(monkeypatch)
         assert main(["probe", "--alphas", "0.0,0.5,1.0", "--n-chunks", "4",

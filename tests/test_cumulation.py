@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from oracles import (
     synthetic_chunks,
 )
 
+from chunkfuse import encoder, pipeline
 from chunkfuse.cumulation import (
     LEFT,
     MIDDLE,
@@ -27,7 +30,6 @@ from chunkfuse.errors import ConfigError, ContractError, InputError
 from chunkfuse.numerics import SeededRng
 from chunkfuse.pipeline import (
     PipelineConfig,
-    fuse_document,
     middle_rng_for,
     run_document,
     sample_document_middles,
@@ -69,11 +71,23 @@ def oracle_forward(lefts, rights, i: int) -> np.ndarray:
     return mean_of(blocks)
 
 
+def run_on_encodings(segs, encs: np.ndarray, cfg: PipelineConfig, doc_id: str):
+    """``run_document``'s memory for the windows ``segs``, as if ``encs`` were their encodings.
+
+    The pipeline picks each chunk's kept rows and their positions as it
+    always does; a stub encoder hands back those rows of ``encs``.
+    """
+    windows = iter(encs)
+    with mock.patch.object(pipeline, "segment", lambda *_: segs), \
+            mock.patch.object(encoder, "encode", lambda _t, _w, _c, keep: next(windows)[keep]):
+        return run_document([], cfg, weights=object(), doc_id=doc_id).fused
+
+
 def kept_boundaries(encs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``fuse_document`` keeps as one chunk's left and right blocks, at alpha 1."""
+    """The rows the pipeline keeps as one chunk's left and right blocks, at alpha 1."""
     n = encs.shape[1]
-    fused = fuse_document(segment(range(n), max(n, 2), 0), encs, fusion_config(k, 0, 1.0),
-                          "doc")
+    fused = run_on_encodings(segment(range(n), max(n, 2), 0), encs, fusion_config(k, 0, 1.0),
+                             "doc")
     return fused.flattened[:k], fused.flattened[k:]
 
 
@@ -98,7 +112,8 @@ class TestExtractBoundaries:
 
     def test_too_short_even_for_sharing(self):
         with pytest.raises(InputError):
-            fuse_document(segment([0], 2, 0), np.zeros((1, 1, 2)), fusion_config(2, 0), "doc")
+            run_on_encodings(segment([0], 2, 0), np.zeros((1, 1, 2)), fusion_config(2, 0),
+                             "doc")
         cfg = PipelineConfig(chunk_len=8, overlap=0, boundary_width=2, middle_count=0,
                              d_model=8, n_heads=2, n_layers=1, d_ff=8, vocab_size=8)
         with pytest.raises(InputError):
@@ -376,8 +391,10 @@ def assemble_synthetic(rng, n_chunks, width, middle_indices, dim, chunk_len=None
     fused_lefts, fused_rights = fuse(encs[:, :width], encs[:, chunk_len - width:], 0.5)
     if middle_requested is None:
         middle_requested = middle_indices.shape[1]
-    out = assemble(*kept_rows(encs, width, middle_indices, starts), width,
-                   middle_requested, 0.5)
+    rows, positions = kept_rows(encs, width, middle_indices, starts)
+    out = assemble(rows, positions, width, middle_requested, 0.5)
+    # the memory is a copy: the kept rows stay as they were
+    np.testing.assert_array_equal(rows, kept_rows(encs, width, middle_indices, starts)[0])
     return out, encs, fused_lefts, fused_rights
 
 
@@ -425,6 +442,14 @@ class TestAssemble:
         with pytest.raises(ContractError):
             assemble(rows, positions, 2, 1, 0.5)  # 3 kept rows cannot hold two 2-row blocks
 
+    def test_non_finite_kept_row_raises(self):
+        rng = np.random.default_rng(15)
+        starts, encs = synthetic_chunks(rng, 3, 4, 4)
+        rows, positions = kept_rows(encs, 1, np.ones((3, 1), np.int64), starts)
+        rows[1, -1, 0] = np.nan  # chunk 2's right boundary
+        with pytest.raises(ContractError, match="assembled sequence"):
+            assemble(rows, positions, 1, 1, 0.5)
+
     def test_compressed_versus_naive_row_arithmetic(self):
         # 10 full windows at stock settings: 3020 assembled rows versus
         # 10240 under plain concatenation
@@ -452,7 +477,7 @@ class TestAssemble:
         encs = rng.normal(size=(*segs.tokens.shape, dim))
         cfg = fusion_config(k, m)
         doc_id = f"doc-{seed}"
-        got = fuse_document(segs, encs, cfg, doc_id)
+        got = run_on_encodings(segs, encs, cfg, doc_id)
         # one sample_indices call per chunk in chunk order, from the document's stream
         draw = middle_rng_for(cfg, doc_id)
         n = segs.tokens.shape[1]
@@ -474,7 +499,7 @@ class TestBoundariesFromEncodings:
         rng = np.random.default_rng(18)
         encs = rng.normal(size=(3, 6, 4))
         segs = segment(list(range(14)), 6, 2)
-        out = fuse_document(segs, encs, fusion_config(2, 0, 1.0), "doc")
+        out = run_on_encodings(segs, encs, fusion_config(2, 0, 1.0), "doc")
         rows = out.flattened.reshape(3, 4, 4)
         np.testing.assert_array_equal(rows[1, :2], encs[1][:2])
         np.testing.assert_array_equal(rows[1, 2:], encs[1][4:])

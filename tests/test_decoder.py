@@ -22,8 +22,7 @@ def make_memory(rng, n_chunks=3, width=1, middle=2, dim=16, alpha=0.5):
     starts, encs = synthetic_chunks(rng, n_chunks, 2 * width + middle, dim)
     indices = np.tile(np.arange(width, width + middle), (n_chunks, 1))
     rows, positions = kept_rows(encs, width, indices, starts)
-    # assemble fuses the boundary rows in place, so it gets a copy
-    memory = assemble(rows.copy(), positions, width, middle, alpha)
+    memory = assemble(rows, positions, width, middle, alpha)
     return rows, positions, memory
 
 

@@ -1,7 +1,21 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from chunkfuse.encoder import ModelConfig, encode, init_weights, sinusoidal_positions
+import chunkfuse
+from chunkfuse.encoder import (
+    ModelConfig,
+    _attention,
+    _layer_norm,
+    encode,
+    init_weights,
+    sinusoidal_positions,
+)
 from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.pipeline import PipelineConfig, encode_document
 
@@ -11,6 +25,11 @@ def small_config(**overrides) -> ModelConfig:
                 d_ff=32, max_len=64, seed=77)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def encode_full(tokens, weights, cfg) -> np.ndarray:
+    """Every row of one window's encoding."""
+    return encode(tokens, weights, cfg, np.arange(len(tokens)))
 
 
 def test_config_head_divisibility():
@@ -48,8 +67,8 @@ def test_encode_is_pure():
     cfg = small_config()
     w = init_weights(cfg)
     window = (1, 2, 3, 4, 5)
-    np.testing.assert_array_equal(encode(window, w, cfg),
-                                  encode(window, w, cfg))
+    np.testing.assert_array_equal(encode_full(window, w, cfg),
+                                  encode_full(window, w, cfg))
 
 
 def test_encode_shape():
@@ -59,9 +78,10 @@ def test_encode_shape():
     for _ in range(5):
         n = int(rng.integers(1, cfg.max_len + 1))
         toks = tuple(int(t) for t in rng.integers(0, cfg.vocab_size, n))
-        out = encode(toks, w, cfg)
+        out = encode_full(toks, w, cfg)
         assert out.shape == (n, cfg.d_model)
         assert np.all(np.isfinite(out))
+        assert encode(toks, w, cfg, np.array([0, n - 1, 0])).shape == (3, cfg.d_model)
 
 
 def test_positions_make_order_matter():
@@ -69,8 +89,8 @@ def test_positions_make_order_matter():
     w = init_weights(cfg)
     tokens = (3, 9, 9, 4, 20, 31)
     swapped = (9, 3, 9, 4, 20, 31)
-    a = encode(tokens, w, cfg)
-    b = encode(swapped, w, cfg)
+    a = encode_full(tokens, w, cfg)
+    b = encode_full(swapped, w, cfg)
     assert np.max(np.abs(a - b)) > 0
 
 
@@ -78,26 +98,27 @@ def test_token_id_out_of_range():
     cfg = small_config()
     w = init_weights(cfg)
     with pytest.raises(InputError):
-        encode((0, cfg.vocab_size), w, cfg)
+        encode_full((0, cfg.vocab_size), w, cfg)
 
 
 def test_segment_longer_than_max_len():
     cfg = small_config(max_len=4)
     w = init_weights(cfg)
     with pytest.raises(InputError):
-        encode((0, 1, 2, 3, 4), w, cfg)
+        encode_full((0, 1, 2, 3, 4), w, cfg)
 
 
 def test_attention_rows_sum_to_one_every_layer():
+    # at every layer's weights: all rows as queries (the lower blocks), and
+    # the kept rows as queries over all rows (the top block)
     cfg = small_config()
     w = init_weights(cfg)
-    seen = []
-    encode(tuple(range(10)), w, cfg,
-           attention_hook=lambda layer, attn: seen.append((layer, attn)))
-    assert [layer for layer, _ in seen] == list(range(cfg.n_layers))
-    for _, attn in seen:
-        assert attn.shape == (cfg.n_heads, 10, 10)
-        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
+    x = _layer_norm(w.embedding[:10] + sinusoidal_positions(10, cfg.d_model))
+    for lw in w.layers:
+        for queries in (x, x[[0, 1, 5, 9, 9]]):
+            _, attn = _attention(queries, x, lw.wq, lw.wk, lw.wv, lw.wo, cfg.n_heads)
+            assert attn.shape == (cfg.n_heads, len(queries), 10)
+            np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def pipeline_config() -> PipelineConfig:
@@ -110,18 +131,21 @@ def test_encode_document_order_and_chunk_independence():
     cfg = pipeline_config()
     w = init_weights(cfg.encoder_config())
     tokens = list(range(24))
-    segs, encs = encode_document(tokens, cfg, w)
-    assert encs.shape == (segs.count, 8, cfg.d_model)
+    segs, rows, positions = encode_document(tokens, cfg, w, "doc")
+    assert rows.shape == (segs.count, 2 * 1 + 2, cfg.d_model)
+    assert positions.shape == (segs.count, 4)
     assert segs.tokens.shape == (segs.count, 8)
-    for window, enc in zip(segs.tokens, encs):
-        assert enc.tobytes() == encode(window, w, cfg.encoder_config()).tobytes()
+    for window, start, kept, got in zip(segs.tokens, segs.starts, positions, rows):
+        full = encode_full(window, w, cfg.encoder_config())
+        assert got.tobytes() == full[kept - start].tobytes()
 
     # editing one chunk's tokens leaves the others bitwise unchanged
     edited = list(tokens)
     edited[0] = 42  # only inside chunk 1
-    _, encs2 = encode_document(edited, cfg, w)
-    assert np.max(np.abs(encs[0] - encs2[0])) > 0
-    for a, b in zip(encs[1:], encs2[1:]):
+    _, rows2, positions2 = encode_document(edited, cfg, w, "doc")
+    np.testing.assert_array_equal(positions, positions2)
+    assert np.max(np.abs(rows[0] - rows2[0])) > 0
+    for a, b in zip(rows[1:], rows2[1:]):
         np.testing.assert_array_equal(a, b)
 
 
@@ -134,8 +158,56 @@ def test_sinusoidal_positions_bounds():
 
 def test_encodings_deterministic_from_seed():
     cfg = pipeline_config()
-    _, a = encode_document(list(range(30)), cfg, init_weights(cfg.encoder_config()))
-    _, b = encode_document(list(range(30)), cfg, init_weights(cfg.encoder_config()))
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
+    _, a, _ = encode_document(list(range(30)), cfg, init_weights(cfg.encoder_config()), "d")
+    _, b, _ = encode_document(list(range(30)), cfg, init_weights(cfg.encoder_config()), "d")
+    np.testing.assert_array_equal(a, b)
+
+
+# the configs of perfbench's long-doc and wide-corpus workloads; at the
+# long-doc shape a keep of under 62 rows is not bitwise (see ``encode``)
+THREAD_GUARD_CONFIGS = [
+    dict(chunk_len=1024, overlap=150, boundary_width=1, middle_count=300, d_model=32,
+         n_heads=2, n_layers=2, d_ff=64, vocab_size=128, seed=7),
+    dict(chunk_len=256, overlap=32, boundary_width=2, middle_count=124, d_model=256,
+         n_heads=4, n_layers=2, d_ff=1024, vocab_size=1024, seed=7),
+]
+
+# encodes three windows per config and prints, per config, whether every
+# kept row equals the full encoding's row bitwise; numpy draws stand in for
+# init_weights, whose pure-Python draw at d_model 256 takes seconds
+THREAD_GUARD_SCRIPT = """
+import json, sys
+import numpy as np
+from chunkfuse.encoder import EncoderWeights, LayerWeights, encode
+from chunkfuse.pipeline import PipelineConfig, encode_document
+
+for fields in json.loads(sys.argv[1]):
+    cfg = PipelineConfig(**fields)
+    d, f = cfg.d_model, cfg.d_ff
+    rng = np.random.default_rng(fields["seed"])
+    draw = lambda *shape: rng.normal(size=shape) / np.sqrt(shape[0])
+    weights = EncoderWeights(draw(cfg.vocab_size, d), tuple(
+        LayerWeights(draw(d, d), draw(d, d), draw(d, d), draw(d, d), draw(d, f), draw(f, d))
+        for _ in range(cfg.n_layers)))
+    tokens = rng.integers(0, cfg.vocab_size, 3 * cfg.chunk_len - 2 * cfg.overlap).tolist()
+    segs, rows, positions = encode_document(tokens, cfg, weights, "guard")
+    n = segs.tokens.shape[1]
+    print(all(got.tobytes() == encode(window, weights, cfg.encoder_config(),
+                                      np.arange(n))[kept - start].tobytes()
+              for window, start, kept, got in zip(segs.tokens, segs.starts, positions, rows)))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_kept_rows_match_full_rows_at_blas_thread_counts(threads):
+    # the pruned top block multiplies fewer rows than the full one; the
+    # thread count must not make those products round differently
+    src = str(Path(chunkfuse.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", THREAD_GUARD_SCRIPT,
+                           json.dumps(THREAD_GUARD_CONFIGS)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * len(THREAD_GUARD_CONFIGS)
 

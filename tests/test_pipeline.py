@@ -26,14 +26,20 @@ def tiny_config(**overrides) -> PipelineConfig:
 
 
 def test_alpha_one_rows_are_full_encoder_rows():
-    cfg = tiny_config(alpha=1.0)
-    weights = init_weights(cfg.encoder_config())
-    # the last window is anchored to the end, so it overlaps more
-    run = run_document(make_random_doc(61, cfg.vocab_size, 5), cfg, weights=weights)
-    full = [encode(window, weights, cfg.encoder_config()) for window in run.segments.tokens]
-    starts = run.segments.starts
-    for row, (chunk, _role, pos) in zip(run.fused.flattened, run.fused.provenance):
-        assert row.tobytes() == full[chunk - 1][pos - starts[chunk - 1]].tobytes()
+    # the last window is anchored to the end, so it overlaps more; k = 1 with
+    # m = 0 keeps two rows a chunk; a 4-token document at k = 3 keeps rows twice
+    for overrides, n_tokens in [({}, 61), ({"boundary_width": 1, "middle_count": 0}, 61),
+                                ({"boundary_width": 3}, 4)]:
+        cfg = tiny_config(alpha=1.0, **overrides)
+        weights = init_weights(cfg.encoder_config())
+        run = run_document(make_random_doc(n_tokens, cfg.vocab_size, 5), cfg, weights=weights)
+        n = run.segments.tokens.shape[1]
+        full = [encode(window, weights, cfg.encoder_config(), np.arange(n))
+                for window in run.segments.tokens]
+        starts = run.segments.starts
+        for row, (chunk, _role, pos) in zip(run.fused.flattened, run.fused.provenance):
+            assert row.tobytes() == full[chunk - 1][pos - starts[chunk - 1]].tobytes()
+        assert bool(run.fused.short_chunks) == (n < 2 * cfg.boundary_width)
 
 
 @st.composite
