@@ -25,10 +25,11 @@ rows when every chunk is long enough.
 Which rows survive is decided once, before any encode, in
 ``pipeline.encode_document``: its ``keep`` array holds each chunk's rows
 0..k-1, its sorted interior sample and rows n-k..n-1, and the encoder
-computes those rows alone. :func:`assemble` reads only the kept rows
-and their document positions: it fuses a copy of each chunk's first and
-last k rows and lays the rows out chunk after chunk. All windows of a
-document have one length, so every chunk keeps the same number of rows.
+computes those rows alone. All windows of a document have one length,
+so every chunk keeps the same number of rows: :func:`assemble` fuses a
+copy of each chunk's first and last k rows, and the memory is that
+(C, 2k + t, d) array with a copy of its (C, 2k + t) document positions.
+Per-row provenance, short chunks and shortfall are read off that layout.
 """
 
 from __future__ import annotations
@@ -48,42 +49,45 @@ ROLES = ("left", "middle", "right")
 
 @dataclass(frozen=True)
 class FusedSequence:
-    """Assembled decoder input and its row-level bookkeeping.
+    """The decoder memory: every chunk's fused kept rows and their positions.
 
-    ``provenance`` is an int array of shape (rows, 3): the 1-based
-    chunk, the role code (an index into ``ROLES``) and the document
-    position each row was encoded at. ``short_chunks`` lists 1-based
-    chunks whose left and right blocks share rows.
+    ``blocks`` is the (C, 2k + t, d) array of each chunk's fused left
+    block, t sampled interior rows and fused right block, and
+    ``positions`` the (C, 2k + t) document positions they were encoded
+    at. ``flattened`` lays the blocks out chunk after chunk as the
+    decoder reads them; ``provenance`` describes those rows one per line.
     """
 
-    flattened: np.ndarray
-    provenance: np.ndarray
+    blocks: np.ndarray
+    positions: np.ndarray
     boundary_width: int
     middle_requested: int
     alpha: float
-    short_chunks: tuple[int, ...] = ()
 
     @property
     def rows(self) -> int:
-        return self.flattened.shape[0]
+        return self.positions.size
 
     @property
     def width(self) -> int:
-        return self.flattened.shape[1]
+        return self.blocks.shape[2]
 
     @property
     def chunk_count(self) -> int:
-        return int(self.provenance[-1, CHUNK])
+        return self.blocks.shape[0]
 
-    def middle_counts(self) -> list[int]:
-        chunks = self.provenance[self.provenance[:, ROLE] == MIDDLE, CHUNK]
-        return np.bincount(chunks, minlength=self.chunk_count + 1)[1:].tolist()
+    @property
+    def flattened(self) -> np.ndarray:
+        return self.blocks.reshape(self.rows, self.width)
 
-    def middle_shortfall(self) -> dict[int, int]:
-        """Chunks that could not supply the requested interior rows."""
-        return {chunk: self.middle_requested - got
-                for chunk, got in enumerate(self.middle_counts(), start=1)
-                if got < self.middle_requested}
+    @property
+    def provenance(self) -> np.ndarray:
+        """(rows, 3) ints: each flattened row's 1-based chunk, ``ROLES`` index and position."""
+        c, block = self.positions.shape
+        k = self.boundary_width
+        roles = np.repeat([LEFT, MIDDLE, RIGHT], [k, block - 2 * k, k])
+        return np.stack([np.repeat(np.arange(1, c + 1), block), np.tile(roles, c),
+                         self.positions.ravel()], axis=1)
 
 
 def contexts(lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,48 +125,50 @@ def assemble(
     middle_requested: int,
     alpha: float,
 ) -> FusedSequence:
-    """Fuse the kept rows' boundary blocks and lay the rows out as the decoder input.
+    """Fuse the kept rows' boundary blocks into the decoder memory.
 
     ``rows`` is the (C, 2k + t, d) array of every chunk's kept rows: its
     first k rows, t sampled interior rows and last k rows. A copy with
-    its first and last k rows fused becomes the memory; ``rows`` is left
-    unchanged. ``positions`` is the (C, 2k + t) array of the rows'
-    document positions, which provenance records. A chunk is short when
-    its left and right blocks share a position.
+    its first and last k rows fused becomes the memory's blocks, and a
+    copy of ``positions``, the (C, 2k + t) array of the rows' document
+    positions, its positions; the caller's arrays are left unchanged.
     """
-    c, block, d = rows.shape
+    c, block, _ = rows.shape
     k = boundary_width
     if positions.shape != (c, block) or block < 2 * k:
         raise ContractError(f"kept rows of shape {rows.shape} with positions of shape "
                             f"{positions.shape} at boundary width {k}")
     rows = rows.copy()
     rows[:, :k], rows[:, block - k:] = fuse(rows[:, :k], rows[:, block - k:], alpha)
-    roles = np.repeat([LEFT, MIDDLE, RIGHT], [k, block - 2 * k, k])
-    provenance = np.stack([np.repeat(np.arange(1, c + 1), block), np.tile(roles, c),
-                           positions.ravel()], axis=1)
-    short = positions[:, k - 1] >= positions[:, block - k]
     return FusedSequence(
-        flattened=check_finite(rows.reshape(c * block, d), "assembled sequence"),
-        provenance=provenance,
+        blocks=check_finite(rows, "assembled sequence"),
+        positions=positions.copy(),
         boundary_width=k,
         middle_requested=middle_requested,
         alpha=alpha,
-        short_chunks=tuple((np.flatnonzero(short) + 1).tolist()),
     )
 
 
 def fused_sequence_manifest(fused: FusedSequence) -> dict:
-    """JSON-ready description of an assembled sequence."""
+    """JSON-ready description of an assembled sequence.
+
+    A chunk is short when its left and right blocks share a position.
+    Every chunk keeps t interior rows, so all fall short of m alike.
+    """
+    k, block = fused.boundary_width, fused.positions.shape[1]
+    short = fused.positions[:, k - 1] >= fused.positions[:, block - k]
+    missing = fused.middle_requested - (block - 2 * k)
     return {
         "chunks": fused.chunk_count,
-        "boundary_width": fused.boundary_width,
+        "boundary_width": k,
         "middle_count": fused.middle_requested,
         "alpha": fused.alpha,
         "rows": fused.rows,
         "width": fused.width,
         "positions_are_global": True,
-        "short_chunks": list(fused.short_chunks),
-        "middle_shortfall": {str(k): v for k, v in fused.middle_shortfall().items()},
+        "short_chunks": (np.flatnonzero(short) + 1).tolist(),
+        "middle_shortfall": {str(chunk): missing
+                             for chunk in range(1, fused.chunk_count + 1) if missing > 0},
         "provenance": [[chunk, ROLES[role], pos]
                        for chunk, role, pos in fused.provenance.tolist()],
     }

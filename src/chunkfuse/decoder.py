@@ -94,7 +94,7 @@ def decode_step(
     Returns per-position next-token logits (prefix length x vocab; the
     last row scores the continuation) and the final layer's
     head-averaged cross-attention (prefix length x memory rows). The
-    memory is consumed exactly as assembled, no reshaping.
+    memory is read as ``flattened`` lays it out, chunk after chunk.
     """
     if len(prefix) == 0:
         raise InputError("decode_step requires a non-empty prefix")
@@ -104,16 +104,8 @@ def decode_step(
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise InputError(f"prefix token id outside [0, {cfg.vocab_size})")
 
-    mem = memory.flattened
-    if mem.ndim != 2 or mem.shape[1] != cfg.d_model:
-        raise ConfigError(
-            f"memory width {mem.shape[1]} does not match d_model {cfg.d_model}"
-        )
-    if len(memory.provenance) != mem.shape[0]:
-        raise ContractError(
-            f"memory has {mem.shape[0]} rows but {len(memory.provenance)} "
-            "provenance entries"
-        )
+    if memory.width != cfg.d_model:
+        raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
 
     weights = _cached_weights(cfg)
     n = ids.size
@@ -125,7 +117,7 @@ def decode_step(
         x = _layer_norm(h)
         h = h + _attention(x, x, sa.wq, sa.wk, sa.wv, sa.wo, cfg.n_heads, mask)[0]
         # cross-attention over the raw memory rows
-        out, cross = _attention(_layer_norm(h), mem, lw.cross_q, lw.cross_k,
+        out, cross = _attention(_layer_norm(h), memory.flattened, lw.cross_q, lw.cross_k,
                                 lw.cross_v, lw.cross_o, cfg.n_heads)
         h = h + out
         h = h + _feed_forward(_layer_norm(h), sa)

@@ -20,7 +20,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .cumulation import LEFT, ROLE, FusedSequence
+from .cumulation import FusedSequence
 from .errors import ContractError, InputError
 from .numerics import SeededRng
 
@@ -105,7 +105,7 @@ def position_probe(runs: Sequence[FusedSequence]) -> float:
         if count < PROBE_MIN_CHUNKS:
             raise InputError(
                 f"probe documents need at least {PROBE_MIN_CHUNKS} chunks, got {count}")
-        features.append(fused.flattened[fused.provenance[:, ROLE] == LEFT].reshape(count, -1))
+        features.append(fused.blocks[:, :fused.boundary_width].reshape(count, -1))
         center = (count + 1) / 2.0
         targets.extend(i - center for i in range(1, count + 1))
 

@@ -44,9 +44,8 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 def matrix_to_text(a: np.ndarray) -> str:
     a = as_matrix(a)
     check_finite(a, "serialized matrix")
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    # row by row: the whole matrix as Python floats, held at once, raised peak RSS
+    lines = [f"{a.shape[0]} {a.shape[1]}", *(" ".join(map(repr, row.tolist())) for row in a)]
     return "\n".join(lines) + "\n"
 
 
@@ -63,11 +62,12 @@ def matrix_from_text(text: str) -> np.ndarray:
     if len(lines) - 1 != rows:
         raise InputError(f"expected {rows} rows, found {len(lines) - 1}")
     data = np.empty((rows, cols), dtype=np.float64)
+    # row by row, as matrix_to_text writes: every entry's string at once costs more
     for i, line in enumerate(lines[1:]):
         parts = line.split()
         if len(parts) != cols:
             raise InputError(f"row {i} has {len(parts)} entries, expected {cols}")
-        data[i] = [float(p) for p in parts]
+        data[i] = parts
     if not np.all(np.isfinite(data)):
         raise InputError("matrix text contains non-finite entries")
     return data

@@ -109,7 +109,7 @@ def sample_document_middles(segs: SegmentSet, cfg: PipelineConfig,
     The interior excludes the ``boundary_width`` rows at each end so no
     row is kept twice. A chunk whose interior is smaller than
     ``middle_count`` gives all of it, t = min(m, max(n - 2k, 0)); the
-    shortfall is visible in the assembled provenance, not an error.
+    shortfall is reported in the memory's manifest, not an error.
     """
     c, n = segs.tokens.shape
     k = cfg.boundary_width

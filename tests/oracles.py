@@ -9,8 +9,10 @@ use, ``fsum_context`` a correctly rounded one for long documents,
 ``windows_one_by_one`` the window-by-window reference for ``segment``,
 ``synthetic_chunks`` builds window starts and random encodings,
 ``kept_rows`` picks from them, one chunk at a time, the rows and
-positions ``assemble`` reads, and ``probe_runs`` the assembled sequences
-the position probe reads.
+positions ``assemble`` reads, ``probe_runs`` the assembled sequences
+the position probe reads, and ``matrix_to_text_per_value`` and
+``matrix_from_text_per_value`` the value-by-value matrix text writer and
+parser.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE, FusedSequence
+from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE
 from chunkfuse.errors import ConfigError, ContractError
 from chunkfuse.numerics import as_matrix, check_finite
 from chunkfuse.pipeline import run_document
@@ -152,8 +154,19 @@ def fusion_jacobian(lefts: np.ndarray, alpha: float, index: int) -> FusionJacobi
                           d_fused_left=d_left, d_fused_right=d_right)
 
 
+@dataclass(frozen=True)
+class PerChunkMemory:
+    """What ``assemble_per_chunk`` builds: the memory's rows and provenance,
+    and its short chunks and middle shortfall as the manifest writes them."""
+
+    flattened: np.ndarray
+    provenance: np.ndarray
+    short_chunks: list[int]
+    middle_shortfall: dict[str, int]
+
+
 def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, starts,
-                       middle_requested: int, alpha: float) -> FusedSequence:
+                       middle_requested: int) -> PerChunkMemory:
     """``assemble`` one chunk at a time, reading each chunk's length and start.
 
     Each chunk may bring its own number of rows and of middle indices,
@@ -163,6 +176,7 @@ def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, sta
     rows = sum(2 * k + len(idx) for idx in middle_indices)
     flattened = np.empty((rows, d), dtype=np.float64)
     provenance = np.empty((rows, 3), dtype=np.int64)
+    short, shortfall = [], {}
     r = 0
     for i, (enc, idx, start) in enumerate(zip(encodings, middle_indices, starts)):
         n, m = len(enc), len(idx)
@@ -174,15 +188,12 @@ def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, sta
         provenance[r:end, ROLE] = [LEFT] * k + [MIDDLE] * m + [RIGHT] * k
         provenance[r:end, POSITION] = [*range(k), *idx, *range(n - k, n)]
         provenance[r:end, POSITION] += start
+        if n < 2 * k:
+            short.append(i + 1)
+        if m < middle_requested:
+            shortfall[str(i + 1)] = middle_requested - m
         r = end
-    return FusedSequence(
-        flattened=flattened,
-        provenance=provenance,
-        boundary_width=k,
-        middle_requested=middle_requested,
-        alpha=alpha,
-        short_chunks=tuple(i + 1 for i, enc in enumerate(encodings) if len(enc) < 2 * k),
-    )
+    return PerChunkMemory(flattened, provenance, short, shortfall)
 
 
 def windows_one_by_one(tokens: Sequence[int], chunk_len: int,
@@ -231,3 +242,21 @@ def probe_runs(docs, alpha: float, cfg, weights=None):
     """One assembled sequence per document, run under ``cfg`` at ``alpha``."""
     cfg = replace(cfg, alpha=alpha)
     return [run_document(doc, cfg, weights=weights).fused for doc in docs]
+
+
+def matrix_to_text_per_value(a: np.ndarray) -> str:
+    """``matrix_to_text`` one entry at a time: ``repr(float(v))`` of each value."""
+    lines = [f"{a.shape[0]} {a.shape[1]}"]
+    for row in a:
+        lines.append(" ".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def matrix_from_text_per_value(text: str) -> np.ndarray:
+    """``matrix_from_text`` on well-formed text, one ``float()`` per entry."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    rows, cols = (int(v) for v in lines[0].split())
+    data = np.empty((rows, cols), dtype=np.float64)
+    for i, line in enumerate(lines[1:]):
+        data[i] = [float(p) for p in line.split()]
+    return data

@@ -450,6 +450,18 @@ class TestAssemble:
         with pytest.raises(ContractError, match="assembled sequence"):
             assemble(rows, positions, 1, 1, 0.5)
 
+    def test_memory_owns_its_positions(self):
+        # a caller that edits its positions after assemble, as a sweep over
+        # alphas sharing one array might, changes neither provenance nor manifest
+        rng = np.random.default_rng(16)
+        starts, encs = synthetic_chunks(rng, 3, 4, 4)
+        rows, positions = kept_rows(encs, 1, np.ones((3, 1), np.int64), starts)
+        out = assemble(rows, positions, 1, 1, 0.5)
+        provenance, manifest = out.provenance, fused_sequence_manifest(out)
+        positions += 1
+        np.testing.assert_array_equal(out.provenance, provenance)
+        assert fused_sequence_manifest(out) == manifest
+
     def test_compressed_versus_naive_row_arithmetic(self):
         # 10 full windows at stock settings: 3020 assembled rows versus
         # 10240 under plain concatenation
@@ -462,9 +474,8 @@ class TestAssemble:
         rng = np.random.default_rng(17)
         out, *_ = assemble_synthetic(rng, 1, 1, np.array([[1]]), 4, chunk_len=3,
                                      middle_requested=3)
-        assert out.middle_counts() == [1]
-        assert out.middle_shortfall() == {1: 2}
         manifest = fused_sequence_manifest(out)
+        assert [role for _, role, _ in manifest["provenance"]].count("middle") == 1
         assert manifest["rows"] == out.rows
         assert manifest["middle_shortfall"] == {"1": 2}
         assert len(manifest["provenance"]) == out.rows
@@ -485,11 +496,12 @@ class TestAssemble:
         idx = [sorted(k + i for i in draw.sample_indices(interior, min(m, interior)))
                for _ in range(segs.count)]
         fused = fuse(encs[:, :k], encs[:, n - k:], 0.5)
-        want = assemble_per_chunk(*fused, list(encs), idx, segs.starts.tolist(), m, 0.5)
+        want = assemble_per_chunk(*fused, list(encs), idx, segs.starts.tolist(), m)
         assert got.flattened.tobytes() == want.flattened.tobytes()
         np.testing.assert_array_equal(got.provenance, want.provenance)
-        assert got.short_chunks == want.short_chunks
-        assert got.middle_shortfall() == want.middle_shortfall()
+        manifest = fused_sequence_manifest(got)
+        assert manifest["short_chunks"] == want.short_chunks
+        assert manifest["middle_shortfall"] == want.middle_shortfall
 
 
 class TestBoundariesFromEncodings:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from oracles import kept_rows, synthetic_chunks
@@ -72,14 +70,6 @@ def test_memory_width_contract():
     *_, memory = make_memory(rng, dim=16)
     with pytest.raises(ConfigError):
         decode_step([1], memory, decoder_config(d_model=32, n_heads=4))
-
-
-def test_misaligned_provenance_rejected():
-    rng = np.random.default_rng(5)
-    *_, memory = make_memory(rng)
-    broken = replace(memory, provenance=memory.provenance[:-1])
-    with pytest.raises(ContractError):
-        decode_step([1], broken, decoder_config())
 
 
 def test_empty_prefix_rejected():

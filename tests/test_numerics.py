@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mean_of
+from oracles import matrix_from_text_per_value, matrix_to_text_per_value, mean_of
 
 from chunkfuse.encoder import _layer_norm as layer_norm
 from chunkfuse.encoder import _softmax_last as row_softmax
@@ -166,6 +166,29 @@ class TestSerialization:
         b = load_matrix(path)
         assert b.shape == shape and b.dtype == np.float64
         assert b.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 6), (0, 3)])
+    def test_matches_per_value_oracle(self, shape):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+        text = matrix_to_text(a)
+        assert text == matrix_to_text_per_value(a)
+        parsed = matrix_from_text(text)
+        assert parsed.shape == shape
+        assert parsed.tobytes() == matrix_from_text_per_value(text).tobytes() == a.tobytes()
+
+    def test_edge_values_match_per_value_oracle(self):
+        edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, float(2**53 + 2),
+                 1.7976931348623157e308, -1.7976931348623157e308]
+        a = np.array([edges, edges[::-1], [-v for v in edges]])
+        text = matrix_to_text(a)
+        assert text == matrix_to_text_per_value(a)
+        parsed = matrix_from_text(text)
+        assert parsed.tobytes() == matrix_from_text_per_value(text).tobytes() == a.tobytes()
+        # spellings the writer never emits parse as float() reads them
+        odd = ("1 8\n.5 5. +2.5 1E-3 -0 2.4703282292062328e-324 1.7976931348623158e308 "
+               "0.1000000000000000055511151231257827\n")
+        assert matrix_from_text(odd).tobytes() == matrix_from_text_per_value(odd).tobytes()
 
 
 class TestSeededRng:

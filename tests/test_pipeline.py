@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE
+from chunkfuse.cumulation import (
+    CHUNK,
+    LEFT,
+    MIDDLE,
+    POSITION,
+    RIGHT,
+    ROLE,
+    fused_sequence_manifest,
+)
 from chunkfuse.encoder import encode, init_weights
 from chunkfuse.errors import ConfigError
 from chunkfuse.metrics import make_random_doc
@@ -39,7 +47,8 @@ def test_alpha_one_rows_are_full_encoder_rows():
         starts = run.segments.starts
         for row, (chunk, _role, pos) in zip(run.fused.flattened, run.fused.provenance):
             assert row.tobytes() == full[chunk - 1][pos - starts[chunk - 1]].tobytes()
-        assert bool(run.fused.short_chunks) == (n < 2 * cfg.boundary_width)
+        short = fused_sequence_manifest(run.fused)["short_chunks"]
+        assert bool(short) == (n < 2 * cfg.boundary_width)
 
 
 @st.composite
@@ -61,7 +70,7 @@ def test_rows_provenance_and_roles_property(case, doc_seed):
     run = run_document(make_random_doc(n_tokens, cfg.vocab_size, doc_seed), cfg,
                        doc_id=f"doc-{doc_seed}")
     fused, segs = run.fused, run.segments
-    shortfall = sum(fused.middle_shortfall().values())
+    shortfall = sum(fused_sequence_manifest(fused)["middle_shortfall"].values())
     assert fused.rows == segs.count * (2 * k + m) - shortfall
     assert len(fused.provenance) == fused.rows
 
