@@ -6,9 +6,11 @@ finite, and provide the text serialization used by golden files:
 first line ``"rows cols"``, then one line per row with entries written
 as shortest round-trip decimals.
 
-Randomness comes from :class:`SeededRng`, a SplitMix64 generator
-implemented in pure Python so the integer stream is identical on every
-platform and run for a given seed.
+Randomness comes from :class:`SeededRng`, a SplitMix64 generator whose
+integer stream is identical on every platform and run for a given seed.
+Large draws compute that stream in numpy ``uint64`` blocks; their
+Gaussians keep ``log``, ``sin`` and ``cos`` on libm through ``math``, so
+a block-wise draw is bitwise the same as drawing one value at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import numpy as np
 from .errors import ConfigError, ContractError, InputError
 
 _MASK64 = (1 << 64) - 1
+# SplitMix64: the golden-ratio increment and the finalizer's multipliers
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_BLOCK = 1 << 15  # draws per numpy block: bounds the temporaries of a large draw
 
 
 def as_matrix(data) -> np.ndarray:
@@ -50,7 +55,7 @@ def matrix_to_text(a: np.ndarray) -> str:
 
 
 def matrix_from_text(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = text.lstrip().splitlines()
     if not lines:
         raise InputError("empty matrix text")
     try:
@@ -59,15 +64,20 @@ def matrix_from_text(text: str) -> np.ndarray:
         raise InputError(f"bad matrix header {lines[0]!r}") from exc
     if rows < 0 or cols < 0:
         raise InputError(f"bad matrix shape {rows}x{cols}")
-    if len(lines) - 1 != rows:
-        raise InputError(f"expected {rows} rows, found {len(lines) - 1}")
+    # a row of no columns is written as a blank line; other blank lines are skipped
+    body = [ln for ln in lines[1:] if ln.strip() or not cols]
+    if len(body) != rows:
+        raise InputError(f"expected {rows} rows, found {len(body)}")
     data = np.empty((rows, cols), dtype=np.float64)
     # row by row, as matrix_to_text writes: every entry's string at once costs more
-    for i, line in enumerate(lines[1:]):
+    for i, line in enumerate(body):
         parts = line.split()
         if len(parts) != cols:
             raise InputError(f"row {i} has {len(parts)} entries, expected {cols}")
-        data[i] = parts
+        try:
+            data[i] = parts
+        except ValueError as exc:
+            raise InputError(f"row {i} has a non-numeric entry: {exc}") from exc
     if not np.all(np.isfinite(data)):
         raise InputError("matrix text contains non-finite entries")
     return data
@@ -113,33 +123,66 @@ class SeededRng:
         self._gauss_spare: float | None = None
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
         """Uniform draw in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def gaussian(self) -> float:
-        """Standard normal draw (Box-Muller, pairs cached)."""
-        if self._gauss_spare is not None:
-            z = self._gauss_spare
-            self._gauss_spare = None
-            return z
-        # 1 - uniform() lies in (0, 1], keeping log() finite
-        r = math.sqrt(-2.0 * math.log(1.0 - self.uniform()))
-        theta = 2.0 * math.pi * self.uniform()
-        self._gauss_spare = r * math.sin(theta)
-        return r * math.cos(theta)
+    def _u64_blocks(self, count: int):
+        """The next ``count`` outputs of :meth:`next_u64`, as uint64 blocks.
+
+        The state after i steps is ``state + i*gamma mod 2**64``, so each
+        block is one array expression (numpy's uint64 arithmetic wraps).
+        ``_state`` is advanced past each block before it is yielded.
+        """
+        for start in range(0, count, _BLOCK):
+            n = min(_BLOCK, count - start)
+            z = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA + self._state
+            self._state = (self._state + n * _GAMMA) & _MASK64
+            z ^= z >> 30
+            z *= _MIX1
+            z ^= z >> 27
+            z *= _MIX2
+            z ^= z >> 31
+            yield z
 
     def normal_matrix(self, rows: int, cols: int, std: float) -> np.ndarray:
-        """(rows x cols) matrix of independent N(0, std^2) draws, row-major fill."""
+        """(rows x cols) matrix of independent N(0, std^2) draws, row-major fill.
+
+        Box-Muller over pairs of :meth:`uniform` draws: each pair gives
+        ``r*cos(theta)``, then ``r*sin(theta)``, which is kept as the
+        spare for the next call when the count is odd. ``sqrt`` and the
+        products are correctly rounded in numpy; ``log``, ``sin`` and
+        ``cos`` stay on libm through ``math``, so every entry is bitwise
+        the value of a one-draw-at-a-time loop.
+        """
         out = np.empty(rows * cols, dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.gaussian() * std
+        filled = 0
+        if self._gauss_spare is not None and out.size:
+            out[0] = self._gauss_spare * std
+            self._gauss_spare = None
+            filled = 1
+        pairs = (out.size - filled + 1) // 2
+        for z in self._u64_blocks(2 * pairs):
+            u = (z >> 11) * 2.0**-53
+            n = u.size // 2
+            # 1 - u lies in (0, 1], keeping log() finite
+            log_u = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, n)
+            r = np.sqrt(-2.0 * log_u)
+            theta = ((2.0 * math.pi) * u[1::2]).tolist()
+            g = np.empty(2 * n, dtype=np.float64)
+            g[0::2] = r * np.fromiter(map(math.cos, theta), np.float64, n)
+            g[1::2] = r * np.fromiter(map(math.sin, theta), np.float64, n)
+            take = min(g.size, out.size - filled)
+            out[filled:filled + take] = g[:take] * std
+            filled += take
+            if take < g.size:
+                self._gauss_spare = float(g[-1])
         return out.reshape(rows, cols)
 
     def randint_below(self, n: int) -> int:
@@ -149,7 +192,13 @@ class SeededRng:
         return self.next_u64() % n
 
     def token_ids(self, count: int, vocab_size: int) -> tuple[int, ...]:
-        return tuple(self.randint_below(vocab_size) for _ in range(count))
+        """``count`` draws of :meth:`randint_below` ``(vocab_size)``, as Python ints."""
+        if vocab_size <= 0:
+            raise ConfigError("token_ids requires vocab_size >= 1")
+        ids: list[int] = []
+        for z in self._u64_blocks(count):
+            ids.extend((z % vocab_size).tolist())
+        return tuple(ids)
 
     def sample_indices(self, population: int, count: int) -> list[int]:
         """``count`` distinct indices from range(population), selection order.

@@ -12,7 +12,9 @@ use, ``fsum_context`` a correctly rounded one for long documents,
 positions ``assemble`` reads, ``probe_runs`` the assembled sequences
 the position probe reads, and ``matrix_to_text_per_value`` and
 ``matrix_from_text_per_value`` the value-by-value matrix text writer and
-parser.
+parser, and ``gaussian``, ``normal_matrix_per_value`` and
+``token_ids_per_value`` the draw-at-a-time forms of ``SeededRng``'s
+block-wise streams.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE
 from chunkfuse.errors import ConfigError, ContractError
-from chunkfuse.numerics import as_matrix, check_finite
+from chunkfuse.numerics import SeededRng, as_matrix, check_finite
 from chunkfuse.pipeline import run_document
 
 
@@ -260,3 +262,29 @@ def matrix_from_text_per_value(text: str) -> np.ndarray:
     for i, line in enumerate(lines[1:]):
         data[i] = [float(p) for p in line.split()]
     return data
+
+
+def gaussian(rng: SeededRng) -> float:
+    """One standard normal draw from ``rng`` (Box-Muller, pairs cached)."""
+    if rng._gauss_spare is not None:
+        z = rng._gauss_spare
+        rng._gauss_spare = None
+        return z
+    # 1 - uniform() lies in (0, 1], keeping log() finite
+    r = math.sqrt(-2.0 * math.log(1.0 - rng.uniform()))
+    theta = 2.0 * math.pi * rng.uniform()
+    rng._gauss_spare = r * math.sin(theta)
+    return r * math.cos(theta)
+
+
+def normal_matrix_per_value(rng: SeededRng, rows: int, cols: int, std: float) -> np.ndarray:
+    """``SeededRng.normal_matrix`` one :func:`gaussian` draw per entry."""
+    out = np.empty(rows * cols, dtype=np.float64)
+    for i in range(out.size):
+        out[i] = gaussian(rng) * std
+    return out.reshape(rows, cols)
+
+
+def token_ids_per_value(rng: SeededRng, count: int, vocab_size: int) -> tuple[int, ...]:
+    """``SeededRng.token_ids`` one ``randint_below`` draw per token."""
+    return tuple(rng.randint_below(vocab_size) for _ in range(count))

@@ -174,7 +174,7 @@ THREAD_GUARD_CONFIGS = [
 
 # encodes three windows per config and prints, per config, whether every
 # kept row equals the full encoding's row bitwise; numpy draws stand in for
-# init_weights, whose pure-Python draw at d_model 256 takes seconds
+# init_weights, whose seeded draw at d_model 256 takes about a second
 THREAD_GUARD_SCRIPT = """
 import json, sys
 import numpy as np

@@ -9,8 +9,14 @@ on a corpus of short documents. The matrix, decode and attention files
 are left out: their float rounding can differ between BLAS builds. The
 per-document files of ``chunkfuse segment --include-tokens --out-dir``,
 which add every window's token ids, are pinned for the same corpora.
+
+The seeded encoder and decoder weights of the benchmark's three model
+configs are pinned too. They involve no BLAS: each entry is SplitMix64
+integers, correctly rounded arithmetic, and libm's ``log``, ``sin`` and
+``cos``.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -18,6 +24,8 @@ from pathlib import Path
 import pytest
 
 from chunkfuse.cli import main
+from chunkfuse.decoder import init_decoder_weights
+from chunkfuse.encoder import ModelConfig, init_weights
 
 ROOT = Path(__file__).resolve().parents[1]
 README_FLAGS = ["--chunk-len", "64", "--overlap", "16", "--middle-count", "8",
@@ -106,3 +114,48 @@ def test_segment_files_match_golden_hashes(name, tmp_path):
                  *flags]) == 0
     got = {p.name.removesuffix(".segments.json"): sha256(p) for p in sorted(out.iterdir())}
     assert got == SEGMENT_GOLDEN[name]
+
+
+# perfbench's model configs, as PipelineConfig.encoder_config() gives them;
+# n_heads and max_len do not enter the draw, so the first two share weights
+WEIGHT_CONFIGS = {
+    "long-doc": dict(vocab_size=128, d_model=32, n_heads=2, n_layers=2, d_ff=64, max_len=1024),
+    "small-window": dict(vocab_size=128, d_model=32, n_heads=4, n_layers=2, d_ff=64, max_len=64),
+    "wide-corpus": dict(vocab_size=1024, d_model=256, n_heads=4, n_layers=2, d_ff=1024,
+                        max_len=256),
+}
+# (encoder at seed 7, decoder at seed 8, the offset PipelineConfig.decoder_config uses)
+WEIGHT_GOLDEN = {
+    "long-doc": ("4a1fefa43f93eed89382fcb3674e2ffe47f1b927aa4b63c1f183f21b3a425b45",
+                 "6a565e9798608e06631f821659ec1ca22a1ebc2bf31708230d4c344339f78d61"),
+    "small-window": ("4a1fefa43f93eed89382fcb3674e2ffe47f1b927aa4b63c1f183f21b3a425b45",
+                     "6a565e9798608e06631f821659ec1ca22a1ebc2bf31708230d4c344339f78d61"),
+    "wide-corpus": ("c72470ad229217d8f924883f6b6b367b9b79bf286b2eb7bd44b2428399e8797e",
+                    "d51e2f16115ed2e6e6ce53ea386fd5effba54d8fb05a07714c7507053ea67c21"),
+}
+
+
+def weights_sha256(weights) -> str:
+    """sha256 of every weight array's bytes, in dataclass field order."""
+    h = hashlib.sha256()
+
+    def feed(w):
+        if dataclasses.is_dataclass(w):
+            for f in dataclasses.fields(w):
+                feed(getattr(w, f.name))
+        elif isinstance(w, tuple):
+            for x in w:
+                feed(x)
+        else:
+            h.update(w.tobytes())
+
+    feed(weights)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_CONFIGS))
+def test_model_weights_match_golden_hashes(name):
+    dims = WEIGHT_CONFIGS[name]
+    got = (weights_sha256(init_weights(ModelConfig(seed=7, **dims))),
+           weights_sha256(init_decoder_weights(ModelConfig(seed=8, **dims))))
+    assert got == WEIGHT_GOLDEN[name]

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import matrix_from_text_per_value, matrix_to_text_per_value, mean_of
+from oracles import (
+    matrix_from_text_per_value,
+    matrix_to_text_per_value,
+    mean_of,
+    normal_matrix_per_value,
+    token_ids_per_value,
+)
 
 from chunkfuse.encoder import _layer_norm as layer_norm
 from chunkfuse.encoder import _softmax_last as row_softmax
@@ -149,12 +155,13 @@ class TestSerialization:
         ("2 -1\n\n\n", "bad matrix shape 2x-1"),
         ("2 1\n1.0\n", "expected 2 rows, found 1"),
         ("1 1\n1.0\n2.0\n", "expected 1 rows, found 2"),
+        ("1 2\n1.0 abc\n", "row 0 has a non-numeric entry"),
     ])
     def test_rejects_empty_text_negative_shape_and_row_count(self, text, message):
         with pytest.raises(InputError, match=message):
             matrix_from_text(text)
 
-    @pytest.mark.parametrize("shape", [(4, 3), (0, 5)])
+    @pytest.mark.parametrize("shape", [(4, 3), (0, 5), (3, 0)])
     def test_save_load_round_trip_bit_exact(self, tmp_path, shape):
         rng = np.random.default_rng(4)
         a = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
@@ -215,8 +222,7 @@ class TestSeededRng:
         assert all(0.0 <= d < 1.0 for d in draws)
 
     def test_gaussian_moments(self):
-        rng = SeededRng(11)
-        draws = np.array([rng.gaussian() for _ in range(20_000)])
+        draws = SeededRng(11).normal_matrix(1, 20_000, std=1.0)
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.05
 
@@ -224,6 +230,37 @@ class TestSeededRng:
         a = SeededRng(5).normal_matrix(3, 4, std=0.5)
         b = SeededRng(5).normal_matrix(3, 4, std=0.5)
         np.testing.assert_array_equal(a, b)
+
+    # empty, one, odd and even counts, and draws across one and two numpy blocks
+    @pytest.mark.parametrize("n", [0, 1, 7, 10, 2**15 + 1, 2 * 2**15 + 3])
+    def test_block_draws_match_draw_at_a_time_oracles(self, n):
+        lib, ref = SeededRng(2024), SeededRng(2024)
+        calls = [
+            # one draw leaves a Box-Muller spare for the next normal_matrix
+            (lambda r: r.normal_matrix(1, 1, 0.5), lambda r: normal_matrix_per_value(r, 1, 1, 0.5)),
+            (lambda r: r.normal_matrix(1, n, 2.0), lambda r: normal_matrix_per_value(r, 1, n, 2.0)),
+            (lambda r: r.token_ids(n, 97), lambda r: token_ids_per_value(r, n, 97)),
+            (lambda r: r.uniform(), lambda r: r.uniform()),
+            (lambda r: r.normal_matrix(n, 3, 0.1), lambda r: normal_matrix_per_value(r, n, 3, 0.1)),
+            (lambda r: r.randint_below(1000), lambda r: r.randint_below(1000)),
+            (lambda r: r.token_ids(n, 2**61 - 1), lambda r: token_ids_per_value(r, n, 2**61 - 1)),
+            (lambda r: r.normal_matrix(n, 1, 1.0), lambda r: normal_matrix_per_value(r, n, 1, 1.0)),
+            (lambda r: r.sample_indices(50, 20), lambda r: r.sample_indices(50, 20)),
+            (lambda r: r.normal_matrix(1, n + 1, 3.0), lambda r: normal_matrix_per_value(r, 1, n + 1, 3.0)),
+        ]
+        for i, (draw, oracle) in enumerate(calls):
+            got, want = draw(lib), oracle(ref)
+            if isinstance(want, np.ndarray):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
+            else:
+                assert got == want and type(got) is type(want), i
+            if isinstance(want, tuple):
+                assert all(type(v) is int for v in got), i
+            assert (lib._state, lib._gauss_spare) == (ref._state, ref._gauss_spare), i
+
+    def test_token_ids_rejects_empty_vocabulary(self):
+        with pytest.raises(ConfigError):
+            SeededRng(1).token_ids(3, 0)
 
     def test_sample_indices_distinct_and_in_range(self):
         rng = SeededRng(9)
