@@ -18,12 +18,7 @@ from .cumulation import (
 )
 from .decoder import attention_mass_by_chunk, decode_step, init_decoder_weights
 from .encoder import EncoderWeights, ModelConfig, encode, init_weights
-from .errors import (
-    ChunkfuseError,
-    ConfigError,
-    ContractError,
-    InputError,
-)
+from .errors import ChunkfuseError, ConfigError, InputError
 from .metrics import (
     RougeScore,
     lcs_length,

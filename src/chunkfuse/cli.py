@@ -7,8 +7,8 @@ winning: built-in defaults, a JSON file given with ``--config``,
 text (JSON, CSV, matrix dumps) so runs can be diffed byte for byte;
 nothing written by ``pipeline`` depends on wall-clock time.
 
-Exit codes: 0 success, 1 input or configuration error, 2 internal
-contract violation.
+Exit codes: 0 success; 1 for the caller's fault, a ``ChunkfuseError`` or
+``OSError``; 2 and a traceback for any other exception, a program fault.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import time
+import traceback
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 from . import bench as bench_mod
 from . import cumulation
 from .decoder import attention_mass_by_chunk, decode_step
-from .errors import ConfigError, ContractError, InputError
+from .errors import ChunkfuseError, ConfigError, InputError
 from .metrics import PROBE_MIN_CHUNKS, make_repeated_chunk_doc, position_probe, rouge_l, rouge_n
 from .numerics import save_matrix
 from .pipeline import (
@@ -113,9 +114,8 @@ def _config_values(args: argparse.Namespace) -> dict:
 
     if args.config is not None:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            file_values = json.loads(args.config.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise InputError(f"config file {args.config} must hold a JSON object")
@@ -161,18 +161,22 @@ def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], di
     """:func:`load_corpus`, with each document's line number first."""
     docs_raw = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read corpus {path}: {exc}") from exc
 
     kind = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to parse
             raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict) or "id" not in obj:
             raise InputError(f"{path}:{lineno}: document needs an \"id\" field")
@@ -425,9 +429,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_rouge(args: argparse.Namespace) -> int:
     def read_lines(path: Path) -> list[str]:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read().splitlines()
-        except OSError as exc:
+            return path.read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
 
     cand_lines = read_lines(args.candidates)
@@ -541,11 +544,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, InputError, OSError) as exc:
+    except (ChunkfuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ContractError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .numerics import check_finite
 
 # provenance columns, and the role codes stored in the ROLE column
@@ -136,8 +136,8 @@ def assemble(
     c, block, _ = rows.shape
     k = boundary_width
     if positions.shape != (c, block) or block < 2 * k:
-        raise ContractError(f"kept rows of shape {rows.shape} with positions of shape "
-                            f"{positions.shape} at boundary width {k}")
+        raise ConfigError(f"kept rows of shape {rows.shape} with positions of shape "
+                          f"{positions.shape} at boundary width {k}")
     rows = rows.copy()
     rows[:, :k], rows[:, block - k:] = fuse(rows[:, :k], rows[:, block - k:], alpha)
     return FusedSequence(

@@ -28,7 +28,7 @@ from .encoder import (
     _layer_norm,
     sinusoidal_positions,
 )
-from .errors import ConfigError, ContractError, InputError
+from .errors import ConfigError, InputError
 from .numerics import SeededRng, check_finite
 
 
@@ -134,18 +134,19 @@ def attention_mass_by_chunk(
 ) -> np.ndarray:
     """Attention mass per source chunk, averaged over query positions.
 
-    Columns are grouped by the provenance chunk column; each query row's
-    grouped sums must still total 1, which guards against misaligned
-    provenance.
+    Columns are grouped by the provenance chunk column, whose 1-based
+    ids must have one entry per column. ``cross_attention`` must be
+    row-stochastic: each query row must sum to 1, as a softmax row does.
     """
     attn = np.asarray(cross_attention, dtype=np.float64)
     if attn.ndim != 2:
         raise ConfigError("cross_attention must be 2-D (queries x memory rows)")
     if attn.shape[1] != len(provenance):
-        raise ContractError(
-            f"{attn.shape[1]} attention columns vs {len(provenance)} provenance rows"
-        )
+        raise ConfigError(f"{attn.shape[1]} attention columns vs "
+                          f"{len(provenance)} provenance rows")
     chunks = np.asarray(provenance)[:, CHUNK]
+    if not chunks.size or chunks.min() < 1:
+        raise ConfigError("provenance needs one chunk id >= 1 per attention column")
     per_chunk = np.zeros((chunks.max(), attn.shape[0]), dtype=np.float64)
     # np.add.at applies the columns in order, so each chunk's sum rounds
     # exactly as a left-to-right loop over its columns would
@@ -153,5 +154,5 @@ def attention_mass_by_chunk(
     per_row = np.ascontiguousarray(per_chunk.T)
     totals = per_row.sum(axis=1)
     if not np.allclose(totals, 1.0, atol=1e-9):
-        raise ContractError("per-query attention mass does not sum to 1")
+        raise InputError("cross_attention rows must each sum to 1")
     return per_row.mean(axis=0)

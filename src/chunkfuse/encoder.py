@@ -184,7 +184,7 @@ def encode(
     if ids.size > cfg.max_len:
         raise InputError(f"window length {ids.size} exceeds max_len {cfg.max_len}")
 
-    h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:ids.size]
+    h = weights.embedding[ids] + sinusoidal_positions(ids.size, cfg.d_model)
     top = len(weights.layers) - 1
     for li, lw in enumerate(weights.layers):
         rows = keep if li == top else slice(None)  # the top block updates kept rows only

@@ -1,8 +1,9 @@
-"""Exception taxonomy shared by every module.
+"""The errors that are the caller's fault.
 
-Two broad families matter to callers: bad configuration or bad input
-(the caller's fault, CLI exit code 1) and broken internal invariants
-(our fault, CLI exit code 2).
+A ``ConfigError`` or ``InputError`` says the caller passed a bad
+setting, bad data or a bad file; the CLI prints it and exits 1, as it
+does for an ``OSError``. Any other exception is a fault of the program
+itself: the CLI prints its traceback and exits 2.
 """
 
 
@@ -16,7 +17,3 @@ class ConfigError(ChunkfuseError, ValueError):
 
 class InputError(ChunkfuseError, ValueError):
     """Malformed caller-supplied data (corpus lines, token ids, files)."""
-
-
-class ContractError(ChunkfuseError, RuntimeError):
-    """An internal invariant failed; indicates a bug, not bad input."""

@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, InputError
+from .errors import ConfigError, InputError
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64: the golden-ratio increment and the finalizer's multipliers
@@ -37,8 +37,9 @@ def as_matrix(data) -> np.ndarray:
 
 
 def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Return ``a``; a NaN or infinity in it is a numeric fault, a ``FloatingPointError``."""
     if not np.all(np.isfinite(a)):
-        raise ContractError(f"{what} contains non-finite entries")
+        raise FloatingPointError(f"{what} contains non-finite entries")
     return a
 
 
@@ -90,7 +91,11 @@ def save_matrix(a: np.ndarray, path: str | os.PathLike) -> None:
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        return matrix_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"matrix file {path} is not ASCII: {exc}") from exc
+    return matrix_from_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +134,6 @@ class SeededRng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def _u64_blocks(self, count: int):
         """The next ``count`` outputs of :meth:`next_u64`, as uint64 blocks.
 
@@ -154,11 +155,11 @@ class SeededRng:
     def normal_matrix(self, rows: int, cols: int, std: float) -> np.ndarray:
         """(rows x cols) matrix of independent N(0, std^2) draws, row-major fill.
 
-        Box-Muller over pairs of :meth:`uniform` draws: each pair gives
-        ``r*cos(theta)``, then ``r*sin(theta)``, which is kept as the
-        spare for the next call when the count is odd. ``sqrt`` and the
-        products are correctly rounded in numpy; ``log``, ``sin`` and
-        ``cos`` stay on libm through ``math``, so every entry is bitwise
+        Box-Muller over pairs of uniform draws ``(next_u64() >> 11) * 2**-53``:
+        each pair gives ``r*cos(theta)``, then ``r*sin(theta)``, which is
+        kept as the spare for the next call when the count is odd. ``sqrt``
+        and the products are correctly rounded in numpy; ``log``, ``sin``
+        and ``cos`` stay on libm through ``math``, so every entry is bitwise
         the value of a one-draw-at-a-time loop.
         """
         out = np.empty(rows * cols, dtype=np.float64)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, InputError
+from .errors import ConfigError, InputError
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,10 @@ def reconstruct(segment_set: SegmentSet) -> tuple[int, ...]:
     for i, (start, window) in enumerate(zip(segment_set.starts.tolist(),
                                             segment_set.tokens.tolist()), start=1):
         if start > covered:
-            raise ContractError(
-                f"window {i} starts at {start} but only {covered} positions are covered"
-            )
+            raise InputError(f"window {i} starts at {start} but only {covered} "
+                             "positions are covered")
         if start + len(window) < covered:
-            raise ContractError(f"window {i} ends before already-covered positions")
+            raise InputError(f"window {i} ends before already-covered positions")
         out.extend(window[covered - start:])
         covered = start + len(window)
     return tuple(out)

@@ -12,7 +12,7 @@ use, ``fsum_context`` a correctly rounded one for long documents,
 positions ``assemble`` reads, ``probe_runs`` the assembled sequences
 the position probe reads, and ``matrix_to_text_per_value`` and
 ``matrix_from_text_per_value`` the value-by-value matrix text writer and
-parser, and ``gaussian``, ``normal_matrix_per_value`` and
+parser, and ``uniform``, ``gaussian``, ``normal_matrix_per_value`` and
 ``token_ids_per_value`` the draw-at-a-time forms of ``SeededRng``'s
 block-wise streams.
 """
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE
-from chunkfuse.errors import ConfigError, ContractError
+from chunkfuse.errors import ConfigError
 from chunkfuse.numerics import SeededRng, as_matrix, check_finite
 from chunkfuse.pipeline import run_document
 
@@ -34,7 +34,7 @@ from chunkfuse.pipeline import run_document
 def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Element-wise arithmetic mean of equally shaped matrices."""
     if len(matrices) == 0:
-        raise ContractError("mean_of requires a non-empty list")
+        raise ValueError("mean_of requires a non-empty list")
     mats = [as_matrix(m) for m in matrices]
     shape = mats[0].shape
     for m in mats[1:]:
@@ -47,7 +47,7 @@ def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
 
 def _check_index(lefts: np.ndarray, index: int) -> None:
     if not 1 <= index <= len(lefts):
-        raise ContractError(f"chunk index {index} outside [1, {len(lefts)}]")
+        raise IndexError(f"chunk index {index} outside [1, {len(lefts)}]")
 
 
 def backward_context(lefts: np.ndarray, rights: np.ndarray, index: int) -> np.ndarray:
@@ -264,6 +264,11 @@ def matrix_from_text_per_value(text: str) -> np.ndarray:
     return data
 
 
+def uniform(rng: SeededRng) -> float:
+    """Uniform draw in [0, 1) from the top 53 bits of ``rng.next_u64()``."""
+    return (rng.next_u64() >> 11) * 2.0**-53
+
+
 def gaussian(rng: SeededRng) -> float:
     """One standard normal draw from ``rng`` (Box-Muller, pairs cached)."""
     if rng._gauss_spare is not None:
@@ -271,8 +276,8 @@ def gaussian(rng: SeededRng) -> float:
         rng._gauss_spare = None
         return z
     # 1 - uniform() lies in (0, 1], keeping log() finite
-    r = math.sqrt(-2.0 * math.log(1.0 - rng.uniform()))
-    theta = 2.0 * math.pi * rng.uniform()
+    r = math.sqrt(-2.0 * math.log(1.0 - uniform(rng)))
+    theta = 2.0 * math.pi * uniform(rng)
     rng._gauss_spare = r * math.sin(theta)
     return r * math.cos(theta)
 

@@ -80,6 +80,13 @@ class TestCorpusLoading:
         with pytest.raises(InputError, match=":2:"):
             load_corpus(path)
 
+    def test_too_deeply_nested_line_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"id": "a", "tokens": [1]}\n' + "[" * 100_000 + "\n")
+        assert main(["segment", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2: malformed JSON" in err and "Traceback" not in err
+
     def test_mixed_kinds_rejected(self, tmp_path):
         path = write_corpus(tmp_path / "m.jsonl", [
             {"id": "a", "tokens": [1]},
@@ -537,14 +544,46 @@ class TestExitCodes:
     def test_unknown_flag_is_one(self, tmp_path):
         assert main(["segment", str(token_corpus(tmp_path)), "--bogus"]) == 1
 
-    def test_contract_error_is_two(self, monkeypatch, tmp_path):
+    def test_unexpected_exception_is_two_with_traceback(self, monkeypatch, tmp_path, capsys):
         import chunkfuse.cli as cli_mod
-        from chunkfuse.errors import ContractError
 
         def boom(args):
-            raise ContractError("wired for the test")
+            raise KeyError("wired for the test")
 
         # main() builds its parser at call time, so the patched handler binds
         monkeypatch.setitem(cli_mod.__dict__, "cmd_segment", boom)
         rc = cli_mod.main(["segment", str(token_corpus(tmp_path))])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "internal error: KeyError: 'wired for the test'" in err
+
+
+class TestNonUtf8Inputs:
+    """A file that does not decode exits 1 naming it, not with a traceback."""
+
+    def assert_exits_one_naming(self, argv, where, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err and "Traceback" not in err
+
+    def test_corpus_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "a", "tokens": [1, 2, 3, 4, 5, 6, 7, 8]}\n'
+                         b'{"id": "b\xff", "tokens": [1, 2, 3, 4, 5, 6, 7, 8]}\n')
+        out = tmp_path / "run"
+        self.assert_exits_one_naming(
+            ["pipeline", str(path), "--out-dir", str(out), *SMALL_FLAGS], f"{path}:2:", capsys)
+        assert not out.exists()
+
+    def test_config_file_names_path(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": 1, "\xff": 2}')
+        self.assert_exits_one_naming(
+            ["segment", str(token_corpus(tmp_path)), "--config", str(cfg)], str(cfg), capsys)
+
+    def test_rouge_file_names_path(self, tmp_path, capsys):
+        cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
+        cand.write_text("the cat sat\n")
+        ref.write_bytes(b"the cat \xff sat\n")
+        self.assert_exits_one_naming(["rouge", str(cand), str(ref)], str(ref), capsys)

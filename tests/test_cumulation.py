@@ -26,7 +26,7 @@ from chunkfuse.cumulation import (
     fuse,
     fused_sequence_manifest,
 )
-from chunkfuse.errors import ConfigError, ContractError, InputError
+from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.numerics import SeededRng
 from chunkfuse.pipeline import (
     PipelineConfig,
@@ -229,9 +229,9 @@ class TestDirectionalContext:
 
     def test_index_out_of_range(self):
         lefts, rights = scalar_set()
-        with pytest.raises(ContractError):
+        with pytest.raises(IndexError):
             backward_context(lefts, rights, 0)
-        with pytest.raises(ContractError):
+        with pytest.raises(IndexError):
             forward_context(lefts, rights, 4)
 
 
@@ -335,7 +335,7 @@ class TestFusionJacobian:
                 assert abs(fd_r - jac.d_fused_right[(side, j)]) < 1e-6
 
     def test_index_out_of_range(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(IndexError):
             fusion_jacobian(scalar_set()[0], 0.5, 4)
 
 
@@ -437,9 +437,9 @@ class TestAssemble:
         rng = np.random.default_rng(14)
         starts, encs = synthetic_chunks(rng, 3, 4, 4)
         rows, positions = kept_rows(encs, 1, np.ones((3, 1), np.int64), starts)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             assemble(rows, positions[:2], 1, 1, 0.5)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             assemble(rows, positions, 2, 1, 0.5)  # 3 kept rows cannot hold two 2-row blocks
 
     def test_non_finite_kept_row_raises(self):
@@ -447,7 +447,7 @@ class TestAssemble:
         starts, encs = synthetic_chunks(rng, 3, 4, 4)
         rows, positions = kept_rows(encs, 1, np.ones((3, 1), np.int64), starts)
         rows[1, -1, 0] = np.nan  # chunk 2's right boundary
-        with pytest.raises(ContractError, match="assembled sequence"):
+        with pytest.raises(FloatingPointError, match="assembled sequence"):
             assemble(rows, positions, 1, 1, 0.5)
 
     def test_memory_owns_its_positions(self):

@@ -5,7 +5,7 @@ from oracles import kept_rows, synthetic_chunks
 from chunkfuse.cumulation import MIDDLE, assemble
 from chunkfuse.decoder import attention_mass_by_chunk, decode_step, init_decoder_weights
 from chunkfuse.encoder import ModelConfig
-from chunkfuse.errors import ConfigError, ContractError, InputError
+from chunkfuse.errors import ConfigError, InputError
 
 
 def decoder_config(**overrides) -> ModelConfig:
@@ -131,10 +131,19 @@ class TestAttentionMass:
 
     def test_misaligned_provenance(self):
         prov = self._provenance([2, 2])
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match="5 attention columns"):
             attention_mass_by_chunk(np.full((1, 5), 0.2), prov)
 
     def test_non_stochastic_rows_rejected(self):
         prov = self._provenance([2, 2])
-        with pytest.raises(ContractError):
+        with pytest.raises(InputError, match="sum to 1"):
             attention_mass_by_chunk(np.full((1, 4), 0.3), prov)
+
+    @pytest.mark.parametrize("chunks", [[0, 0, 1, 1, 2, 2], [1, 2, -1], []])
+    def test_chunk_ids_below_one_rejected(self, chunks):
+        # an id of 0 would otherwise land on the last chunk through index -1
+        prov = np.column_stack([chunks, np.full(len(chunks), MIDDLE),
+                                np.arange(len(chunks))]).astype(np.int64)
+        attn = np.full((2, len(chunks)), 1.0 / max(len(chunks), 1))
+        with pytest.raises(ConfigError, match="chunk id >= 1"):
+            attention_mass_by_chunk(attn, prov)

@@ -156,6 +156,38 @@ def test_sinusoidal_positions_bounds():
     assert np.max(np.abs(table[0] - np.tile([0.0, 1.0], 8))) < 1e-15
 
 
+# (chunk_len, d_model) of perfbench's long-doc, small-window and wide-corpus configs
+@pytest.mark.parametrize("chunk_len, dim", [(1024, 32), (64, 32), (256, 256)])
+def test_window_position_table_is_prefix_of_max_len_table(chunk_len, dim):
+    # encode sizes the table by the window; a window shorter than max_len must
+    # get bitwise the rows a max_len-sized table would have given it
+    full = sinusoidal_positions(chunk_len, dim)
+    for n in sorted({1, 2, 3, 17, chunk_len // 2 + 1, chunk_len - 1, chunk_len}):
+        assert sinusoidal_positions(n, dim).tobytes() == full[:n].tobytes(), n
+
+
+def test_short_document_memory_does_not_scale_with_chunk_len():
+    # a 200-token document encodes 200 positions in any window that holds it:
+    # a max_len-sized position table at 100000 x 32 floats alone would be 25.6 MB
+    import tracemalloc
+
+    from chunkfuse.pipeline import run_document
+    tokens = tuple(range(64)) * 3 + tuple(range(8))
+    peaks = []
+    for chunk_len in (256, 100_000):
+        cfg = PipelineConfig(chunk_len=chunk_len, overlap=16, middle_count=8, d_model=32,
+                             n_heads=4, d_ff=64, vocab_size=64, seed=3)
+        weights = init_weights(cfg.encoder_config())
+        sinusoidal_positions.cache_clear()
+        tracemalloc.start()
+        try:
+            run_document(tokens, cfg, weights=weights)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
 def test_encodings_deterministic_from_seed():
     cfg = pipeline_config()
     _, a, _ = encode_document(list(range(30)), cfg, init_weights(cfg.encoder_config()), "d")

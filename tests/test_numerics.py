@@ -10,11 +10,12 @@ from oracles import (
     mean_of,
     normal_matrix_per_value,
     token_ids_per_value,
+    uniform,
 )
 
 from chunkfuse.encoder import _layer_norm as layer_norm
 from chunkfuse.encoder import _softmax_last as row_softmax
-from chunkfuse.errors import ConfigError, ContractError, InputError
+from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.numerics import (
     SeededRng,
     as_matrix,
@@ -91,8 +92,8 @@ class TestMeanOf:
         oracle = sum(mats) / 5.0
         assert np.max(np.abs(mean_of(mats) - oracle)) < 1e-12
 
-    def test_empty_is_contract_violation(self):
-        with pytest.raises(ContractError):
+    def test_empty_raises_value_error(self):
+        with pytest.raises(ValueError):
             mean_of([])
 
     def test_shape_mismatch(self):
@@ -147,6 +148,17 @@ class TestSerialization:
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             matrix_from_text("1 1\ninf\n")
+
+    def test_writing_non_finite_is_a_numeric_fault(self):
+        # the writer only sees values the program computed: not the caller's fault
+        with pytest.raises(FloatingPointError, match="serialized matrix"):
+            matrix_to_text(np.array([[1.0, np.nan]]))
+
+    def test_non_ascii_file_names_the_path(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"1 1\n1.0\xff\n")
+        with pytest.raises(InputError, match="m.txt is not ASCII"):
+            load_matrix(path)
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty matrix text"),
@@ -218,7 +230,7 @@ class TestSeededRng:
 
     def test_uniform_range(self):
         rng = SeededRng(7)
-        draws = [rng.uniform() for _ in range(1000)]
+        draws = [uniform(rng) for _ in range(1000)]
         assert all(0.0 <= d < 1.0 for d in draws)
 
     def test_gaussian_moments(self):
@@ -240,7 +252,7 @@ class TestSeededRng:
             (lambda r: r.normal_matrix(1, 1, 0.5), lambda r: normal_matrix_per_value(r, 1, 1, 0.5)),
             (lambda r: r.normal_matrix(1, n, 2.0), lambda r: normal_matrix_per_value(r, 1, n, 2.0)),
             (lambda r: r.token_ids(n, 97), lambda r: token_ids_per_value(r, n, 97)),
-            (lambda r: r.uniform(), lambda r: r.uniform()),
+            (uniform, uniform),
             (lambda r: r.normal_matrix(n, 3, 0.1), lambda r: normal_matrix_per_value(r, n, 3, 0.1)),
             (lambda r: r.randint_below(1000), lambda r: r.randint_below(1000)),
             (lambda r: r.token_ids(n, 2**61 - 1), lambda r: token_ids_per_value(r, n, 2**61 - 1)),

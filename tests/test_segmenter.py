@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import windows_one_by_one
 
-from chunkfuse.errors import ConfigError, ContractError, InputError
+from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.segmenter import (
     SegmentSet,
     reconstruct,
@@ -142,7 +142,7 @@ def test_linear_growth_of_chunk_count():
 def test_reconstruct_rejects_gap():
     bad = SegmentSet(tokens=np.array([[1, 2], [9, 9]]), starts=np.array([0, 3]),
                      chunk_len=2, overlap=0)
-    with pytest.raises(ContractError):
+    with pytest.raises(InputError, match="window 2 starts at 3"):
         reconstruct(bad)
 
 
