@@ -180,6 +180,11 @@ def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], di
             raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict) or "id" not in obj:
             raise InputError(f"{path}:{lineno}: document needs an \"id\" field")
+        if not isinstance(obj["id"], str):
+            raise InputError(f"{path}:{lineno}: document id must be a string, got {obj['id']!r}")
+        if "tokens" in obj and "text" in obj:
+            raise InputError(
+                f"{path}:{lineno}: document {obj['id']!r}: has both \"tokens\" and \"text\"")
         if "tokens" in obj:
             this_kind = "tokens"
         elif "text" in obj:
@@ -191,7 +196,7 @@ def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], di
         elif kind != this_kind:
             raise InputError(
                 f"{path}:{lineno}: cannot mix \"tokens\" and \"text\" documents")
-        docs_raw.append((lineno, str(obj["id"]), obj))
+        docs_raw.append((lineno, obj["id"], obj))
 
     if kind == "text":
         for lineno, doc_id, obj in docs_raw:
@@ -272,7 +277,9 @@ def _load_checked(
 
 
 def _safe_id(doc_id: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", doc_id) or "_"
+    name = re.sub(r"[^A-Za-z0-9._-]", "_", doc_id)
+    # "", "." and ".." name no file of their own: they become underscores
+    return name if name.strip(".") else "_" * max(len(name), 1)
 
 
 def _write_json(path: Path, obj) -> None:

@@ -8,9 +8,10 @@ as shortest round-trip decimals.
 
 Randomness comes from :class:`SeededRng`, a SplitMix64 generator whose
 integer stream is identical on every platform and run for a given seed.
-Large draws compute that stream in numpy ``uint64`` blocks; their
-Gaussians keep ``log``, ``sin`` and ``cos`` on libm through ``math``, so
-a block-wise draw is bitwise the same as drawing one value at a time.
+Every draw, interior samples included, computes that stream in numpy
+``uint64`` blocks; Gaussians keep ``log``, ``sin`` and ``cos`` on libm
+through ``math``, so a block-wise draw is bitwise the same as the
+one-draw-at-a-time loop that ``tests/oracles.py`` keeps.
 """
 
 from __future__ import annotations
@@ -116,26 +117,19 @@ class SeededRng:
 
     State advances by the golden-ratio increment and output is the
     standard SplitMix64 finalizer, so two instances with the same seed
-    emit identical 64-bit streams everywhere. Floats derived from the
-    stream are exact dyadic rationals; Gaussians use Box-Muller.
+    emit identical 64-bit streams everywhere. Every draw reads that
+    stream in numpy blocks; floats derived from it are exact dyadic
+    rationals, and Gaussians use Box-Muller.
     """
 
-    __slots__ = ("seed", "_state", "_gauss_spare")
+    __slots__ = ("_state", "_gauss_spare")
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self._state = self.seed
+        self._state = seed & _MASK64
         self._gauss_spare: float | None = None
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
     def _u64_blocks(self, count: int):
-        """The next ``count`` outputs of :meth:`next_u64`, as uint64 blocks.
+        """The next ``count`` SplitMix64 outputs, as uint64 blocks.
 
         The state after i steps is ``state + i*gamma mod 2**64``, so each
         block is one array expression (numpy's uint64 arithmetic wraps).
@@ -155,12 +149,12 @@ class SeededRng:
     def normal_matrix(self, rows: int, cols: int, std: float) -> np.ndarray:
         """(rows x cols) matrix of independent N(0, std^2) draws, row-major fill.
 
-        Box-Muller over pairs of uniform draws ``(next_u64() >> 11) * 2**-53``:
-        each pair gives ``r*cos(theta)``, then ``r*sin(theta)``, which is
-        kept as the spare for the next call when the count is odd. ``sqrt``
-        and the products are correctly rounded in numpy; ``log``, ``sin``
-        and ``cos`` stay on libm through ``math``, so every entry is bitwise
-        the value of a one-draw-at-a-time loop.
+        Box-Muller over pairs of uniform draws ``(z >> 11) * 2**-53`` of
+        stream outputs z: each pair gives ``r*cos(theta)``, then
+        ``r*sin(theta)``, kept as the spare for the next call when the
+        count is odd. ``sqrt`` and the products are correctly rounded in
+        numpy; ``log``, ``sin`` and ``cos`` stay on libm through ``math``,
+        so every entry is bitwise the value of a one-draw-at-a-time loop.
         """
         out = np.empty(rows * cols, dtype=np.float64)
         filled = 0
@@ -186,14 +180,8 @@ class SeededRng:
                 self._gauss_spare = float(g[-1])
         return out.reshape(rows, cols)
 
-    def randint_below(self, n: int) -> int:
-        """Uniform-ish integer in [0, n); modulo reduction, documented as such."""
-        if n <= 0:
-            raise ConfigError("randint_below requires n >= 1")
-        return self.next_u64() % n
-
     def token_ids(self, count: int, vocab_size: int) -> tuple[int, ...]:
-        """``count`` draws of :meth:`randint_below` ``(vocab_size)``, as Python ints."""
+        """``count`` stream outputs reduced modulo ``vocab_size``, as Python ints."""
         if vocab_size <= 0:
             raise ConfigError("token_ids requires vocab_size >= 1")
         ids: list[int] = []
@@ -201,17 +189,20 @@ class SeededRng:
             ids.extend((z % vocab_size).tolist())
         return tuple(ids)
 
-    def sample_indices(self, population: int, count: int) -> list[int]:
-        """``count`` distinct indices from range(population), selection order.
-
-        Partial Fisher-Yates; raises if count exceeds the population.
+    def sample_indices(self, rows: int, population: int, count: int) -> np.ndarray:
+        """(rows, count) int64 array; each row holds ``count`` distinct indices
+        of range(population) in selection order: a partial Fisher-Yates
+        shuffle, run on every row at once. The next ``rows*count`` outputs z,
+        row-major, pick the swap partner of column i as
+        ``i + z % (population - i)``. Raises if count exceeds the population.
         """
         if count > population:
-            raise ConfigError(
-                f"cannot sample {count} of {population} without replacement"
-            )
-        pool = list(range(population))
-        for i in range(count):
-            j = i + self.randint_below(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:count]
+            raise ConfigError(f"cannot sample {count} of {population} without replacement")
+        z = np.concatenate([*self._u64_blocks(rows * count), np.empty(0, np.uint64)])
+        i = np.arange(count, dtype=np.uint64)
+        partner = (i + z.reshape(rows, count) % (np.uint64(population) - i)).astype(np.int64)
+        pool = np.tile(np.arange(population, dtype=np.int64), (rows, 1))
+        r = np.arange(rows)
+        for col, j in enumerate(partner.T):  # one swap per row, all rows at once
+            pool[r, col], pool[r, j] = pool[r, j], pool[r, col]
+        return pool[:, :count]

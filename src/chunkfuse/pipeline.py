@@ -104,7 +104,7 @@ def middle_rng_for(cfg: PipelineConfig, doc_id: str) -> SeededRng:
 
 def sample_document_middles(segs: SegmentSet, cfg: PipelineConfig,
                             rng: SeededRng) -> np.ndarray:
-    """(C, t) chunk-local interior row indices, ascending, drawn chunk by chunk.
+    """(C, t) chunk-local interior row indices, ascending, one row per chunk.
 
     The interior excludes the ``boundary_width`` rows at each end so no
     row is kept twice. A chunk whose interior is smaller than
@@ -115,8 +115,7 @@ def sample_document_middles(segs: SegmentSet, cfg: PipelineConfig,
     k = cfg.boundary_width
     interior = max(n - 2 * k, 0)
     take = min(cfg.middle_count, interior)
-    drawn = [sorted(rng.sample_indices(interior, take)) for _ in range(c)]
-    return np.array(drawn, dtype=np.int64) + k
+    return np.sort(rng.sample_indices(c, interior, take), axis=1) + k
 
 
 def encode_document(

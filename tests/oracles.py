@@ -12,8 +12,9 @@ use, ``fsum_context`` a correctly rounded one for long documents,
 positions ``assemble`` reads, ``probe_runs`` the assembled sequences
 the position probe reads, and ``matrix_to_text_per_value`` and
 ``matrix_from_text_per_value`` the value-by-value matrix text writer and
-parser, and ``uniform``, ``gaussian``, ``normal_matrix_per_value`` and
-``token_ids_per_value`` the draw-at-a-time forms of ``SeededRng``'s
+parser, and ``next_u64``, ``randint_below``, ``uniform``, ``gaussian``,
+``normal_matrix_per_value``, ``token_ids_per_value`` and
+``sample_indices_per_value`` the draw-at-a-time forms of ``SeededRng``'s
 block-wise streams.
 """
 
@@ -264,9 +265,28 @@ def matrix_from_text_per_value(text: str) -> np.ndarray:
     return data
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def next_u64(rng: SeededRng) -> int:
+    """One SplitMix64 step of ``rng``, in Python ints: the output ``_u64_blocks`` yields."""
+    rng._state = (rng._state + 0x9E3779B97F4A7C15) & _MASK64
+    z = rng._state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def randint_below(rng: SeededRng, n: int) -> int:
+    """Uniform-ish integer in [0, n); modulo reduction, as the library's draws use."""
+    if n <= 0:
+        raise ConfigError("randint_below requires n >= 1")
+    return next_u64(rng) % n
+
+
 def uniform(rng: SeededRng) -> float:
-    """Uniform draw in [0, 1) from the top 53 bits of ``rng.next_u64()``."""
-    return (rng.next_u64() >> 11) * 2.0**-53
+    """Uniform draw in [0, 1) from the top 53 bits of ``next_u64(rng)``."""
+    return (next_u64(rng) >> 11) * 2.0**-53
 
 
 def gaussian(rng: SeededRng) -> float:
@@ -291,5 +311,17 @@ def normal_matrix_per_value(rng: SeededRng, rows: int, cols: int, std: float) ->
 
 
 def token_ids_per_value(rng: SeededRng, count: int, vocab_size: int) -> tuple[int, ...]:
-    """``SeededRng.token_ids`` one ``randint_below`` draw per token."""
-    return tuple(rng.randint_below(vocab_size) for _ in range(count))
+    """``SeededRng.token_ids`` one :func:`randint_below` draw per token."""
+    return tuple(randint_below(rng, vocab_size) for _ in range(count))
+
+
+def sample_indices_per_value(rng: SeededRng, population: int, count: int) -> list[int]:
+    """One row of ``SeededRng.sample_indices``: partial Fisher-Yates on a list,
+    one :func:`randint_below` draw per swap."""
+    if count > population:
+        raise ConfigError(f"cannot sample {count} of {population} without replacement")
+    pool = list(range(population))
+    for i in range(count):
+        j = i + randint_below(rng, population - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:count]

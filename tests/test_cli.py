@@ -111,8 +111,12 @@ class TestCorpusLoading:
         assert f"{path}:2:" in err and "'flag'" in err
         assert not out.exists()
 
+    # an empty document, an id that is not a string, and a line with both kinds
     @pytest.mark.parametrize("doc", [{"id": "hollow", "tokens": []},
-                                     {"id": "hollow", "text": "   "}])
+                                     {"id": "hollow", "text": "   "},
+                                     {"id": None, "tokens": [1, 2, 3]},
+                                     {"id": ["a"], "tokens": [1, 2, 3]},
+                                     {"id": "hollow", "tokens": [1, 2, 3], "text": "a b"}])
     def test_empty_document_rejected_before_writing(self, tmp_path, capsys, doc):
         first = {"id": "good", "tokens": [1, 2, 3]} if "tokens" in doc else \
             {"id": "good", "text": "a b c"}
@@ -120,7 +124,7 @@ class TestCorpusLoading:
         out = tmp_path / "run"
         assert main(["pipeline", str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 1
         err = capsys.readouterr().err
-        assert f"{path}:2:" in err and "'hollow'" in err
+        assert f"{path}:2:" in err and repr(doc["id"]) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["segment", "pipeline"])
@@ -164,6 +168,32 @@ class TestFileNameCollisions:
         err = capsys.readouterr().err
         assert f"{path}:1: document 'a/b'" in err and f"{path}:3: document 'a_b'" in err
         assert calls == []
+        assert not out.exists()
+
+    def test_dot_ids_stay_inside_their_own_directories(self, tmp_path):
+        path = write_corpus(tmp_path / "c.jsonl", [
+            {"id": ".", "tokens": [1, 2, 3]},
+            {"id": "..", "tokens": [4, 5, 6]},
+        ])
+        out = tmp_path / "run"
+        assert main(["pipeline", str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["config.json", "config_hash.txt", "docs", "run_meta.json"]
+        assert sorted(p.name for p in (out / "docs").iterdir()) == ["_", "__"]
+        for name in ("_", "__"):
+            assert sorted(p.name for p in (out / "docs" / name).iterdir()) == [
+                "attention_mass.csv", "decode_demo.json", "fused_manifest.json",
+                "fused_matrix.txt", "segments.json"]
+
+    def test_dot_id_collides_with_underscores(self, tmp_path, capsys):
+        path = write_corpus(tmp_path / "c.jsonl", [
+            {"id": "..", "tokens": [1, 2, 3]},
+            {"id": "__", "tokens": [4, 5, 6]},
+        ])
+        out = tmp_path / "run"
+        assert main(["pipeline", str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:1: document '..'" in err and f"{path}:2: document '__'" in err
         assert not out.exists()
 
     def test_segment_to_stdout_keeps_both(self, tmp_path, capsys):

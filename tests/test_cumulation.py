@@ -12,6 +12,7 @@ from oracles import (
     fusion_jacobian,
     kept_rows,
     mean_of,
+    sample_indices_per_value,
     synthetic_chunks,
 )
 
@@ -489,11 +490,11 @@ class TestAssemble:
         cfg = fusion_config(k, m)
         doc_id = f"doc-{seed}"
         got = run_on_encodings(segs, encs, cfg, doc_id)
-        # one sample_indices call per chunk in chunk order, from the document's stream
+        # one per-value sample per chunk in chunk order, from the document's stream
         draw = middle_rng_for(cfg, doc_id)
         n = segs.tokens.shape[1]
         interior = max(n - 2 * k, 0)
-        idx = [sorted(k + i for i in draw.sample_indices(interior, min(m, interior)))
+        idx = [sorted(k + i for i in sample_indices_per_value(draw, interior, min(m, interior)))
                for _ in range(segs.count)]
         fused = fuse(encs[:, :k], encs[:, n - k:], 0.5)
         want = assemble_per_chunk(*fused, list(encs), idx, segs.starts.tolist(), m)

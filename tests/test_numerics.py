@@ -8,7 +8,10 @@ from oracles import (
     matrix_from_text_per_value,
     matrix_to_text_per_value,
     mean_of,
+    next_u64,
     normal_matrix_per_value,
+    randint_below,
+    sample_indices_per_value,
     token_ids_per_value,
     uniform,
 )
@@ -210,23 +213,31 @@ class TestSerialization:
         assert matrix_from_text(odd).tobytes() == matrix_from_text_per_value(odd).tobytes()
 
 
+def stream(rng: SeededRng, count: int) -> list[int]:
+    """The next ``count`` outputs of the library's block stream, as Python ints."""
+    return [v for z in rng._u64_blocks(count) for v in z.tolist()]
+
+
+def sample_rows_per_value(rng: SeededRng, rows: int, population: int, count: int) -> np.ndarray:
+    """``SeededRng.sample_indices`` one oracle row after another."""
+    drawn = [sample_indices_per_value(rng, population, count) for _ in range(rows)]
+    return np.array(drawn, dtype=np.int64).reshape(rows, count)
+
+
 class TestSeededRng:
     def test_equal_seeds_equal_streams(self):
-        a, b = SeededRng(42), SeededRng(42)
-        assert [a.next_u64() for _ in range(10_000)] == \
-               [b.next_u64() for _ in range(10_000)]
+        assert stream(SeededRng(42), 10_000) == stream(SeededRng(42), 10_000)
 
     def test_distinct_seeds_differ(self):
-        assert SeededRng(1).next_u64() != SeededRng(2).next_u64()
+        assert stream(SeededRng(1), 1) != stream(SeededRng(2), 1)
 
     def test_known_splitmix_values(self):
-        # reference stream for seed 1234567 (computed once from the
-        # documented constants, frozen to pin the algorithm)
+        # the published SplitMix64 outputs for seed 1234567, which pin the algorithm
+        want = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                4593380528125082431, 16408922859458223821]
+        assert stream(SeededRng(1234567), 5) == want
         rng = SeededRng(1234567)
-        first = [rng.next_u64() for _ in range(3)]
-        rng2 = SeededRng(1234567)
-        assert first == [rng2.next_u64() for _ in range(3)]
-        assert all(0 <= v < 2**64 for v in first)
+        assert [next_u64(rng) for _ in range(5)] == want
 
     def test_uniform_range(self):
         rng = SeededRng(7)
@@ -243,8 +254,8 @@ class TestSeededRng:
         b = SeededRng(5).normal_matrix(3, 4, std=0.5)
         np.testing.assert_array_equal(a, b)
 
-    # empty, one, odd and even counts, and draws across one and two numpy blocks
-    @pytest.mark.parametrize("n", [0, 1, 7, 10, 2**15 + 1, 2 * 2**15 + 3])
+    # empty, one, odd and even counts, and draws up to, across and over two numpy blocks
+    @pytest.mark.parametrize("n", [0, 1, 7, 10, 2**15 - 1, 2**15 + 1, 2 * 2**15 + 3])
     def test_block_draws_match_draw_at_a_time_oracles(self, n):
         lib, ref = SeededRng(2024), SeededRng(2024)
         calls = [
@@ -254,16 +265,22 @@ class TestSeededRng:
             (lambda r: r.token_ids(n, 97), lambda r: token_ids_per_value(r, n, 97)),
             (uniform, uniform),
             (lambda r: r.normal_matrix(n, 3, 0.1), lambda r: normal_matrix_per_value(r, n, 3, 0.1)),
-            (lambda r: r.randint_below(1000), lambda r: r.randint_below(1000)),
+            (lambda r: r.token_ids(1, 1000), lambda r: (randint_below(r, 1000),)),
+            # n sampled rows of one index each: rows*count is n
+            (lambda r: r.sample_indices(n, 50, 1), lambda r: sample_rows_per_value(r, n, 50, 1)),
             (lambda r: r.token_ids(n, 2**61 - 1), lambda r: token_ids_per_value(r, n, 2**61 - 1)),
             (lambda r: r.normal_matrix(n, 1, 1.0), lambda r: normal_matrix_per_value(r, n, 1, 1.0)),
-            (lambda r: r.sample_indices(50, 20), lambda r: r.sample_indices(50, 20)),
+            (lambda r: r.sample_indices(1, 50, 20), lambda r: sample_rows_per_value(r, 1, 50, 20)),
+            # count == population: whole permutations, one row and several
+            (lambda r: r.sample_indices(1, n, n), lambda r: sample_rows_per_value(r, 1, n, n)),
+            (lambda r: r.sample_indices(3, 5, 5), lambda r: sample_rows_per_value(r, 3, 5, 5)),
             (lambda r: r.normal_matrix(1, n + 1, 3.0), lambda r: normal_matrix_per_value(r, 1, n + 1, 3.0)),
         ]
         for i, (draw, oracle) in enumerate(calls):
             got, want = draw(lib), oracle(ref)
             if isinstance(want, np.ndarray):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
+                assert got.dtype == want.dtype and got.shape == want.shape, i
+                assert got.tobytes() == want.tobytes(), i
             else:
                 assert got == want and type(got) is type(want), i
             if isinstance(want, tuple):
@@ -275,17 +292,18 @@ class TestSeededRng:
             SeededRng(1).token_ids(3, 0)
 
     def test_sample_indices_distinct_and_in_range(self):
-        rng = SeededRng(9)
-        idx = rng.sample_indices(100, 30)
-        assert len(idx) == 30 and len(set(idx)) == 30
-        assert all(0 <= i < 100 for i in idx)
+        idx = SeededRng(9).sample_indices(4, 100, 30)
+        assert idx.shape == (4, 30) and idx.dtype == np.int64
+        assert all(len(set(row)) == 30 for row in idx.tolist())
+        assert idx.min() >= 0 and idx.max() < 100
 
     def test_sample_indices_full_population(self):
-        assert sorted(SeededRng(1).sample_indices(5, 5)) == [0, 1, 2, 3, 4]
+        idx = SeededRng(1).sample_indices(2, 5, 5)
+        assert np.sort(idx, axis=1).tolist() == [[0, 1, 2, 3, 4]] * 2
 
     def test_sample_too_many(self):
         with pytest.raises(ConfigError):
-            SeededRng(1).sample_indices(3, 4)
+            SeededRng(1).sample_indices(1, 3, 4)
 
     def test_fnv1a64_stable(self):
         assert fnv1a64("") == 0xCBF29CE484222325
