@@ -16,7 +16,7 @@ from chunkfuse.metrics import (
     rouge_l,
     rouge_n,
 )
-from chunkfuse.pipeline import PipelineConfig, encode_document, fuse_document
+from chunkfuse.pipeline import PipelineConfig, sweep
 
 candidate = "the report urges faster cuts to emissions".split()
 reference = "the report urges much faster emission cuts this decade".split()
@@ -39,19 +39,17 @@ cfg = PipelineConfig(
     alpha=0.5, d_model=32, n_heads=4, n_layers=2, d_ff=64,
     vocab_size=64, seed=5,
 )
-docs = [make_repeated_chunk_doc(5, cfg.chunk_len, cfg.overlap,
-                                cfg.vocab_size, seed=30 + i) for i in range(3)]
-# encoding does not depend on alpha, so each document is encoded once
-weights = init_weights(cfg.encoder_config())
-encoded = [encode_document(doc, cfg, weights, f"doc-{i}")[1:] for i, doc in enumerate(docs)]
+docs = [(f"doc-{i}", make_repeated_chunk_doc(5, cfg.chunk_len, cfg.overlap,
+                                             cfg.vocab_size, seed=30 + i))
+        for i in range(3)]
+variants = [replace(cfg, alpha=alpha) for alpha in (0.0, 0.25, 0.5, 0.75, 1.0)]
+# sweep encodes each document once and fuses it per alpha: encoding does not read alpha
+results = sweep(docs, variants, init_weights(cfg.encoder_config()))
 
 print("\nposition probe on identical-chunk documents (5 chunks each):")
 print("  alpha   readout mse")
-for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-    variant = replace(cfg, alpha=alpha)
-    mse = position_probe([fuse_document(rows, positions, variant)
-                          for rows, positions in encoded])
-    print(f"  {alpha:>5.2f}   {mse:.4f}")
+for variant, (memories, _, _) in zip(variants, results):
+    print(f"  {variant.alpha:>5.2f}   {position_probe(memories):.4f}")
 print("(alpha = 1.0 gives the variance of the targets: nothing learned;")
 print(" every alpha < 1 scores the same here because changing alpha only")
 print(" rescales how far each fused vector sits along the same line)")

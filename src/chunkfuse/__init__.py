@@ -42,6 +42,7 @@ from .pipeline import (
     fuse_document,
     greedy_decode,
     run_document,
+    sweep,
 )
 from .segmenter import SegmentSet, reconstruct, segment, segment_count
 

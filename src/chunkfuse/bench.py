@@ -12,7 +12,6 @@ alone.
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .encoder import init_weights
 from .errors import ConfigError
 from .metrics import make_random_doc
-from .pipeline import PipelineConfig, encode_document, fuse_document
+from .pipeline import PipelineConfig, sweep
 from .segmenter import segment_count
 
 # totals under this at the smallest point are too close to timer noise
@@ -111,23 +110,14 @@ def run_scaling(
     check_lengths(lengths, cfg)
     weights = init_weights(cfg.encoder_config())
     docs = {n: make_random_doc(n, cfg.vocab_size, DOC_SEED + n) for n in lengths}
-
-    def one_pass(tokens, doc_id: str) -> tuple[float, float]:
-        """(encode seconds, middle sampling included; fuse seconds) of one pass."""
-        t0 = time.perf_counter()
-        _, rows, positions = encode_document(tokens, cfg, weights, doc_id)
-        t1 = time.perf_counter()
-        fuse_document(rows, positions, cfg)
-        return t1 - t0, time.perf_counter() - t1
-
-    one_pass(docs[lengths[0]], "warmup")
+    sweep([("warmup", docs[lengths[0]])], [cfg], weights)
 
     # interleave repeats across lengths so machine-load drift during the
     # benchmark biases every point alike instead of tilting the slope
     runs: dict[int, list[tuple[float, float]]] = {n: [] for n in lengths}
     for _ in range(repeats):
         for n in lengths:
-            runs[n].append(one_pass(docs[n], f"bench-{n}"))
+            runs[n].append(sweep([(f"bench-{n}", docs[n])], [cfg], weights)[0][1:])
 
     points = []
     for n in lengths:

@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-import time
 import traceback
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -31,13 +30,7 @@ from .decoder import attention_mass_by_chunk, decode_step
 from .errors import ChunkfuseError, ConfigError, InputError
 from .metrics import PROBE_MIN_CHUNKS, make_repeated_chunk_doc, position_probe, rouge_l, rouge_n
 from .numerics import save_matrix
-from .pipeline import (
-    PipelineConfig,
-    encode_document,
-    fuse_document,
-    greedy_decode,
-    run_document,
-)
+from .pipeline import PipelineConfig, greedy_decode, run_document, sweep
 from .encoder import init_weights
 from .segmenter import segment, segment_count, segment_set_to_dict
 
@@ -182,6 +175,10 @@ def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], di
             raise InputError(f"{path}:{lineno}: document needs an \"id\" field")
         if not isinstance(obj["id"], str):
             raise InputError(f"{path}:{lineno}: document id must be a string, got {obj['id']!r}")
+        try:
+            obj["id"].encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which a JSON \u escape admits
+            raise InputError(f"{path}:{lineno}: document id {obj['id']!r} is not UTF-8") from exc
         if "tokens" in obj and "text" in obj:
             raise InputError(
                 f"{path}:{lineno}: document {obj['id']!r}: has both \"tokens\" and \"text\"")
@@ -382,33 +379,18 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-_AXES = {
-    "alpha": "alpha",
-    "middle-count": "middle_count",
-    "overlap": "overlap",
-}
-
-
 def cmd_ablate(args: argparse.Namespace) -> int:
-    field = _AXES[args.axis]
+    field = args.axis.replace("-", "_")
     values = _config_values(args)
-    sweep = _parse_list("--values", args.values, lambda raw: (
+    labelled = _parse_list("--values", args.values, lambda raw: (
         f" at {args.axis} {raw}", PipelineConfig(**{**values, field: _field_type(field)(raw)})))
-    variants, docs, _ = _load_checked(args.corpus, sweep, PROBE_MIN_CHUNKS)
+    variants, docs, _ = _load_checked(args.corpus, labelled, PROBE_MIN_CHUNKS)
     _make_out_dir(args)
-    # no swept field reaches the encoder, so every variant shares its weights
-    weights = init_weights(variants[0].encoder_config())
+    weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
     rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
-    for variant in variants:
-        runs = []
-        fuse_seconds = 0.0
-        for doc_id, tokens in docs:
-            _, kept, positions = encode_document(tokens, variant, weights, doc_id)
-            started = time.perf_counter()
-            runs.append(fuse_document(kept, positions, variant))
-            fuse_seconds += time.perf_counter() - started
-        rows.append([repr(getattr(variant, field)), repr(position_probe(runs)),
-                     sum(run.rows for run in runs), repr(fuse_seconds)])
+    for variant, (memories, _, fuse_seconds) in zip(variants, sweep(docs, variants, weights)):
+        rows.append([repr(getattr(variant, field)), repr(position_probe(memories)),
+                     sum(memory.rows for memory in memories), repr(fuse_seconds)])
 
     out = (args.out_dir / "ablation.csv") if args.out_dir else None
     _write_csv(out, rows)
@@ -475,17 +457,10 @@ def cmd_probe(args: argparse.Namespace) -> int:
                                          cfg.vocab_size, args.doc_seed + i))
                 for i in range(args.n_docs)]
     _make_out_dir(args)
-    # encoding does not depend on alpha: encode each document once
     weights = init_weights(variants[0].encoder_config())
-    runs: list[list] = [[] for _ in variants]
-    for doc_id, tokens in docs:
-        _, kept, positions = encode_document(tokens, variants[0], weights, doc_id)
-        for variant, variant_runs in zip(variants, runs):
-            variant_runs.append(fuse_document(kept, positions, variant))
-
     rows: list[list] = [["alpha", "probe_mse"]]
-    rows.extend([repr(variant.alpha), repr(position_probe(variant_runs))]
-                for variant, variant_runs in zip(variants, runs))
+    rows.extend([repr(variant.alpha), repr(position_probe(memories))]
+                for variant, (memories, _, _) in zip(variants, sweep(docs, variants, weights)))
     out = (args.out_dir / "probe.csv") if args.out_dir else None
     _write_csv(out, rows)
     return 0
@@ -514,7 +489,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="sweep one axis and record probe/size/cost")
     _common_flags(p)
     p.add_argument("corpus", type=Path)
-    p.add_argument("--axis", choices=sorted(_AXES), required=True)
+    p.add_argument("--axis", choices=["alpha", "middle-count", "overlap"], required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated axis values")
     p.set_defaults(func=cmd_ablate)

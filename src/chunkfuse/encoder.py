@@ -101,6 +101,7 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     table = np.empty((length, dim), dtype=np.float64)
     table[:, 0::2] = np.sin(angle[:, 0::2])
     table[:, 1::2] = np.cos(angle[:, 1::2])
+    table.flags.writeable = False  # the cache hands this one array to every caller
     return table
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
@@ -165,6 +166,37 @@ def run_document(
         weights = init_weights(cfg.encoder_config())
     segs, rows, positions = encode_document(tokens, cfg, weights, doc_id)
     return DocumentRun(segments=segs, fused=fuse_document(rows, positions, cfg))
+
+
+def sweep(
+    docs: Sequence[tuple[str, Sequence[int]]],
+    variants: Sequence[PipelineConfig],
+    weights: EncoderWeights,
+) -> list[tuple[list[cumulation.FusedSequence], float, float]]:
+    """Encode and fuse ``(doc_id, tokens)`` documents under each variant, timing both.
+
+    Returns, per variant and in order, the fused memories and the seconds
+    spent encoding (segmenting and sampling included) and fusing them.
+    Encoding does not read alpha, so a variant that differs from the one
+    before it only in alpha reuses its encodings, at 0.0 encode seconds.
+    ``weights`` serve every variant, so all must share one encoder config.
+    """
+    if len({variant.encoder_config() for variant in variants}) > 1:
+        raise ConfigError("sweep variants must share one encoder config")
+    results = []
+    encoded_for = encoded = None
+    for variant in variants:
+        encode_seconds = 0.0
+        if replace(variant, alpha=0.0) != encoded_for:
+            encoded_for = replace(variant, alpha=0.0)
+            started = time.perf_counter()
+            encoded = [encode_document(tokens, variant, weights, doc_id)[1:]
+                       for doc_id, tokens in docs]
+            encode_seconds = time.perf_counter() - started
+        started = time.perf_counter()
+        memories = [fuse_document(rows, positions, variant) for rows, positions in encoded]
+        results.append((memories, encode_seconds, time.perf_counter() - started))
+    return results
 
 
 def greedy_decode(

@@ -10,7 +10,9 @@ use, ``fsum_context`` a correctly rounded one for long documents,
 ``synthetic_chunks`` builds window starts and random encodings,
 ``kept_rows`` picks from them, one chunk at a time, the rows and
 positions ``assemble`` reads, ``probe_runs`` the assembled sequences
-the position probe reads, and ``matrix_to_text_per_value`` and
+the position probe reads, ``sweep_per_variant`` the memories of
+``sweep`` with every document encoded afresh under every variant,
+``matrix_to_text_per_value`` and
 ``matrix_from_text_per_value`` the value-by-value matrix text writer and
 parser, and ``next_u64``, ``randint_below``, ``uniform``, ``gaussian``,
 ``normal_matrix_per_value``, ``token_ids_per_value`` and
@@ -245,6 +247,12 @@ def probe_runs(docs, alpha: float, cfg, weights=None):
     """One assembled sequence per document, run under ``cfg`` at ``alpha``."""
     cfg = replace(cfg, alpha=alpha)
     return [run_document(doc, cfg, weights=weights).fused for doc in docs]
+
+
+def sweep_per_variant(docs, variants, weights):
+    """Per variant, one fused memory per ``(doc_id, tokens)``, each from its own encode."""
+    return [[run_document(tokens, variant, weights, doc_id).fused for doc_id, tokens in docs]
+            for variant in variants]
 
 
 def matrix_to_text_per_value(a: np.ndarray) -> str:

@@ -111,11 +111,13 @@ class TestCorpusLoading:
         assert f"{path}:2:" in err and "'flag'" in err
         assert not out.exists()
 
-    # an empty document, an id that is not a string, and a line with both kinds
+    # an empty document, an id that is not a string or not UTF-8 (a lone
+    # surrogate, which a JSON \u escape admits), and a line with both kinds
     @pytest.mark.parametrize("doc", [{"id": "hollow", "tokens": []},
                                      {"id": "hollow", "text": "   "},
                                      {"id": None, "tokens": [1, 2, 3]},
                                      {"id": ["a"], "tokens": [1, 2, 3]},
+                                     {"id": "a\ud800", "tokens": [1, 2, 3]},
                                      {"id": "hollow", "tokens": [1, 2, 3], "text": "a b"}])
     def test_empty_document_rejected_before_writing(self, tmp_path, capsys, doc):
         first = {"id": "good", "tokens": [1, 2, 3]} if "tokens" in doc else \
@@ -125,6 +127,24 @@ class TestCorpusLoading:
         assert main(["pipeline", str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 1
         err = capsys.readouterr().err
         assert f"{path}:2:" in err and repr(doc["id"]) in err
+        assert not out.exists()
+
+    # pipeline's case is in test_empty_document_rejected_before_writing
+    @pytest.mark.parametrize("command", [
+        ["segment", "CORPUS", "--out-dir", "OUT"],
+        ["ablate", "CORPUS", "--axis", "alpha", "--values", "0.5", "--out-dir", "OUT"],
+        ["probe", "--corpus", "CORPUS", "--out-dir", "OUT"],
+    ], ids=lambda argv: argv[0])
+    def test_lone_surrogate_id_exits_one_before_writing(self, tmp_path, capsys, command):
+        path = write_corpus(tmp_path / "s.jsonl", [
+            {"id": "good", "tokens": [1, 2, 3]},
+            {"id": "bad\udc80", "tokens": [1, 2, 3]},
+        ])
+        out = tmp_path / "run"
+        argv = [{"CORPUS": str(path), "OUT": str(out)}.get(a, a) for a in command]
+        assert main([*argv, *SMALL_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2:" in err and "not UTF-8" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["segment", "pipeline"])
@@ -440,12 +460,55 @@ class TestAblateCommand:
         assert errors["300,4"] == errors["4,300"]
         assert "--values entry '300'" in errors["4,300"]
 
-    def test_encodes_each_chunk_once_per_value(self, tmp_path, capsys, monkeypatch):
+    def test_alpha_sweep_encodes_each_chunk_once(self, tmp_path, capsys, monkeypatch):
         calls = count_encode_calls(monkeypatch)
         corpus = identical_chunk_corpus(tmp_path)  # two documents of 4 chunks
         assert main(["ablate", str(corpus), "--axis", "alpha", "--values", "0.0,0.5,1.0",
                      *SMALL_FLAGS]) == 0
-        assert len(calls) == 3 * 2 * 4
+        assert len(calls) == 2 * 4
+
+    def test_overlap_sweep_encodes_each_chunk_once_per_value(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from chunkfuse.segmenter import segment_count
+        calls = count_encode_calls(monkeypatch)
+        corpus = identical_chunk_corpus(tmp_path)
+        docs, _ = load_corpus(corpus)
+        assert main(["ablate", str(corpus), "--axis", "overlap", "--values", "2,4,2",
+                     *SMALL_FLAGS]) == 0
+        expected = [segment_count(len(tokens), 8, overlap)
+                    for overlap in (2, 4, 2) for _, tokens in docs]
+        assert expected == [4, 4, 6, 6, 4, 4]
+        assert len(calls) == sum(expected)
+
+    # the merged config is SMALL_FLAGS; each axis sweeps three of its values
+    @pytest.mark.parametrize("axis, values", [("alpha", "0.0,0.5,1.0"),
+                                              ("overlap", "2,4,0"),
+                                              ("middle-count", "2,0,4")])
+    def test_columns_match_a_per_variant_oracle(self, tmp_path, capsys, axis, values):
+        from dataclasses import replace
+
+        from oracles import sweep_per_variant
+
+        from chunkfuse.encoder import init_weights
+        from chunkfuse.metrics import position_probe
+        from chunkfuse.pipeline import PipelineConfig
+        corpus = identical_chunk_corpus(tmp_path)
+        assert main(["ablate", str(corpus), "--axis", axis, "--values", values,
+                     *SMALL_FLAGS]) == 0
+        printed = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+        assert printed[0] == [axis, "probe_mse", "scale_rows", "fuse_seconds"]
+        cfg = PipelineConfig(chunk_len=8, overlap=2, boundary_width=1, middle_count=2,
+                             d_model=16, n_heads=2, n_layers=1, d_ff=32, vocab_size=64,
+                             seed=5)
+        field = axis.replace("-", "_")
+        variants = [replace(cfg, **{field: type(getattr(cfg, field))(raw)})
+                    for raw in values.split(",")]
+        docs, _ = load_corpus(corpus)
+        memories = sweep_per_variant(docs, variants, init_weights(cfg.encoder_config()))
+        assert [row[:3] for row in printed[1:]] == [
+            [repr(getattr(variant, field)), repr(position_probe(runs)),
+             str(sum(run.rows for run in runs))]
+            for variant, runs in zip(variants, memories)]
 
 
 class TestBenchCommand:

@@ -3,7 +3,8 @@
 Each demo runs in a fresh interpreter with ``src`` on the path and must
 exit 0, so an API rename that breaks a demo fails here. Demo 04 is left
 out because it times a scaling run over 32k-token documents. Demo 01
-prints only ints, so its whole output is pinned.
+prints only ints, and demo 05 only 3- and 4-decimal values, so their
+whole output is pinned.
 """
 
 import os
@@ -30,6 +31,25 @@ idx  start  tokens
 reconstruction matches the input: True
 """
 
+ROUGE_AND_PROBE_STDOUT = """\
+candidate: the report urges faster cuts to emissions
+reference: the report urges much faster emission cuts this decade
+  R-1: precision 0.714  recall 0.556  f1 0.625
+  R-2: precision 0.333  recall 0.250  f1 0.286
+  R-L: precision 0.714  recall 0.556  f1 0.625
+
+position probe on identical-chunk documents (5 chunks each):
+  alpha   readout mse
+   0.00   0.5783
+   0.25   0.5783
+   0.50   0.5783
+   0.75   0.5783
+   1.00   2.0000
+(alpha = 1.0 gives the variance of the targets: nothing learned;
+ every alpha < 1 scores the same here because changing alpha only
+ rescales how far each fused vector sits along the same line)
+"""
+
 
 def run_demo(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -47,3 +67,7 @@ def test_demo_exits_zero(name):
 
 def test_segmentation_demo_output_is_pinned():
     assert run_demo("01_segmentation.py").stdout == SEGMENTATION_STDOUT
+
+
+def test_rouge_and_probe_demo_output_is_pinned():
+    assert run_demo("05_rouge_and_probe.py").stdout == ROUGE_AND_PROBE_STDOUT

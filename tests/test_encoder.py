@@ -156,6 +156,16 @@ def test_sinusoidal_positions_bounds():
     assert np.max(np.abs(table[0] - np.tile([0.0, 1.0], 8))) < 1e-15
 
 
+def test_cached_position_table_is_read_only():
+    # the cache hands one array to every caller: a write would reach every later encode
+    table = sinusoidal_positions(8, 4)
+    before = table.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 7.0
+    assert sinusoidal_positions(8, 4) is table
+    assert table.tobytes() == before.tobytes()
+
+
 # (chunk_len, d_model) of perfbench's long-doc, small-window and wide-corpus configs
 @pytest.mark.parametrize("chunk_len, dim", [(1024, 32), (64, 32), (256, 256)])
 def test_window_position_table_is_prefix_of_max_len_table(chunk_len, dim):

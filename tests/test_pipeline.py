@@ -2,13 +2,15 @@
 
 The assembled memory is checked against the encoder itself: at
 alpha = 1 fusion is the identity, so every row must be the full
-encoding's row at the position its provenance names.
+encoding's row at the position its provenance names. ``sweep`` is
+checked against a loop that encodes every document under every variant.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sweep_per_variant
 
 from chunkfuse.cumulation import (
     CHUNK,
@@ -22,7 +24,7 @@ from chunkfuse.cumulation import (
 from chunkfuse.encoder import encode, init_weights
 from chunkfuse.errors import ConfigError
 from chunkfuse.metrics import make_random_doc
-from chunkfuse.pipeline import PipelineConfig, run_document
+from chunkfuse.pipeline import PipelineConfig, run_document, sweep
 
 
 def tiny_config(**overrides) -> PipelineConfig:
@@ -97,3 +99,46 @@ def test_config_rejects_mistyped_values(overrides):
 def test_config_keeps_int_alpha_and_seedless_middles():
     cfg = tiny_config(alpha=1, middle_seed=None)
     assert '"alpha":1,' in cfg.canonical_json()
+
+
+# docs of several chunks, of one short window, and of a window shorter than 2k + m
+SWEEP_DOCS = [(f"doc-{i}", make_random_doc(n, 32, 10 + i)) for i, n in enumerate((61, 14, 5))]
+SWEEPS = {
+    "alpha": [tiny_config(alpha=a) for a in (0.0, 0.5, 1.0, 0.5)],
+    "overlap": [tiny_config(overlap=o) for o in (0, 4, 9, 4)],
+    "middle_count": [tiny_config(middle_count=m) for m in (0, 3, 7)],
+    "mixed": [tiny_config(), tiny_config(alpha=1.0), tiny_config(overlap=8, alpha=1.0),
+              tiny_config(overlap=8, alpha=0.25), tiny_config(middle_count=5, alpha=0.25),
+              tiny_config(middle_count=5, alpha=0.0, middle_seed=9), tiny_config()],
+}
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEPS))
+def test_sweep_is_bitwise_a_per_variant_loop(axis):
+    variants = SWEEPS[axis]
+    weights = init_weights(variants[0].encoder_config())
+    results = sweep(SWEEP_DOCS, variants, weights)
+    expected = sweep_per_variant(SWEEP_DOCS, variants, weights)
+    assert len(results) == len(expected)
+    for (memories, _, _), oracle in zip(results, expected):
+        assert len(memories) == len(oracle)
+        for got, want in zip(memories, oracle):
+            assert got.blocks.shape == want.blocks.shape
+            assert got.blocks.tobytes() == want.blocks.tobytes()
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.alpha == want.alpha
+
+
+def test_sweep_reuses_encodings_only_after_an_alpha_change():
+    variants = SWEEPS["mixed"]
+    results = sweep(SWEEP_DOCS, variants, init_weights(variants[0].encoder_config()))
+    assert [encode_s == 0.0 for _, encode_s, _ in results] == \
+        [False, True, False, True, False, False, False]
+    assert all(fuse_s > 0.0 for _, _, fuse_s in results)
+
+
+@pytest.mark.parametrize("other", [{"chunk_len": 20}, {"d_model": 16}, {"seed": 4}])
+def test_sweep_rejects_variants_of_two_encoder_configs(other):
+    variants = [tiny_config(), tiny_config(**other)]
+    with pytest.raises(ConfigError, match="one encoder config"):
+        sweep(SWEEP_DOCS, variants, init_weights(variants[0].encoder_config()))

@@ -5,8 +5,9 @@ or calls a name the library no longer has fails here. Each
 ``chunkfuse segment``, ``pipeline``, ``ablate`` and ``probe`` line of
 README's command block goes through ``cli.main`` in a temporary working
 directory, with the shipped corpora given by absolute path, and must
-exit 0. ``bench`` is left out because it times 64k-token documents, and
-``rouge`` because it reads files the README only names.
+exit 0. ``bench``, which times 64k-token documents, and ``rouge``, which
+reads files the README only names, are parsed but not run, so a flag
+renamed in either still fails here.
 """
 
 import re
@@ -15,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from chunkfuse.cli import main
+from chunkfuse.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECKED = ("segment", "pipeline", "ablate", "probe")
+PARSED = ("bench", "rouge")
 
 
 def readme_text() -> str:
@@ -35,7 +37,7 @@ def readme_commands() -> dict[str, list[str]]:
 
 
 def test_readme_lists_every_checked_command():
-    assert set(CHECKED) <= set(readme_commands())
+    assert set(CHECKED + PARSED) <= set(readme_commands())
 
 
 @pytest.mark.parametrize("command", CHECKED)
@@ -44,6 +46,12 @@ def test_readme_command_exits_zero(command, tmp_path, monkeypatch, capsys):
             for a in readme_commands()[command]]
     monkeypatch.chdir(tmp_path)  # a relative --out-dir lands under tmp_path
     assert main(argv) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", PARSED)
+def test_readme_command_parses(command):
+    args = _build_parser().parse_args(readme_commands()[command])
+    assert args.command == command
 
 
 def test_readme_library_tour_runs(capsys):
