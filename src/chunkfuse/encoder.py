@@ -106,15 +106,29 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + _LN_EPS)
+    """Normalize each row of ``x`` to mean 0 and variance 1; ``x`` is left unchanged.
+
+    The steps are numpy's ``mean`` and ``var`` taken apart, in their
+    order, with the centred rows computed once and normalized in place.
+    """
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
+    xc = x - mu
+    std = np.add.reduce(np.square(xc), axis=-1, keepdims=True)
+    std /= n
+    std += _LN_EPS
+    np.sqrt(std, out=std)
+    xc /= std
+    return xc
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in ``x``: overwrites its argument and returns it."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -142,20 +156,25 @@ def _attention(
     Self-attention passes ``x`` as ``source``; cross-attention passes the
     memory. ``mask`` is additive (0 or -inf) if given. Returns the
     projected output and the (heads x queries x keys) probabilities.
+    ``x``, ``source`` and ``mask`` are left unchanged: scaling, masking
+    and the softmax all run in the one scores array this call allocates.
     """
     head_dim = x.shape[1] // n_heads
     q = _split_heads(x @ wq, n_heads)
     k = _split_heads(source @ wk, n_heads)
     v = _split_heads(source @ wv, n_heads)
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(head_dim)
+    scores = q @ k.transpose(0, 2, 1)
+    scores /= math.sqrt(head_dim)
     if mask is not None:
-        scores = scores + mask
+        scores += mask
     attn = _softmax_last(scores)
     return _merge_heads(attn @ v) @ wo, attn
 
 
 def _feed_forward(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
-    return np.maximum(x @ lw.w1, 0.0) @ lw.w2
+    hidden = x @ lw.w1
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden @ lw.w2
 
 
 def encode(

@@ -17,7 +17,9 @@ the position probe reads, ``sweep_per_variant`` the memories of
 parser, and ``next_u64``, ``randint_below``, ``uniform``, ``gaussian``,
 ``normal_matrix_per_value``, ``token_ids_per_value`` and
 ``sample_indices_per_value`` the draw-at-a-time forms of ``SeededRng``'s
-block-wise streams.
+block-wise streams. ``softmax_out_of_place`` and ``layer_norm_mean_var``
+are the textbook forms of the encoder's in-place softmax and one-pass
+layer norm, each step in a new array.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE
+from chunkfuse.encoder import _LN_EPS
 from chunkfuse.errors import ConfigError
 from chunkfuse.numerics import SeededRng, as_matrix, check_finite
 from chunkfuse.pipeline import run_document
@@ -333,3 +336,17 @@ def sample_indices_per_value(rng: SeededRng, population: int, count: int) -> lis
         j = i + randint_below(rng, population - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:count]
+
+
+def softmax_out_of_place(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, each step in a new array; ``x`` is left unchanged."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def layer_norm_mean_var(x: np.ndarray) -> np.ndarray:
+    """Layer norm from ``ndarray.mean`` and ``ndarray.var``, with the encoder's eps."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + _LN_EPS)

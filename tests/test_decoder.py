@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
-from oracles import kept_rows, synthetic_chunks
+from oracles import kept_rows, layer_norm_mean_var, softmax_out_of_place, synthetic_chunks
 
+from chunkfuse import decoder, encoder
 from chunkfuse.cumulation import MIDDLE, assemble
-from chunkfuse.decoder import attention_mass_by_chunk, decode_step, init_decoder_weights
-from chunkfuse.encoder import ModelConfig
+from chunkfuse.decoder import (
+    _causal_mask,
+    attention_mass_by_chunk,
+    decode_step,
+    init_decoder_weights,
+)
+from chunkfuse.encoder import ModelConfig, _attention
 from chunkfuse.errors import ConfigError, InputError
+from chunkfuse.pipeline import PipelineConfig, run_document
 
 
 def decoder_config(**overrides) -> ModelConfig:
@@ -93,6 +100,69 @@ def test_decoder_weights_deterministic():
     np.testing.assert_array_equal(a.embedding, b.embedding)
     np.testing.assert_array_equal(a.out_proj, b.out_proj)
     np.testing.assert_array_equal(a.layers[0].cross_k, b.layers[0].cross_k)
+
+
+@pytest.mark.parametrize("kind", ["causal self-attention", "cross-attention"])
+def test_attention_leaves_its_inputs_unchanged(kind):
+    # the scores array is the only one attention writes in place
+    rng = np.random.default_rng(8)
+    *_, memory = make_memory(rng)
+    cfg = decoder_config()
+    lw = init_decoder_weights(cfg).layers[0]
+    n = 5
+    x = rng.normal(size=(n, cfg.d_model))
+    if kind == "causal self-attention":
+        sa = lw.self_attn
+        args = (x, x, sa.wq, sa.wk, sa.wv, sa.wo, cfg.n_heads, _causal_mask(n))
+    else:
+        args = (x, memory.flattened, lw.cross_q, lw.cross_k, lw.cross_v, lw.cross_o,
+                cfg.n_heads, None)
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    before = [a.tobytes() for a in arrays]
+    _attention(*args)
+    assert [a.tobytes() for a in arrays] == before
+
+
+# perfbench's three model configs, each on short windows
+STACK_CONFIGS = {
+    "long-doc": PipelineConfig(chunk_len=48, overlap=8, boundary_width=1, middle_count=12,
+                               d_model=32, n_heads=2, n_layers=2, d_ff=64, vocab_size=128,
+                               seed=7),
+    "small-window": PipelineConfig(chunk_len=48, overlap=8, boundary_width=2, middle_count=6,
+                                   d_model=32, n_heads=4, n_layers=2, d_ff=64,
+                                   vocab_size=128, seed=7),
+    "wide-corpus": PipelineConfig(chunk_len=48, overlap=8, boundary_width=2, middle_count=12,
+                                  d_model=256, n_heads=4, n_layers=2, d_ff=1024,
+                                  vocab_size=1024, seed=7),
+}
+
+
+def stack_bytes(cfg: PipelineConfig) -> tuple[bytes, bytes, bytes]:
+    """The memory, logits and cross-attention of one short document, as bytes."""
+    tokens = [(37 * i + 11) % cfg.vocab_size for i in range(150)]
+    memory = run_document(tokens, cfg, doc_id="doc").fused
+    logits, cross = decode_step(tokens[:8], memory, cfg.decoder_config(16))
+    return memory.flattened.tobytes(), logits.tobytes(), cross.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+def test_stack_is_bitwise_the_out_of_place_routines(name, monkeypatch):
+    cfg = STACK_CONFIGS[name]
+    shipped = stack_bytes(cfg)
+    called = set()
+
+    def counted(module, oracle):
+        def run(x):
+            called.add((module.__name__, oracle.__name__))
+            return oracle(x)
+        return run
+
+    monkeypatch.setattr(encoder, "_softmax_last", counted(encoder, softmax_out_of_place))
+    # the decoder imports the layer norm by name
+    for module in (encoder, decoder):
+        monkeypatch.setattr(module, "_layer_norm", counted(module, layer_norm_mean_var))
+    assert stack_bytes(cfg) == shipped
+    assert len(called) == 3  # every patched routine ran
 
 
 class TestAttentionMass:

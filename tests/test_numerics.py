@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    layer_norm_mean_var,
     matrix_from_text_per_value,
     matrix_to_text_per_value,
     mean_of,
@@ -12,6 +13,7 @@ from oracles import (
     normal_matrix_per_value,
     randint_below,
     sample_indices_per_value,
+    softmax_out_of_place,
     token_ids_per_value,
     uniform,
 )
@@ -54,6 +56,28 @@ class TestMatmul:
             assert np.max(np.abs(left - right) / denom) < 1e-9
 
 
+@st.composite
+def last_axis_arrays(draw, mask_entries: bool) -> np.ndarray:
+    """2-D (rows x width) or 3-D (heads x queries x keys) arrays of width 1, 32 or 256.
+
+    Some rows are made all of one value. With ``mask_entries``, rows also
+    hold -inf entries, as masked scores do; every row keeps its first entry.
+    """
+    width = draw(st.sampled_from([1, 32, 256]))
+    shape = (*draw(st.sampled_from([(), (1,), (4,)])), draw(st.integers(1, 5)), width)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=shape) * draw(st.sampled_from([1e-3, 1.0, 40.0]))
+    a += draw(st.floats(-1e3, 1e3))
+    rows = a.reshape(-1, width)  # a view: writes land in ``a``
+    constant = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+    rows[constant] = rows[constant, :1]
+    if mask_entries:
+        hidden = rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.5, 0.95]))
+        hidden[:, 0] = False
+        rows[hidden] = -np.inf
+    return a
+
+
 class TestRowSoftmax:
     def test_symmetric(self):
         np.testing.assert_allclose(row_softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
@@ -73,11 +97,22 @@ class TestRowSoftmax:
     @settings(max_examples=60, deadline=None)
     def test_rows_sum_to_one_and_shift_invariant(self, rows, shift):
         a = np.array(rows, dtype=np.float64)
-        out = row_softmax(a)
+        out = row_softmax(a.copy())
         assert np.all(out > 0.0) and np.all(out < 1.0 + 1e-15)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         shifted = row_softmax(a + shift)
         np.testing.assert_allclose(shifted, out, atol=1e-12)
+
+    def test_overwrites_and_returns_its_argument(self):
+        a = np.array([[0.0, math.log(3.0)], [1.0, 1.0]])
+        assert row_softmax(a) is a
+        np.testing.assert_allclose(a, [[0.25, 0.75], [0.5, 0.5]], atol=1e-15)
+
+    @given(last_axis_arrays(mask_entries=True))
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_the_out_of_place_oracle(self, a):
+        expected = softmax_out_of_place(a)
+        assert row_softmax(a.copy()).tobytes() == expected.tobytes()
 
 
 class TestMeanOf:
@@ -121,6 +156,13 @@ class TestLayerNorm:
         rng = np.random.default_rng(2)
         out = layer_norm(rng.normal(size=(7, 33)))
         assert np.max(np.abs(out.mean(axis=1))) < 1e-12
+
+    @given(last_axis_arrays(mask_entries=False))
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_the_mean_var_oracle_and_input_unchanged(self, a):
+        before = a.tobytes()
+        assert layer_norm(a).tobytes() == layer_norm_mean_var(a).tobytes()
+        assert a.tobytes() == before
 
 
 class TestSerialization:
