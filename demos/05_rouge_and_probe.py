@@ -48,8 +48,8 @@ results = sweep(docs, variants, init_weights(cfg.encoder_config()))
 
 print("\nposition probe on identical-chunk documents (5 chunks each):")
 print("  alpha   readout mse")
-for variant, (memories, _, _) in zip(variants, results):
-    print(f"  {variant.alpha:>5.2f}   {position_probe(memories):.4f}")
+for variant, (runs, _, _) in zip(variants, results):
+    print(f"  {variant.alpha:>5.2f}   {position_probe([run.fused for run in runs]):.4f}")
 print("(alpha = 1.0 gives the variance of the targets: nothing learned;")
 print(" every alpha < 1 scores the same here because changing alpha only")
 print(" rescales how far each fused vector sits along the same line)")

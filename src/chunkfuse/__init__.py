@@ -39,7 +39,6 @@ from .pipeline import (
     DocumentRun,
     PipelineConfig,
     encode_document,
-    fuse_document,
     greedy_decode,
     run_document,
     sweep,

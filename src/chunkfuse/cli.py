@@ -49,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _field_type(name: str):
-    return float if name == "alpha" else int
+    return float if _CONFIG_FIELDS[name].type == "float" else int
 
 
 def _at_least(minimum: int) -> Callable[[str], int]:
@@ -108,14 +108,21 @@ def _config_values(args: argparse.Namespace) -> dict:
     if args.config is not None:
         try:
             file_values = json.loads(args.config.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: UTF-8, JSON, digits
             raise InputError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise InputError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_values) - set(values)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        values.update(file_values)
+        for name, value in file_values.items():
+            # JSON spells 1.0 as 1 too: a float field reads it as the flag would
+            if type(value) is int and _field_type(name) is float:
+                try:
+                    value = float(value)
+                except OverflowError as exc:
+                    raise ConfigError(f"{name} {value} is too large for a float") from exc
+            values[name] = value
 
     for name in _CONFIG_FIELDS:
         raw = os.environ.get(ENV_PREFIX + name.upper())
@@ -169,7 +176,7 @@ def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], di
             continue
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to parse
+        except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
             raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict) or "id" not in obj:
             raise InputError(f"{path}:{lineno}: document needs an \"id\" field")
@@ -328,6 +335,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))],
                                         file_names=True)
     out_dir: Path = args.out_dir or Path("chunkfuse-run")
+    # a run never merges into another: files of documents it did not run would stay
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise InputError(f"--out-dir {out_dir} exists and is not an empty directory")
 
     if not docs:
         print(f"warning: corpus {args.corpus} holds no documents; "
@@ -388,7 +398,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     _make_out_dir(args)
     weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
     rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
-    for variant, (memories, _, fuse_seconds) in zip(variants, sweep(docs, variants, weights)):
+    for variant, (runs, _, fuse_seconds) in zip(variants, sweep(docs, variants, weights)):
+        memories = [run.fused for run in runs]
         rows.append([repr(getattr(variant, field)), repr(position_probe(memories)),
                      sum(memory.rows for memory in memories), repr(fuse_seconds)])
 
@@ -459,8 +470,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
     _make_out_dir(args)
     weights = init_weights(variants[0].encoder_config())
     rows: list[list] = [["alpha", "probe_mse"]]
-    rows.extend([repr(variant.alpha), repr(position_probe(memories))]
-                for variant, (memories, _, _) in zip(variants, sweep(docs, variants, weights)))
+    rows.extend([repr(variant.alpha), repr(position_probe([run.fused for run in runs]))]
+                for variant, (runs, _, _) in zip(variants, sweep(docs, variants, weights)))
     out = (args.out_dir / "probe.csv") if args.out_dir else None
     _write_csv(out, rows)
     return 0

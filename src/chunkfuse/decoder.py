@@ -26,6 +26,7 @@ from .encoder import (
     _draw_layer,
     _feed_forward,
     _layer_norm,
+    _token_ids,
     sinusoidal_positions,
 )
 from .errors import ConfigError, InputError
@@ -96,14 +97,7 @@ def decode_step(
     head-averaged cross-attention (prefix length x memory rows). The
     memory is read as ``flattened`` lays it out, chunk after chunk.
     """
-    if len(prefix) == 0:
-        raise InputError("decode_step requires a non-empty prefix")
-    if len(prefix) > cfg.max_len:
-        raise InputError(f"prefix length {len(prefix)} exceeds max_len {cfg.max_len}")
-    ids = np.asarray(prefix, dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise InputError(f"prefix token id outside [0, {cfg.vocab_size})")
-
+    ids = _token_ids(prefix, cfg, "prefix")
     if memory.width != cfg.d_model:
         raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
 

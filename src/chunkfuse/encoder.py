@@ -171,6 +171,18 @@ def _attention(
     return _merge_heads(attn @ v) @ wo, attn
 
 
+def _token_ids(tokens, cfg: ModelConfig, what: str) -> np.ndarray:
+    """``tokens`` as int64 ids, checked to be 1 to ``max_len`` of them, each in the vocabulary."""
+    ids = np.asarray(tokens, dtype=np.int64)
+    if ids.size == 0:
+        raise InputError(f"{what} is empty")
+    if ids.size > cfg.max_len:
+        raise InputError(f"{what} length {ids.size} exceeds max_len {cfg.max_len}")
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+        raise InputError(f"{what} token id outside [0, {cfg.vocab_size})")
+    return ids
+
+
 def _feed_forward(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     hidden = x @ lw.w1
     np.maximum(hidden, 0.0, out=hidden)
@@ -196,14 +208,7 @@ def encode(
     multiply-adds over a long inner dimension, as when under 62 kept rows
     attend over a 1024-token window with 16-wide heads.
     """
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.size == 0:
-        raise InputError("cannot encode an empty window")
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise InputError(f"token id outside [0, {cfg.vocab_size})")
-    if ids.size > cfg.max_len:
-        raise InputError(f"window length {ids.size} exceeds max_len {cfg.max_len}")
-
+    ids = _token_ids(tokens, cfg, "window")
     h = weights.embedding[ids] + sinusoidal_positions(ids.size, cfg.d_model)
     top = len(weights.layers) - 1
     for li, lw in enumerate(weights.layers):

@@ -84,8 +84,8 @@ _RIDGE = 1e-8
 def position_probe(runs: Sequence[FusedSequence]) -> float:
     """Linear readout from fused left boundaries to chunk position.
 
-    ``runs`` holds one assembled sequence per document, as
-    ``fuse_document`` returns it; the flattened fused left blocks of each
+    ``runs`` holds one assembled sequence per document, a
+    ``DocumentRun``'s ``fused``; the flattened fused left blocks of each
     chunk become feature rows. Targets are the 1-based chunk indices,
     centered per document so the error is comparable across chunk
     counts. The readout is solved in closed form from the ridge normal

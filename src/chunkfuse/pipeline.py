@@ -1,4 +1,4 @@
-"""End-to-end orchestration: one config, one document, one fused memory.
+"""End-to-end orchestration: every document reaches its fused memory through :func:`sweep`.
 
 PipelineConfig gathers every hyperparameter of the method. Defaults
 follow the reference setting: 1024-token chunks overlapping by 150,
@@ -148,38 +148,31 @@ def encode_document(
     return segs, rows, keep + segs.starts[:, None]
 
 
-def fuse_document(rows: np.ndarray, positions: np.ndarray,
-                  cfg: PipelineConfig) -> cumulation.FusedSequence:
-    """Second stage: fuse the kept rows' boundary blocks and assemble the memory."""
-    return cumulation.assemble(rows, positions, cfg.boundary_width, cfg.middle_count,
-                               cfg.alpha)
-
-
 def run_document(
     tokens: Sequence[int],
     cfg: PipelineConfig,
     weights: EncoderWeights | None = None,
     doc_id: str = "doc",
 ) -> DocumentRun:
-    """Segment, sample, encode, fuse, and assemble one document."""
+    """Segment, sample, encode, fuse, and assemble one document: :func:`sweep` over it alone."""
     if weights is None:
         weights = init_weights(cfg.encoder_config())
-    segs, rows, positions = encode_document(tokens, cfg, weights, doc_id)
-    return DocumentRun(segments=segs, fused=fuse_document(rows, positions, cfg))
+    return sweep([(doc_id, tokens)], [cfg], weights)[0][0][0]
 
 
 def sweep(
     docs: Sequence[tuple[str, Sequence[int]]],
     variants: Sequence[PipelineConfig],
     weights: EncoderWeights,
-) -> list[tuple[list[cumulation.FusedSequence], float, float]]:
+) -> list[tuple[list[DocumentRun], float, float]]:
     """Encode and fuse ``(doc_id, tokens)`` documents under each variant, timing both.
 
-    Returns, per variant and in order, the fused memories and the seconds
-    spent encoding (segmenting and sampling included) and fusing them.
-    Encoding does not read alpha, so a variant that differs from the one
-    before it only in alpha reuses its encodings, at 0.0 encode seconds.
-    ``weights`` serve every variant, so all must share one encoder config.
+    Returns, per variant and in order, one :class:`DocumentRun` per
+    document and the seconds spent encoding (:func:`encode_document`) and
+    fusing (``cumulation.assemble``) them. Encoding does not read alpha, so
+    a variant that differs from the one before it only in alpha reuses its
+    encodings, at 0.0 encode seconds. ``weights`` serve every variant, so
+    all must share one encoder config.
     """
     if len({variant.encoder_config() for variant in variants}) > 1:
         raise ConfigError("sweep variants must share one encoder config")
@@ -190,12 +183,14 @@ def sweep(
         if replace(variant, alpha=0.0) != encoded_for:
             encoded_for = replace(variant, alpha=0.0)
             started = time.perf_counter()
-            encoded = [encode_document(tokens, variant, weights, doc_id)[1:]
+            encoded = [encode_document(tokens, variant, weights, doc_id)
                        for doc_id, tokens in docs]
             encode_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        memories = [fuse_document(rows, positions, variant) for rows, positions in encoded]
-        results.append((memories, encode_seconds, time.perf_counter() - started))
+        runs = [DocumentRun(segs, cumulation.assemble(rows, positions, variant.boundary_width,
+                                                      variant.middle_count, variant.alpha))
+                for segs, rows, positions in encoded]
+        results.append((runs, encode_seconds, time.perf_counter() - started))
     return results
 
 

@@ -9,9 +9,11 @@ use, ``fsum_context`` a correctly rounded one for long documents,
 ``windows_one_by_one`` the window-by-window reference for ``segment``,
 ``synthetic_chunks`` builds window starts and random encodings,
 ``kept_rows`` picks from them, one chunk at a time, the rows and
-positions ``assemble`` reads, ``probe_runs`` the assembled sequences
-the position probe reads, ``sweep_per_variant`` the memories of
-``sweep`` with every document encoded afresh under every variant,
+positions ``assemble`` reads, ``fused_by_stages`` one document's
+memory from ``encode_document`` and ``assemble`` called by hand,
+``probe_runs`` the assembled sequences the position probe reads,
+``sweep_per_variant`` the memories of ``sweep`` with every document
+encoded afresh under every variant,
 ``matrix_to_text_per_value`` and
 ``matrix_from_text_per_value`` the value-by-value matrix text writer and
 parser, and ``next_u64``, ``randint_below``, ``uniform``, ``gaussian``,
@@ -30,11 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
-from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE
-from chunkfuse.encoder import _LN_EPS
+from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE, assemble
+from chunkfuse.encoder import _LN_EPS, init_weights
 from chunkfuse.errors import ConfigError
 from chunkfuse.numerics import SeededRng, as_matrix, check_finite
-from chunkfuse.pipeline import run_document
+from chunkfuse.pipeline import encode_document
 
 
 def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -246,15 +248,22 @@ def kept_rows(encodings: np.ndarray, boundary_width: int, middle_indices,
     return np.stack(rows), np.array(positions, dtype=np.int64)
 
 
+def fused_by_stages(tokens, cfg, weights, doc_id: str = "doc"):
+    """One document's memory, composed by hand: ``encode_document``, then ``assemble``."""
+    _, rows, positions = encode_document(tokens, cfg, weights, doc_id)
+    return assemble(rows, positions, cfg.boundary_width, cfg.middle_count, cfg.alpha)
+
+
 def probe_runs(docs, alpha: float, cfg, weights=None):
     """One assembled sequence per document, run under ``cfg`` at ``alpha``."""
     cfg = replace(cfg, alpha=alpha)
-    return [run_document(doc, cfg, weights=weights).fused for doc in docs]
+    weights = init_weights(cfg.encoder_config()) if weights is None else weights
+    return [fused_by_stages(doc, cfg, weights) for doc in docs]
 
 
 def sweep_per_variant(docs, variants, weights):
     """Per variant, one fused memory per ``(doc_id, tokens)``, each from its own encode."""
-    return [[run_document(tokens, variant, weights, doc_id).fused for doc_id, tokens in docs]
+    return [[fused_by_stages(tokens, variant, weights, doc_id) for doc_id, tokens in docs]
             for variant in variants]
 
 

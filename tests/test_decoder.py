@@ -94,6 +94,22 @@ def test_prefix_token_out_of_range():
         decode_step([cfg.vocab_size], memory, cfg)
 
 
+# decoder_config() has max_len 32 and vocab_size 40
+@pytest.mark.parametrize("tokens, message", [
+    ([], "is empty"),
+    (list(range(33)), "length 33 exceeds max_len 32"),
+    ([3, 40], r"token id outside \[0, 40\)"),
+    ([-1, 3], r"token id outside \[0, 40\)"),
+])
+def test_both_stacks_check_their_token_ids_alike(tokens, message):
+    cfg = decoder_config()
+    *_, memory = make_memory(np.random.default_rng(8))
+    with pytest.raises(InputError, match="window " + message):
+        encoder.encode(tokens, encoder.init_weights(cfg), cfg, np.arange(len(tokens)))
+    with pytest.raises(InputError, match="prefix " + message):
+        decode_step(tokens, memory, cfg)
+
+
 def test_decoder_weights_deterministic():
     cfg = decoder_config()
     a, b = init_decoder_weights(cfg), init_decoder_weights(cfg)

@@ -3,14 +3,16 @@
 The assembled memory is checked against the encoder itself: at
 alpha = 1 fusion is the identity, so every row must be the full
 encoding's row at the position its provenance names. ``sweep`` is
-checked against a loop that encodes every document under every variant.
+checked against a loop that encodes every document under every variant,
+and ``run_document``, which is ``sweep`` over one document, against
+``encode_document`` and ``assemble`` called by hand.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sweep_per_variant
+from oracles import fused_by_stages, sweep_per_variant
 
 from chunkfuse.cumulation import (
     CHUNK,
@@ -25,6 +27,7 @@ from chunkfuse.encoder import encode, init_weights
 from chunkfuse.errors import ConfigError
 from chunkfuse.metrics import make_random_doc
 from chunkfuse.pipeline import PipelineConfig, run_document, sweep
+from chunkfuse.segmenter import segment
 
 
 def tiny_config(**overrides) -> PipelineConfig:
@@ -120,13 +123,35 @@ def test_sweep_is_bitwise_a_per_variant_loop(axis):
     results = sweep(SWEEP_DOCS, variants, weights)
     expected = sweep_per_variant(SWEEP_DOCS, variants, weights)
     assert len(results) == len(expected)
-    for (memories, _, _), oracle in zip(results, expected):
-        assert len(memories) == len(oracle)
-        for got, want in zip(memories, oracle):
+    for variant, (runs, _, _), oracle in zip(variants, results, expected):
+        assert len(runs) == len(oracle)
+        for run, want, (_, tokens) in zip(runs, oracle, SWEEP_DOCS):
+            got = run.fused
             assert got.blocks.shape == want.blocks.shape
             assert got.blocks.tobytes() == want.blocks.tobytes()
             assert got.positions.tobytes() == want.positions.tobytes()
             assert got.alpha == want.alpha
+            windows = segment(tokens, variant.chunk_len, variant.overlap)
+            assert run.segments.tokens.shape == windows.tokens.shape
+            assert run.segments.tokens.tobytes() == windows.tokens.tobytes()
+            assert run.segments.starts.tobytes() == windows.starts.tobytes()
+
+
+@pytest.mark.parametrize("index", range(len(SWEEPS["mixed"]) - 1))
+def test_run_document_is_sweep_over_one_document(index):
+    cfg = SWEEPS["mixed"][index]
+    weights = init_weights(cfg.encoder_config())
+    for doc_id, tokens in SWEEP_DOCS:
+        run = run_document(tokens, cfg, weights, doc_id)
+        swept = sweep([(doc_id, tokens)], [cfg], weights)[0][0][0]
+        oracle = fused_by_stages(tokens, cfg, weights, doc_id)
+        for got in (run.fused, swept.fused):
+            assert got.blocks.shape == oracle.blocks.shape
+            assert got.blocks.tobytes() == oracle.blocks.tobytes()
+            assert got.positions.tobytes() == oracle.positions.tobytes()
+            assert got.alpha == oracle.alpha
+        assert run.segments.tokens.tobytes() == swept.segments.tokens.tobytes()
+        assert run.segments.starts.tobytes() == swept.segments.starts.tobytes()
 
 
 def test_sweep_reuses_encodings_only_after_an_alpha_change():
