@@ -18,11 +18,14 @@ import csv
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 import traceback
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import bench as bench_mod
 from . import cumulation
@@ -157,8 +160,8 @@ def load_corpus(path: Path) -> tuple[list[tuple[str, tuple[int, ...]]], dict | N
     return [(doc_id, tokens) for _, doc_id, tokens in docs], vocab
 
 
-def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], dict | None]:
-    """:func:`load_corpus`, with each document's line number first."""
+def _read_corpus(path: Path) -> tuple[list[tuple[str, str, tuple[int, ...]]], dict | None]:
+    """:func:`load_corpus`, with each document's ``file:line: document 'id'`` prefix first."""
     docs_raw = []
     try:
         with open(path, "rb") as fh:
@@ -186,9 +189,9 @@ def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], di
             obj["id"].encode("utf-8")
         except UnicodeEncodeError as exc:  # a lone surrogate, which a JSON \u escape admits
             raise InputError(f"{path}:{lineno}: document id {obj['id']!r} is not UTF-8") from exc
+        where = f"{path}:{lineno}: document {obj['id']!r}"
         if "tokens" in obj and "text" in obj:
-            raise InputError(
-                f"{path}:{lineno}: document {obj['id']!r}: has both \"tokens\" and \"text\"")
+            raise InputError(f"{where}: has both \"tokens\" and \"text\"")
         if "tokens" in obj:
             this_kind = "tokens"
         elif "text" in obj:
@@ -200,50 +203,48 @@ def _read_corpus(path: Path) -> tuple[list[tuple[int, str, tuple[int, ...]]], di
         elif kind != this_kind:
             raise InputError(
                 f"{path}:{lineno}: cannot mix \"tokens\" and \"text\" documents")
-        docs_raw.append((lineno, obj["id"], obj))
+        docs_raw.append((where, obj["id"], obj))
 
     if kind == "text":
-        for lineno, doc_id, obj in docs_raw:
+        for where, _, obj in docs_raw:
             if not isinstance(obj["text"], str) or not obj["text"].split():
-                raise InputError(
-                    f"{path}:{lineno}: document {doc_id!r}: text must be a non-empty string")
+                raise InputError(f"{where}: text must be a non-empty string")
         words = sorted({w for _, _, obj in docs_raw for w in obj["text"].split()})
         vocab = {w: i for i, w in enumerate(words)}
-        docs = [(lineno, doc_id, tuple(vocab[w] for w in obj["text"].split()))
-                for lineno, doc_id, obj in docs_raw]
+        docs = [(where, doc_id, tuple(vocab[w] for w in obj["text"].split()))
+                for where, doc_id, obj in docs_raw]
         return docs, vocab
 
     docs = []
-    for lineno, doc_id, obj in docs_raw:
+    for where, doc_id, obj in docs_raw:
         toks = obj["tokens"]
         # comparing types rejects bools, which isinstance would take as 0 and 1;
         # windows are int64 arrays, so every id must fit in one
         if (not isinstance(toks, list) or not toks or set(map(type, toks)) != {int}
                 or not 0 <= min(toks) <= max(toks) < 1 << 63):
-            raise InputError(
-                f"{path}:{lineno}: document {doc_id!r}: tokens must be a non-empty "
-                "list of ints in [0, 2**63)")
-        docs.append((lineno, doc_id, tuple(toks)))
+            raise InputError(f"{where}: tokens must be a non-empty list of ints in [0, 2**63)")
+        docs.append((where, doc_id, tuple(toks)))
     return docs, None
 
 
-def _check_file_names(path: Path, docs: Sequence[tuple[int, str, object]]) -> None:
-    """Reject two documents whose ids sanitize to one file name, naming both."""
-    seen: dict[str, tuple[int, str]] = {}
-    for lineno, doc_id, _ in docs:
+def _check_file_names(docs: Sequence[tuple[str, str, object]], out_dir: Path) -> None:
+    """Reject two ids that sanitize to one file name, naming both, then a used ``out_dir``."""
+    seen: dict[str, str] = {}
+    for where, doc_id, _ in docs:
         name = _safe_id(doc_id)
         if name in seen:
-            first_line, first_id = seen[name]
-            raise InputError(f"{path}:{first_line}: document {first_id!r} and {path}:{lineno}: "
-                             f"document {doc_id!r} both write to file name {name!r}")
-        seen[name] = (lineno, doc_id)
+            raise InputError(f"{seen[name]} and {where} both write to file name {name!r}")
+        seen[name] = where
+    # a run never merges into another: files of documents it did not run would stay
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise InputError(f"--out-dir {out_dir} exists and is not an empty directory")
 
 
 def _load_checked(
     path: Path,
     configs: Sequence[tuple[str, PipelineConfig]],
     min_chunks: int = 1,
-    file_names: bool = False,
+    out_dir: Path | None = None,
 ) -> tuple[list[PipelineConfig], list[tuple[str, tuple[int, ...]]], dict | None]:
     """Load a corpus and check every document against every config before any write.
 
@@ -252,31 +253,29 @@ def _load_checked(
     sets each config's ``vocab_size`` to the size of its vocabulary. A
     document shorter than one boundary block, holding a token id outside
     the vocabulary, or cut into fewer than ``min_chunks`` windows is
-    rejected with its line and id, and so, if ``file_names``, are two
-    documents that would write to one file.
+    rejected with its line and id. Given the ``out_dir`` a run writes one
+    file per document into, :func:`_check_file_names` runs last.
     """
     docs, vocab = _read_corpus(path)
-    if file_names:
-        _check_file_names(path, docs)
     if vocab is not None:
-        configs = [(label, replace(cfg, vocab_size=max(len(vocab), 1)))
-                   for label, cfg in configs]
+        configs = [(label, replace(cfg, vocab_size=len(vocab))) for label, cfg in configs]
     # faults of a document itself are named before how a config cuts it
-    for lineno, doc_id, tokens in docs:
+    for where, _, tokens in docs:
         for label, cfg in configs:
-            where = f"{path}:{lineno}: document {doc_id!r}{label}"
             if len(tokens) < cfg.boundary_width:
-                raise InputError(f"{where}: {len(tokens)} tokens, fewer than "
+                raise InputError(f"{where}{label}: {len(tokens)} tokens, fewer than "
                                  f"boundary_width {cfg.boundary_width}")
             if max(tokens) >= cfg.vocab_size:
-                raise InputError(f"{where}: token id {max(tokens)} outside vocab_size "
+                raise InputError(f"{where}{label}: token id {max(tokens)} outside vocab_size "
                                  f"{cfg.vocab_size}; raise --vocab-size")
     for label, cfg in configs:
-        for lineno, doc_id, tokens in docs:
+        for where, _, tokens in docs:
             count = segment_count(len(tokens), cfg.chunk_len, cfg.overlap)
             if count < min_chunks:
-                raise InputError(f"{path}:{lineno}: document {doc_id!r}{label}: the position "
-                                 f"probe needs at least {min_chunks} chunks, got {count}")
+                raise InputError(f"{where}{label}: the position probe needs at least "
+                                 f"{min_chunks} chunks, got {count}")
+    if out_dir is not None:
+        _check_file_names(docs, out_dir)
     return [cfg for _, cfg in configs], [(doc_id, tokens) for _, doc_id, tokens in docs], vocab
 
 
@@ -287,16 +286,38 @@ def _safe_id(doc_id: str) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _make_out_dir(args: argparse.Namespace) -> None:
+def _make_out_dir(path: Path | None) -> None:
     """Create ``--out-dir`` once the checks pass, so an unwritable one fails before any encode."""
-    if args.out_dir is not None:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
+    if path is not None:
+        path.mkdir(parents=True, exist_ok=True)
+
+
+@contextmanager
+def _published(out_dir: Path) -> Iterator[Path]:
+    """Yield a fresh directory that replaces ``out_dir`` when the block ends without error.
+
+    It is built beside the resolved ``out_dir`` and removed on any
+    exception, so a run appears whole or not at all. ``out_dir`` must be
+    absent or an empty directory, which ``os.replace`` then swaps out.
+    """
+    # a symlinked out_dir is swapped at its target; Path.resolve would raise
+    # RuntimeError, an exit 2, on a symlink loop before Python 3.13
+    target = Path(os.path.realpath(out_dir))
+    _make_out_dir(target.parent)
+    sibling = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    try:
+        # a plain mkdir gives the umask's mode, where mkdtemp gives 0700
+        build = sibling / "run"
+        build.mkdir()
+        yield build
+        os.replace(build, target)
+    finally:
+        shutil.rmtree(sibling)
 
 
 def _write_csv(path: Path | None, rows: list[list]) -> None:
@@ -304,7 +325,6 @@ def _write_csv(path: Path | None, rows: list[list]) -> None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows(rows)
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
 
@@ -317,75 +337,72 @@ def cmd_segment(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     docs, _ = _read_corpus(args.corpus)
     if args.out_dir is not None:
-        _check_file_names(args.corpus, docs)
-    for _, doc_id, tokens in docs:
-        seg_json = segment_set_to_dict(
-            segment(tokens, cfg.chunk_len, cfg.overlap),
-            include_tokens=args.include_tokens)
-        seg_json["id"] = doc_id
-        line = json.dumps(seg_json, sort_keys=True)
-        if args.out_dir is None:
-            print(line)
-        else:
-            _write_json(args.out_dir / f"{_safe_id(doc_id)}.segments.json", seg_json)
+        _check_file_names(docs, args.out_dir)
+    staged = _published(args.out_dir) if args.out_dir is not None and docs else nullcontext()
+    with staged as out_dir:
+        for _, doc_id, tokens in docs:
+            seg_json = segment_set_to_dict(
+                segment(tokens, cfg.chunk_len, cfg.overlap),
+                include_tokens=args.include_tokens)
+            seg_json["id"] = doc_id
+            if out_dir is None:
+                print(json.dumps(seg_json, sort_keys=True))
+            else:
+                _write_json(out_dir / f"{_safe_id(doc_id)}.segments.json", seg_json)
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))],
-                                        file_names=True)
     out_dir: Path = args.out_dir or Path("chunkfuse-run")
-    # a run never merges into another: files of documents it did not run would stay
-    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
-        raise InputError(f"--out-dir {out_dir} exists and is not an empty directory")
-
+    (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))],
+                                        out_dir=out_dir)
     if not docs:
         print(f"warning: corpus {args.corpus} holds no documents; "
               "nothing to do", file=sys.stderr)
         return 0
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "config.json", json.loads(cfg.canonical_json()))
-    with open(out_dir / "config_hash.txt", "w", encoding="ascii", newline="\n") as fh:
-        fh.write(cfg.config_hash() + "\n")
-    if vocab is not None:
-        _write_json(out_dir / "vocab.json", vocab)
+    with _published(out_dir) as run_dir:
+        _write_json(run_dir / "config.json", json.loads(cfg.canonical_json()))
+        with open(run_dir / "config_hash.txt", "w", encoding="ascii", newline="\n") as fh:
+            fh.write(cfg.config_hash() + "\n")
+        if vocab is not None:
+            _write_json(run_dir / "vocab.json", vocab)
 
-    weights = init_weights(cfg.encoder_config())
-    dec_cfg = cfg.decoder_config(max_len=len(_DECODE_PREFIX) + _DECODE_STEPS)
+        weights = init_weights(cfg.encoder_config())
+        dec_cfg = cfg.decoder_config(max_len=len(_DECODE_PREFIX) + _DECODE_STEPS)
 
-    # middle sampling is keyed on the document id, so corpus order changes no bytes
-    for doc_id, tokens in docs:
-        run = run_document(tokens, cfg, weights=weights, doc_id=doc_id)
-        doc_dir = out_dir / "docs" / _safe_id(doc_id)
-        doc_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(doc_dir / "segments.json",
-                    segment_set_to_dict(run.segments))
-        manifest = cumulation.fused_sequence_manifest(run.fused)
-        manifest["doc_id"] = doc_id
-        manifest["n_tokens"] = len(tokens)
-        _write_json(doc_dir / "fused_manifest.json", manifest)
-        save_matrix(run.fused.flattened, doc_dir / "fused_matrix.txt")
-        generated = greedy_decode(_DECODE_PREFIX, run.fused, dec_cfg, _DECODE_STEPS)
-        _write_json(doc_dir / "decode_demo.json", {
-            "doc_id": doc_id,
-            "prefix": _DECODE_PREFIX,
-            "generated": generated[len(_DECODE_PREFIX):],
+        # middle sampling is keyed on the document id, so corpus order changes no bytes
+        for doc_id, tokens in docs:
+            run = run_document(tokens, cfg, weights=weights, doc_id=doc_id)
+            doc_dir = run_dir / "docs" / _safe_id(doc_id)
+            doc_dir.mkdir(parents=True)
+            _write_json(doc_dir / "segments.json",
+                        segment_set_to_dict(run.segments))
+            manifest = cumulation.fused_sequence_manifest(run.fused)
+            manifest["doc_id"] = doc_id
+            manifest["n_tokens"] = len(tokens)
+            _write_json(doc_dir / "fused_manifest.json", manifest)
+            save_matrix(run.fused.flattened, doc_dir / "fused_matrix.txt")
+            generated = greedy_decode(_DECODE_PREFIX, run.fused, dec_cfg, _DECODE_STEPS)
+            _write_json(doc_dir / "decode_demo.json", {
+                "doc_id": doc_id,
+                "prefix": _DECODE_PREFIX,
+                "generated": generated[len(_DECODE_PREFIX):],
+            })
+            _, cross = decode_step(generated, run.fused, dec_cfg)
+            mass = attention_mass_by_chunk(cross, run.fused.provenance)
+            _write_csv(doc_dir / "attention_mass.csv",
+                       [["chunk", "mass"],
+                        *[[i + 1, repr(float(m))] for i, m in enumerate(mass)]])
+
+        _write_json(run_dir / "run_meta.json", {
+            "config_hash": cfg.config_hash(),
+            "seed": cfg.seed,
+            "middle_seed_effective": cfg.effective_middle_seed(),
+            "documents": [d for d, _ in docs],
+            "vocab_size_effective": cfg.vocab_size,
+            "corpus": str(args.corpus),
         })
-        _, cross = decode_step(generated, run.fused, dec_cfg)
-        mass = attention_mass_by_chunk(cross, run.fused.provenance)
-        _write_csv(doc_dir / "attention_mass.csv",
-                   [["chunk", "mass"],
-                    *[[i + 1, repr(float(m))] for i, m in enumerate(mass)]])
-
-    _write_json(out_dir / "run_meta.json", {
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "middle_seed_effective": cfg.effective_middle_seed(),
-        "documents": [d for d, _ in docs],
-        "vocab_size_effective": cfg.vocab_size,
-        "corpus": str(args.corpus),
-    })
     return 0
 
 
@@ -395,7 +412,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     labelled = _parse_list("--values", args.values, lambda raw: (
         f" at {args.axis} {raw}", PipelineConfig(**{**values, field: _field_type(field)(raw)})))
     variants, docs, _ = _load_checked(args.corpus, labelled, PROBE_MIN_CHUNKS)
-    _make_out_dir(args)
+    _make_out_dir(args.out_dir)
     weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
     rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
     for variant, (runs, _, fuse_seconds) in zip(variants, sweep(docs, variants, weights)):
@@ -412,7 +429,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     lengths = bench_mod.check_lengths(_parse_list("--lengths", args.lengths, _at_least(1)),
                                       cfg)
-    _make_out_dir(args)
+    _make_out_dir(args.out_dir)
     report = bench_mod.run_scaling(lengths, cfg, repeats=args.repeats)
     if not report.reliable:
         print("warning: smallest point ran under the reliable-timing floor; "
@@ -439,6 +456,7 @@ def cmd_rouge(args: argparse.Namespace) -> int:
         raise InputError(
             f"line count mismatch: {len(cand_lines)} candidate lines vs "
             f"{len(ref_lines)} reference lines")
+    _make_out_dir(args.out_dir)
 
     rows: list[list] = [["line", "rouge1_f1", "rouge2_f1", "rougeL_f1"]]
     sums = [0.0, 0.0, 0.0]
@@ -467,7 +485,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
                  make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
                                          cfg.vocab_size, args.doc_seed + i))
                 for i in range(args.n_docs)]
-    _make_out_dir(args)
+    _make_out_dir(args.out_dir)
     weights = init_weights(variants[0].encoder_config())
     rows: list[list] = [["alpha", "probe_mse"]]
     rows.extend([repr(variant.alpha), repr(position_probe([run.fused for run in runs]))]

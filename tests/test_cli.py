@@ -10,6 +10,8 @@ import pytest
 from chunkfuse.cli import build_config, load_corpus, main
 from chunkfuse.errors import InputError
 
+CORPORA = Path(__file__).resolve().parents[1] / "corpora"
+
 SMALL_FLAGS = [
     "--chunk-len", "8", "--overlap", "2", "--boundary-width", "1",
     "--middle-count", "2", "--d-model", "16", "--n-heads", "2",
@@ -118,8 +120,8 @@ class TestCorpusLoading:
         ])
         out = tmp_path / "run"
         assert main(["pipeline", str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 1
-        err = capsys.readouterr().err
-        assert f"{path}:2:" in err and "'flag'" in err
+        assert capsys.readouterr().err == (f"error: {path}:2: document 'flag': tokens must be "
+                                           "a non-empty list of ints in [0, 2**63)\n")
         assert not out.exists()
 
     # an empty document, an id that is not a string or not UTF-8 (a lone
@@ -196,8 +198,8 @@ class TestFileNameCollisions:
         out = tmp_path / "run"
         assert main([command[0], str(path), *command[1:], "--out-dir", str(out),
                      *SMALL_FLAGS]) == 1
-        err = capsys.readouterr().err
-        assert f"{path}:1: document 'a/b'" in err and f"{path}:3: document 'a_b'" in err
+        assert capsys.readouterr().err == (f"error: {path}:1: document 'a/b' and {path}:3: "
+                                           "document 'a_b' both write to file name 'a_b'\n")
         assert calls == []
         assert not out.exists()
 
@@ -256,7 +258,9 @@ class TestCorpusChecks:
     def test_document_shorter_than_boundary_block(self, tmp_path, capsys, command):
         docs = [{"id": "a", "tokens": list(range(12))}, {"id": "short", "tokens": [5]}]
         err = self._rejects(tmp_path, capsys, command, docs, ["--boundary-width", "2"])
-        assert "boundary_width 2" in err
+        label = " at alpha 0.5" if command == "ablate" else ""
+        assert err == (f"error: {tmp_path / 'c.jsonl'}:2: document 'short'{label}: "
+                       "1 tokens, fewer than boundary_width 2\n")
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_token_id_outside_vocab(self, tmp_path, capsys, command):
@@ -374,6 +378,30 @@ class TestSegmentCommand:
         assert first["L"] == 4 and first["O"] == 2 and first["id"] == "alpha"
         assert [s["start"] for s in first["segments"]] == [0, 2, 4, 6]
 
+    def test_rerun_into_its_own_out_dir_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "seg"
+        assert main(["segment", str(CORPORA / "tiny_tokens.jsonl"), "--include-tokens",
+                     "--out-dir", str(out)]) == 0
+        before = read_tree(out)
+        assert sorted(before) == [f"synth-{i}.segments.json" for i in (1, 2, 3)]
+        one = write_corpus(tmp_path / "one.jsonl", [{"id": "synth-1", "tokens": [1, 2, 3]}])
+        capsys.readouterr()
+        assert main(["segment", str(one), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out-dir {out} exists and is not an empty directory\n"
+        assert read_tree(out) == before
+
+    def test_empty_out_dir_is_written_into(self, tmp_path):
+        corpus = token_corpus(tmp_path)
+        (tmp_path / "empty").mkdir()
+        for name in ("empty", "fresh"):
+            assert main(["segment", str(corpus), "--include-tokens",
+                         "--out-dir", str(tmp_path / name), *SMALL_FLAGS]) == 0
+        assert read_tree(tmp_path / "empty") == read_tree(tmp_path / "fresh")
+        assert sorted(read_tree(tmp_path / "fresh")) == ["alpha.segments.json",
+                                                         "beta.segments.json"]
+
 
 class TestPipelineCommand:
     def test_artifacts_and_expected_rows(self, tmp_path, capsys):
@@ -481,6 +509,109 @@ class TestPipelineCommand:
         rc = main(["pipeline", str(corpus), "--out-dir", str(out), *SMALL_FLAGS])
         assert rc == 0
         assert json.loads((out / "vocab.json").read_text())["b"] == 0
+
+
+class TestAllOrNothingRuns:
+    """A run appears whole or not at all: one that fails leaves ``--out-dir`` as it was."""
+
+    @staticmethod
+    def fail_second_call(monkeypatch, name, exc):
+        import chunkfuse.cli as cli_mod
+        real, calls = getattr(cli_mod, name), []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise exc
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, name, second_fails)
+
+    @pytest.mark.parametrize("exc, code", [(RuntimeError("wired for the test"), 2),
+                                           (InputError("wired for the test"), 1),
+                                           (KeyboardInterrupt(), None)],
+                             ids=["RuntimeError", "InputError", "KeyboardInterrupt"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])
+    def test_pipeline_failing_on_document_two(self, tmp_path, monkeypatch, capsys,
+                                              exc, code, existing):
+        corpus = token_corpus(tmp_path)
+        out = tmp_path / "run"
+        if existing:
+            out.mkdir()
+        before = sorted(os.listdir(tmp_path))
+        self.fail_second_call(monkeypatch, "run_document", exc)
+        argv = ["pipeline", str(corpus), "--out-dir", str(out), *SMALL_FLAGS]
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == code
+            assert "wired for the test" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert not existing or list(out.iterdir()) == []
+
+    def test_segment_failing_on_its_second_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "seg"
+        self.fail_second_call(monkeypatch, "_write_json", OSError("disk full, wired for the test"))
+        assert main(["segment", str(CORPORA / "tiny_tokens.jsonl"), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full, wired for the test\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_out_dir_filled_during_the_run_exits_one(self, tmp_path, monkeypatch, capsys):
+        # os.replace does not swap out a directory that is no longer empty
+        import chunkfuse.cli as cli_mod
+        corpus = token_corpus(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        real = cli_mod.run_document
+
+        def and_a_stray_file(*args, **kwargs):
+            (out / "stray.txt").write_text("late\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "run_document", and_a_stray_file)
+        assert main(["pipeline", str(corpus), "--out-dir", str(out), *SMALL_FLAGS]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "run"]
+        assert read_tree(out) == {"stray.txt": b"late\n"}
+
+    def test_symlinked_out_dir_is_run_into_its_target(self, tmp_path):
+        corpus = token_corpus(tmp_path)
+        args = ["pipeline", str(corpus), *SMALL_FLAGS]
+        (tmp_path / "target").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "target", target_is_directory=True)
+        assert main([*args, "--out-dir", str(tmp_path / "link")]) == 0
+        assert main([*args, "--out-dir", str(tmp_path / "fresh")]) == 0
+        assert (tmp_path / "link").is_symlink()
+        assert read_tree(tmp_path / "target") == read_tree(tmp_path / "fresh")
+        assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "fresh", "link", "target"]
+
+    def test_symlink_loop_out_dir_exits_one(self, tmp_path, capsys):
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        assert main(["segment", str(CORPORA / "tiny_tokens.jsonl"),
+                     "--out-dir", str(tmp_path / "a")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["a", "b"]
+
+    @pytest.mark.parametrize("command", ["pipeline", "segment"])
+    def test_out_dir_gets_the_mode_of_a_plain_mkdir(self, tmp_path, command):
+        umask = os.umask(0o022)  # a umask under which mkdtemp's 0700 would show
+        try:
+            (tmp_path / "plain").mkdir()
+            assert main([command, str(token_corpus(tmp_path)), "--out-dir",
+                         str(tmp_path / "run"), *SMALL_FLAGS]) == 0
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "run").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    @pytest.mark.parametrize("command", ["pipeline", "segment"])
+    def test_empty_corpus_creates_nothing(self, tmp_path, capsys, command):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("")
+        assert main([command, str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
+        assert os.listdir(tmp_path) == ["empty.jsonl"]
 
 
 # the README config on one 50k-token document: about 1k chunks and a 10k-row memory
@@ -737,11 +868,13 @@ class TestOutDirThatIsAFile:
 
     COMMANDS = {
         "ablate": lambda tmp: ["ablate", str(identical_chunk_corpus(tmp)),
-                               "--axis", "alpha", "--values", "0.5"],
-        "bench": lambda tmp: ["bench", "--lengths", "16,32,64,128", "--repeats", "1"],
-        "pipeline": lambda tmp: ["pipeline", str(token_corpus(tmp))],
-        "probe": lambda tmp: ["probe", "--n-chunks", "4", "--n-docs", "1"],
-        "segment": lambda tmp: ["segment", str(token_corpus(tmp))],
+                               "--axis", "alpha", "--values", "0.5", *SMALL_FLAGS],
+        "bench": lambda tmp: ["bench", "--lengths", "16,32,64,128", "--repeats", "1",
+                              *SMALL_FLAGS],
+        "pipeline": lambda tmp: ["pipeline", str(token_corpus(tmp)), *SMALL_FLAGS],
+        "probe": lambda tmp: ["probe", "--n-chunks", "4", "--n-docs", "1", *SMALL_FLAGS],
+        "rouge": lambda tmp: ["rouge", *[str(CORPORA / "tiny_text.jsonl")] * 2],
+        "segment": lambda tmp: ["segment", str(token_corpus(tmp)), *SMALL_FLAGS],
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -751,7 +884,7 @@ class TestOutDirThatIsAFile:
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
         out = afile / "sub" if below else afile
-        argv = [*self.COMMANDS[command](tmp_path), "--out-dir", str(out), *SMALL_FLAGS]
+        argv = [*self.COMMANDS[command](tmp_path), "--out-dir", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(afile) in err
