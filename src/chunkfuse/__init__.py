@@ -43,6 +43,6 @@ from .pipeline import (
     run_document,
     sweep,
 )
-from .segmenter import SegmentSet, reconstruct, segment, segment_count
+from .segmenter import SegmentSet, segment, segment_count
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import re
-import shutil
 import sys
 import tempfile
 import traceback
@@ -309,15 +308,12 @@ def _published(out_dir: Path) -> Iterator[Path]:
     # RuntimeError, an exit 2, on a symlink loop before Python 3.13
     target = Path(os.path.realpath(out_dir))
     _make_out_dir(target.parent)
-    sibling = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
-    try:
-        # a plain mkdir gives the umask's mode, where mkdtemp gives 0700
-        build = sibling / "run"
+    with tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent) as sibling:
+        # a plain mkdir gives the umask's mode, where the sibling has 0700
+        build = Path(sibling) / "run"
         build.mkdir()
         yield build
         os.replace(build, target)
-    finally:
-        shutil.rmtree(sibling)
 
 
 def _write_csv(path: Path | None, rows: list[list]) -> None:
@@ -477,14 +473,10 @@ def cmd_rouge(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     variants = _parse_list("--alphas", args.alphas, lambda raw: replace(cfg, alpha=float(raw)))
-    if args.corpus is not None:
-        variants, docs, _ = _load_checked(args.corpus, [("", v) for v in variants],
-                                          PROBE_MIN_CHUNKS)
-    else:
-        docs = [(f"synthetic-{i}",
-                 make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
-                                         cfg.vocab_size, args.doc_seed + i))
-                for i in range(args.n_docs)]
+    docs = [(f"synthetic-{i}",
+             make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
+                                     cfg.vocab_size, args.doc_seed + i))
+            for i in range(args.n_docs)]
     _make_out_dir(args.out_dir)
     weights = init_weights(variants[0].encoder_config())
     rows: list[list] = [["alpha", "probe_mse"]]
@@ -537,7 +529,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("probe", help="position-probe mse across fusion ratios")
     _common_flags(p)
-    p.add_argument("--corpus", type=Path, default=None)
     p.add_argument("--alphas", default="0.0,0.25,0.5,0.75,1.0")
     p.add_argument("--n-chunks", type=_at_least(PROBE_MIN_CHUNKS), default=5)
     p.add_argument("--n-docs", type=_at_least(1), default=3)

@@ -106,14 +106,19 @@ def contexts(lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndar
     return back, fwd
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a fusion ratio outside ``[0, 1]``."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def fuse(lefts: np.ndarray, rights: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Blend local boundaries with their directional contexts.
 
     alpha = 1 keeps the local boundaries untouched; alpha = 0 replaces
     them entirely by the cumulative context.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
+    check_alpha(alpha)
     back, fwd = contexts(lefts, rights)
     return alpha * lefts + (1.0 - alpha) * back, alpha * rights + (1.0 - alpha) * fwd
 

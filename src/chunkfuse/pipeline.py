@@ -21,7 +21,7 @@ from .decoder import decode_step
 from .encoder import EncoderWeights, ModelConfig, init_weights
 from .errors import ConfigError, InputError
 from .numerics import SeededRng, fnv1a64
-from .segmenter import SegmentSet, segment
+from .segmenter import SegmentSet, check_window, segment
 
 # what each field annotation admits; bools are refused apart, being ints
 _ADMITS = {"int": int, "float": (int, float), "int | None": (int, type(None))}
@@ -47,10 +47,7 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _ADMITS[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.chunk_len < 2:
-            raise ConfigError("chunk_len must be >= 2")
-        if not 0 <= self.overlap < self.chunk_len:
-            raise ConfigError("overlap must satisfy 0 <= overlap < chunk_len")
+        check_window(self.chunk_len, self.overlap)
         if self.boundary_width < 1:
             raise ConfigError("boundary_width must be >= 1")
         if self.middle_count < 0:
@@ -60,8 +57,12 @@ class PipelineConfig:
                 "a chunk cannot contribute more rows than it has: "
                 f"2*{self.boundary_width} + {self.middle_count} > {self.chunk_len}"
             )
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        cumulation.check_alpha(self.alpha)
+        # every draw reads a seed modulo 2**64: -1 would alias 2**64 - 1
+        for name in ("seed", "middle_seed"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < 1 << 64:
+                raise ConfigError(f"{name} must lie in [0, 2**64), got {value}")
         self.encoder_config()  # ModelConfig checks the model dimensions
 
     def effective_middle_seed(self) -> int:

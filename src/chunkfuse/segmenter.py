@@ -38,7 +38,7 @@ class SegmentSet:
 
 def segment_count(n_tokens: int, chunk_len: int, overlap: int) -> int:
     """Closed-form window count for a sequence of ``n_tokens``."""
-    _validate_window(chunk_len, overlap)
+    check_window(chunk_len, overlap)
     if n_tokens < 1:
         raise InputError("token sequence must contain at least one token")
     # a sequence of at most chunk_len tokens gives max(N - overlap, 1) <= stride: one window
@@ -62,27 +62,6 @@ def segment(tokens: Sequence[int], chunk_len: int, overlap: int) -> SegmentSet:
                       starts=starts, chunk_len=chunk_len, overlap=overlap)
 
 
-def reconstruct(segment_set: SegmentSet) -> tuple[int, ...]:
-    """Recover the original sequence from a SegmentSet.
-
-    The first window is taken whole; each later window contributes only
-    the tokens at source positions not yet emitted. Serves as the
-    round-trip oracle for :func:`segment`.
-    """
-    out: list[int] = []
-    covered = 0
-    for i, (start, window) in enumerate(zip(segment_set.starts.tolist(),
-                                            segment_set.tokens.tolist()), start=1):
-        if start > covered:
-            raise InputError(f"window {i} starts at {start} but only {covered} "
-                             "positions are covered")
-        if start + len(window) < covered:
-            raise InputError(f"window {i} ends before already-covered positions")
-        out.extend(window[covered - start:])
-        covered = start + len(window)
-    return tuple(out)
-
-
 def segment_set_to_dict(segment_set: SegmentSet, include_tokens: bool = False) -> dict:
     """JSON-ready form; token payloads included only on request."""
     n = segment_set.tokens.shape[1]
@@ -98,7 +77,8 @@ def segment_set_to_dict(segment_set: SegmentSet, include_tokens: bool = False) -
     }
 
 
-def _validate_window(chunk_len: int, overlap: int) -> None:
+def check_window(chunk_len: int, overlap: int) -> None:
+    """Reject a ``chunk_len`` below 2 or an ``overlap`` outside ``[0, chunk_len)``."""
     if chunk_len < 2:
         raise ConfigError(f"chunk_len must be >= 2, got {chunk_len}")
     if overlap < 0:

@@ -3,10 +3,12 @@
 These follow PAPER.md one chunk at a time, with explicit loops, so the
 library's array-shaped ``contexts`` and ``fuse`` can be checked against
 them. Boundaries are (C, k, d) arrays; chunk indices are 1-based.
-``mean_of`` is the plain block average the brute-force context checks
-use, ``fsum_context`` a correctly rounded one for long documents,
+``random_set`` draws a random boundary set, ``mean_context`` is the
+brute-force context: the ``mean_of`` average of every block it spans,
+``fsum_context`` a correctly rounded one for long documents,
 ``assemble_per_chunk`` the chunk-by-chunk reference for ``assemble``,
-``windows_one_by_one`` the window-by-window reference for ``segment``,
+``windows_one_by_one`` the window-by-window reference for ``segment``
+and ``reconstruct`` the round trip back from its windows,
 ``synthetic_chunks`` builds window starts and random encodings,
 ``kept_rows`` picks from them, one chunk at a time, the rows and
 positions ``assemble`` reads, ``fused_by_stages`` one document's
@@ -34,7 +36,7 @@ import numpy as np
 
 from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE, assemble
 from chunkfuse.encoder import _LN_EPS, init_weights
-from chunkfuse.errors import ConfigError
+from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.numerics import SeededRng, as_matrix, check_finite
 from chunkfuse.pipeline import encode_document
 
@@ -51,6 +53,15 @@ def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
                 f"mean_of shape mismatch: {shape} vs {m.shape}"
             )
     return check_finite(np.mean(np.stack(mats), axis=0), "mean_of result")
+
+
+def random_set(rng: np.random.Generator, n_chunks=None, width=None, dim=None):
+    """Random (C, k, d) lefts and rights; an unset size is drawn, C in [1, 6], k in [1, 3],
+    d in [1, 8], in that order."""
+    c = n_chunks or int(rng.integers(1, 7))
+    k = width or int(rng.integers(1, 4))
+    d = dim or int(rng.integers(1, 9))
+    return rng.normal(size=(c, k, d)), rng.normal(size=(c, k, d))
 
 
 def _check_index(lefts: np.ndarray, index: int) -> None:
@@ -90,6 +101,21 @@ def forward_context(lefts: np.ndarray, rights: np.ndarray, index: int) -> np.nda
         total += lefts[j]
         total += rights[j]
     return total / (2 * (c - index) + 1)
+
+
+def mean_context(lefts: np.ndarray, rights: np.ndarray, index: int,
+                 direction: str) -> np.ndarray:
+    """Chunk ``index``'s backward ("back") or forward ("fwd") context: every
+    contributing block materialized, then averaged by :func:`mean_of`."""
+    if direction == "back":
+        blocks = [lefts[index - 1]]
+        for j in range(index - 1):
+            blocks.extend([lefts[j], rights[j]])
+    else:
+        blocks = [rights[index - 1]]
+        for j in range(index, len(lefts)):
+            blocks.extend([lefts[j], rights[j]])
+    return mean_of(blocks)
 
 
 def fsum_context(
@@ -224,6 +250,27 @@ def windows_one_by_one(tokens: Sequence[int], chunk_len: int,
         if start + width >= len(toks):
             return out
         start += chunk_len - overlap
+
+
+def reconstruct(segment_set) -> tuple[int, ...]:
+    """The token sequence a ``SegmentSet``'s windows cover, read back from them.
+
+    The first window is taken whole; each later window contributes only
+    the tokens at source positions not yet emitted. A window that leaves
+    a gap, or ends before the covered positions, raises ``InputError``.
+    """
+    out: list[int] = []
+    covered = 0
+    for i, (start, window) in enumerate(zip(segment_set.starts.tolist(),
+                                            segment_set.tokens.tolist()), start=1):
+        if start > covered:
+            raise InputError(f"window {i} starts at {start} but only {covered} "
+                             "positions are covered")
+        if start + len(window) < covered:
+            raise InputError(f"window {i} ends before already-covered positions")
+        out.extend(window[covered - start:])
+        covered = start + len(window)
+    return tuple(out)
 
 
 def synthetic_chunks(rng: np.random.Generator, n_chunks: int, chunk_len: int, dim: int):

@@ -17,8 +17,10 @@ from oracles import (
     forward_context,
     fusion_jacobian,
     kept_rows,
-    mean_of,
+    mean_context,
     probe_runs,
+    random_set,
+    reconstruct,
     synthetic_chunks,
 )
 
@@ -35,31 +37,11 @@ from chunkfuse.metrics import (
     rouge_n,
 )
 from chunkfuse.pipeline import PipelineConfig, encode_document
-from chunkfuse.segmenter import reconstruct, segment, segment_count
+from chunkfuse.segmenter import segment, segment_count
 
 
 def _pass(num: int, detail: str) -> None:
     print(f"ACCEPTANCE {num}: PASS  {detail}")
-
-
-def _random_boundary_set(rng: np.random.Generator, max_chunks=6, max_width=3,
-                         max_dim=8) -> tuple[np.ndarray, np.ndarray]:
-    c = int(rng.integers(1, max_chunks + 1))
-    k = int(rng.integers(1, max_width + 1))
-    d = int(rng.integers(1, max_dim + 1))
-    return rng.normal(size=(c, k, d)), rng.normal(size=(c, k, d))
-
-
-def _oracle(lefts, rights, i: int, direction: str) -> np.ndarray:
-    if direction == "back":
-        blocks = [lefts[i - 1]]
-        for j in range(i - 1):
-            blocks.extend([lefts[j], rights[j]])
-    else:
-        blocks = [rights[i - 1]]
-        for j in range(i, len(lefts)):
-            blocks.extend([lefts[j], rights[j]])
-    return mean_of(blocks)
 
 
 def test_criterion_01_context_oracle():
@@ -67,11 +49,11 @@ def test_criterion_01_context_oracle():
     started = time.perf_counter()
     worst = 0.0
     for _ in range(500):
-        lefts, rights = _random_boundary_set(rng)
+        lefts, rights = random_set(rng)
         back, fwd = contexts(lefts, rights)
         for i in range(1, len(lefts) + 1):
-            want_back = _oracle(lefts, rights, i, "back")
-            want_fwd = _oracle(lefts, rights, i, "fwd")
+            want_back = mean_context(lefts, rights, i, "back")
+            want_fwd = mean_context(lefts, rights, i, "fwd")
             for got, want in ((back[i - 1], want_back), (fwd[i - 1], want_fwd),
                               (backward_context(lefts, rights, i), want_back),
                               (forward_context(lefts, rights, i), want_fwd)):
@@ -84,7 +66,7 @@ def test_criterion_01_context_oracle():
 
 def test_criterion_02_edge_identities():
     rng = np.random.default_rng(102)
-    lefts, rights = _random_boundary_set(rng, max_chunks=6)
+    lefts, rights = random_set(rng)
     back, fwd = contexts(lefts, rights)
     assert back[0].tobytes() == lefts[0].tobytes()
     assert fwd[-1].tobytes() == rights[-1].tobytes()

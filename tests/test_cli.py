@@ -146,7 +146,6 @@ class TestCorpusLoading:
     @pytest.mark.parametrize("command", [
         ["segment", "CORPUS", "--out-dir", "OUT"],
         ["ablate", "CORPUS", "--axis", "alpha", "--values", "0.5", "--out-dir", "OUT"],
-        ["probe", "--corpus", "CORPUS", "--out-dir", "OUT"],
     ], ids=lambda argv: argv[0])
     def test_lone_surrogate_id_exits_one_before_writing(self, tmp_path, capsys, command):
         path = write_corpus(tmp_path / "s.jsonl", [
@@ -241,7 +240,6 @@ class TestCorpusChecks:
     COMMANDS = {
         "pipeline": lambda path: ["pipeline", str(path)],
         "ablate": lambda path: ["ablate", str(path), "--axis", "alpha", "--values", "0.5"],
-        "probe": lambda path: ["probe", "--corpus", str(path)],
     }
 
     def _rejects(self, tmp_path, capsys, command, docs, flags) -> str:
@@ -267,11 +265,6 @@ class TestCorpusChecks:
         docs = [{"id": "a", "tokens": [1, 2, 3]}, {"id": "short", "tokens": [1, 9, 3]}]
         err = self._rejects(tmp_path, capsys, command, docs, ["--vocab-size", "4"])
         assert "token id 9" in err
-
-    def test_probe_document_with_too_few_chunks(self, tmp_path, capsys):
-        docs = [{"id": "a", "tokens": list(range(30))}, {"id": "short", "tokens": list(range(8))}]
-        err = self._rejects(tmp_path, capsys, "probe", docs, [])
-        assert "at least 3 chunks, got 1" in err
 
     def test_ablate_names_the_sweep_value_with_too_few_chunks(self, tmp_path, capsys):
         # 16 tokens in 8-token windows: 3 chunks at overlap 4, 2 at overlap 0
@@ -341,6 +334,20 @@ class TestConfigLayers:
         corpus = token_corpus(tmp_path)
         rc = main(["segment", str(corpus), "--config", str(cfg_file)])
         assert rc == 1
+
+    # every draw reads a seed modulo 2**64, so -1 would write the run of 2**64 - 1
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2**64)),
+                                             ("--middle-seed", "-1"),
+                                             ("--middle-seed", str(2**64))])
+    def test_seed_outside_64_bits_exits_one(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        rc = main(["pipeline", str(token_corpus(tmp_path)), "--out-dir", str(out),
+                   *SMALL_FLAGS, flag, value])
+        assert rc == 1
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: {field} must lie in [0, 2**64), got {value}\n")
+        assert not out.exists()
 
     def test_invalid_alpha_exits_one(self, tmp_path, capsys):
         rc = main(["segment", str(token_corpus(tmp_path)), "--alpha", "2"])
@@ -830,6 +837,11 @@ class TestProbeCommand:
         assert main(["probe", "--alphas", "0.0,0.5,1.0", "--n-chunks", "4",
                      "--n-docs", "2", *SMALL_FLAGS]) == 0
         assert len(calls) == 2 * 4
+
+    def test_reads_no_corpus(self, tmp_path, capsys):
+        # a corpus sweep over alpha is `ablate --axis alpha`
+        assert main(["probe", "--corpus", str(token_corpus(tmp_path))]) == 1
+        assert "unrecognized arguments: --corpus" in capsys.readouterr().err
 
 
 class TestListAndCountFlags:

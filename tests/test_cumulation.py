@@ -11,7 +11,8 @@ from oracles import (
     fsum_context,
     fusion_jacobian,
     kept_rows,
-    mean_of,
+    mean_context,
+    random_set,
     sample_indices_per_value,
     synthetic_chunks,
 )
@@ -48,28 +49,6 @@ def scalar_set() -> tuple[np.ndarray, np.ndarray]:
     """The worked 3-chunk example: lefts 1,3,5 and rights 2,4,6."""
     return (np.array([1.0, 3.0, 5.0]).reshape(3, 1, 1),
             np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1))
-
-
-def random_set(rng: np.random.Generator, n_chunks=None, width=None, dim=None):
-    c = n_chunks or int(rng.integers(1, 7))
-    k = width or int(rng.integers(1, 4))
-    d = dim or int(rng.integers(1, 9))
-    return rng.normal(size=(c, k, d)), rng.normal(size=(c, k, d))
-
-
-def oracle_backward(lefts, rights, i: int) -> np.ndarray:
-    """Materialize every contributing block and average them."""
-    blocks = [lefts[i - 1]]
-    for j in range(i - 1):
-        blocks.extend([lefts[j], rights[j]])
-    return mean_of(blocks)
-
-
-def oracle_forward(lefts, rights, i: int) -> np.ndarray:
-    blocks = [rights[i - 1]]
-    for j in range(i, len(lefts)):
-        blocks.extend([lefts[j], rights[j]])
-    return mean_of(blocks)
 
 
 def run_on_encodings(segs, encs: np.ndarray, cfg: PipelineConfig, doc_id: str):
@@ -166,8 +145,8 @@ class TestDirectionalContext:
             lefts, rights = random_set(rng)
             back, fwd = contexts(lefts, rights)
             for i in range(1, len(lefts) + 1):
-                want_back = oracle_backward(lefts, rights, i)
-                want_fwd = oracle_forward(lefts, rights, i)
+                want_back = mean_context(lefts, rights, i, "back")
+                want_fwd = mean_context(lefts, rights, i, "fwd")
                 for got, want in ((backward_context(lefts, rights, i), want_back),
                                   (forward_context(lefts, rights, i), want_fwd),
                                   (back[i - 1], want_back),
@@ -505,7 +484,7 @@ class TestAssemble:
         assert manifest["middle_shortfall"] == want.middle_shortfall
 
 
-class TestBoundariesFromEncodings:
+class TestProvenancePositions:
     """The encoding rows each chunk keeps, and the document positions they carry."""
 
     def test_offsets_recorded(self):
@@ -530,11 +509,12 @@ class TestBoundariesFromEncodings:
             (2, "left", 4), (2, "middle", 7), (2, "right", 9),
         ]
 
-    def test_fusion_config_validation(self):
-        # the fusion hyperparameters are validated where they are set
-        with pytest.raises(ConfigError):
-            PipelineConfig(boundary_width=0)
-        with pytest.raises(ConfigError):
-            PipelineConfig(middle_count=-1)
-        with pytest.raises(ConfigError):
-            PipelineConfig(alpha=1.5)
+
+def test_fusion_config_validation():
+    # the fusion hyperparameters are validated where they are set
+    with pytest.raises(ConfigError):
+        PipelineConfig(boundary_width=0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(middle_count=-1)
+    with pytest.raises(ConfigError):
+        PipelineConfig(alpha=1.5)

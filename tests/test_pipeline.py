@@ -21,6 +21,7 @@ from chunkfuse.cumulation import (
     POSITION,
     RIGHT,
     ROLE,
+    fuse,
     fused_sequence_manifest,
 )
 from chunkfuse.encoder import encode, init_weights
@@ -97,6 +98,33 @@ def test_rows_provenance_and_roles_property(case, doc_seed):
 def test_config_rejects_mistyped_values(overrides):
     with pytest.raises(ConfigError, match=next(iter(overrides))):
         tiny_config(**overrides)
+
+
+@pytest.mark.parametrize("field", ["seed", "middle_seed"])
+@pytest.mark.parametrize("value", [-1, 2**64])
+def test_config_rejects_seeds_outside_64_bits(field, value):
+    with pytest.raises(ConfigError, match=rf"^{field} must lie in \[0, 2\*\*64\), got {value}$"):
+        tiny_config(**{field: value})
+    tiny_config(**{field: 2**64 - 1})
+
+
+@pytest.mark.parametrize("chunk_len, overlap", [(1, 0), (8, -1), (8, 8)])
+def test_config_and_segment_reject_a_window_alike(chunk_len, overlap):
+    with pytest.raises(ConfigError) as from_segment:
+        segment(range(10), chunk_len, overlap)
+    with pytest.raises(ConfigError) as from_config:
+        tiny_config(chunk_len=chunk_len, overlap=overlap)
+    assert str(from_config.value) == str(from_segment.value)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.5, float("nan")])
+def test_config_and_fuse_reject_an_alpha_alike(alpha):
+    blocks = np.zeros((2, 1, 3))
+    with pytest.raises(ConfigError) as from_fuse:
+        fuse(blocks, blocks, alpha)
+    with pytest.raises(ConfigError) as from_config:
+        tiny_config(alpha=alpha)
+    assert str(from_config.value) == str(from_fuse.value)
 
 
 def test_config_keeps_int_alpha_and_seedless_middles():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import windows_one_by_one
+from oracles import reconstruct, windows_one_by_one
 
 from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.segmenter import (
     SegmentSet,
-    reconstruct,
     segment,
     segment_count,
     segment_set_to_dict,
