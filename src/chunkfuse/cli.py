@@ -21,7 +21,7 @@ import re
 import sys
 import tempfile
 import traceback
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -226,24 +226,21 @@ def _read_corpus(path: Path) -> tuple[list[tuple[str, str, tuple[int, ...]]], di
     return docs, None
 
 
-def _check_file_names(docs: Sequence[tuple[str, str, object]], out_dir: Path) -> None:
-    """Reject two ids that sanitize to one file name, naming both, then a used ``out_dir``."""
+def _check_file_names(docs: Sequence[tuple[str, str, object]]) -> None:
+    """Reject two ids that sanitize to one file name, naming both."""
     seen: dict[str, str] = {}
     for where, doc_id, _ in docs:
         name = _safe_id(doc_id)
         if name in seen:
             raise InputError(f"{seen[name]} and {where} both write to file name {name!r}")
         seen[name] = where
-    # a run never merges into another: files of documents it did not run would stay
-    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
-        raise InputError(f"--out-dir {out_dir} exists and is not an empty directory")
 
 
 def _load_checked(
     path: Path,
     configs: Sequence[tuple[str, PipelineConfig]],
     min_chunks: int = 1,
-    out_dir: Path | None = None,
+    file_per_document: bool = False,
 ) -> tuple[list[PipelineConfig], list[tuple[str, tuple[int, ...]]], dict | None]:
     """Load a corpus and check every document against every config before any write.
 
@@ -252,8 +249,8 @@ def _load_checked(
     sets each config's ``vocab_size`` to the size of its vocabulary. A
     document shorter than one boundary block, holding a token id outside
     the vocabulary, or cut into fewer than ``min_chunks`` windows is
-    rejected with its line and id. Given the ``out_dir`` a run writes one
-    file per document into, :func:`_check_file_names` runs last.
+    rejected with its line and id. For a run that writes one file per
+    document, :func:`_check_file_names` runs last.
     """
     docs, vocab = _read_corpus(path)
     if vocab is not None:
@@ -273,8 +270,8 @@ def _load_checked(
             if count < min_chunks:
                 raise InputError(f"{where}{label}: the position probe needs at least "
                                  f"{min_chunks} chunks, got {count}")
-    if out_dir is not None:
-        _check_file_names(docs, out_dir)
+    if file_per_document:
+        _check_file_names(docs)
     return [cfg for _, cfg in configs], [(doc_id, tokens) for _, doc_id, tokens in docs], vocab
 
 
@@ -290,24 +287,25 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _make_out_dir(path: Path | None) -> None:
-    """Create ``--out-dir`` once the checks pass, so an unwritable one fails before any encode."""
-    if path is not None:
-        path.mkdir(parents=True, exist_ok=True)
-
-
 @contextmanager
-def _published(out_dir: Path) -> Iterator[Path]:
+def _published(out_dir: Path | None) -> Iterator[Path | None]:
     """Yield a fresh directory that replaces ``out_dir`` when the block ends without error.
 
     It is built beside the resolved ``out_dir`` and removed on any
     exception, so a run appears whole or not at all. ``out_dir`` must be
     absent or an empty directory, which ``os.replace`` then swaps out.
+    ``None`` yields ``None``: the command writes to stdout.
     """
+    if out_dir is None:
+        yield None
+        return
+    # a run never merges into another: files of documents it did not run would stay
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise InputError(f"--out-dir {out_dir} exists and is not an empty directory")
     # a symlinked out_dir is swapped at its target; Path.resolve would raise
     # RuntimeError, an exit 2, on a symlink loop before Python 3.13
     target = Path(os.path.realpath(out_dir))
-    _make_out_dir(target.parent)
+    target.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent) as sibling:
         # a plain mkdir gives the umask's mode, where the sibling has 0700
         build = Path(sibling) / "run"
@@ -333,9 +331,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     docs, _ = _read_corpus(args.corpus)
     if args.out_dir is not None:
-        _check_file_names(docs, args.out_dir)
-    staged = _published(args.out_dir) if args.out_dir is not None and docs else nullcontext()
-    with staged as out_dir:
+        _check_file_names(docs)
+    # a corpus with no documents creates nothing
+    with _published(args.out_dir if docs else None) as out_dir:
         for _, doc_id, tokens in docs:
             seg_json = segment_set_to_dict(
                 segment(tokens, cfg.chunk_len, cfg.overlap),
@@ -349,15 +347,14 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    out_dir: Path = args.out_dir or Path("chunkfuse-run")
     (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))],
-                                        out_dir=out_dir)
+                                        file_per_document=True)
     if not docs:
         print(f"warning: corpus {args.corpus} holds no documents; "
               "nothing to do", file=sys.stderr)
         return 0
 
-    with _published(out_dir) as run_dir:
+    with _published(args.out_dir or Path("chunkfuse-run")) as run_dir:
         _write_json(run_dir / "config.json", json.loads(cfg.canonical_json()))
         with open(run_dir / "config_hash.txt", "w", encoding="ascii", newline="\n") as fh:
             fh.write(cfg.config_hash() + "\n")
@@ -408,16 +405,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     labelled = _parse_list("--values", args.values, lambda raw: (
         f" at {args.axis} {raw}", PipelineConfig(**{**values, field: _field_type(field)(raw)})))
     variants, docs, _ = _load_checked(args.corpus, labelled, PROBE_MIN_CHUNKS)
-    _make_out_dir(args.out_dir)
-    weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
-    rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
-    for variant, (runs, _, fuse_seconds) in zip(variants, sweep(docs, variants, weights)):
-        memories = [run.fused for run in runs]
-        rows.append([repr(getattr(variant, field)), repr(position_probe(memories)),
-                     sum(memory.rows for memory in memories), repr(fuse_seconds)])
-
-    out = (args.out_dir / "ablation.csv") if args.out_dir else None
-    _write_csv(out, rows)
+    with _published(args.out_dir) as out_dir:
+        weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
+        rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
+        for variant, (runs, _, fuse_seconds) in zip(variants, sweep(docs, variants, weights)):
+            memories = [run.fused for run in runs]
+            rows.append([repr(getattr(variant, field)), repr(position_probe(memories)),
+                         sum(memory.rows for memory in memories), repr(fuse_seconds)])
+        _write_csv(out_dir / "ablation.csv" if out_dir else None, rows)
     return 0
 
 
@@ -425,16 +420,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     lengths = bench_mod.check_lengths(_parse_list("--lengths", args.lengths, _at_least(1)),
                                       cfg)
-    _make_out_dir(args.out_dir)
-    report = bench_mod.run_scaling(lengths, cfg, repeats=args.repeats)
-    if not report.reliable:
-        print("warning: smallest point ran under the reliable-timing floor; "
-              "slope may be noise", file=sys.stderr)
-    if args.out_dir is not None:
-        _write_csv(args.out_dir / "scaling.csv", report.csv_rows())
-        _write_json(args.out_dir / "verdict.json", report.verdict())
-    else:
-        _write_csv(None, report.csv_rows())
+    with _published(args.out_dir) as out_dir:
+        report = bench_mod.run_scaling(lengths, cfg, repeats=args.repeats)
+        if not report.reliable:
+            print("warning: smallest point ran under the reliable-timing floor; "
+                  "slope may be noise", file=sys.stderr)
+        _write_csv(out_dir / "scaling.csv" if out_dir else None, report.csv_rows())
+        if out_dir:
+            _write_json(out_dir / "verdict.json", report.verdict())
     print(json.dumps(report.verdict(), sort_keys=True))
     return 0
 
@@ -452,38 +445,40 @@ def cmd_rouge(args: argparse.Namespace) -> int:
         raise InputError(
             f"line count mismatch: {len(cand_lines)} candidate lines vs "
             f"{len(ref_lines)} reference lines")
-    _make_out_dir(args.out_dir)
-
-    rows: list[list] = [["line", "rouge1_f1", "rouge2_f1", "rougeL_f1"]]
-    sums = [0.0, 0.0, 0.0]
-    for i, (cand, ref) in enumerate(zip(cand_lines, ref_lines), start=1):
-        c, r = cand.split(), ref.split()
-        scores = (rouge_n(c, r, 1).f1, rouge_n(c, r, 2).f1, rouge_l(c, r).f1)
-        for j, s in enumerate(scores):
-            sums[j] += s
-        rows.append([i, *(repr(s) for s in scores)])
-    n = max(len(cand_lines), 1)
-    rows.append(["mean", *(repr(s / n) for s in sums)])
-
-    out = (args.out_dir / "rouge.csv") if args.out_dir else None
-    _write_csv(out, rows)
+    with _published(args.out_dir) as out_dir:
+        rows: list[list] = [["line", "rouge1_f1", "rouge2_f1", "rougeL_f1"]]
+        sums = [0.0, 0.0, 0.0]
+        for i, (cand, ref) in enumerate(zip(cand_lines, ref_lines), start=1):
+            c, r = cand.split(), ref.split()
+            scores = (rouge_n(c, r, 1).f1, rouge_n(c, r, 2).f1, rouge_l(c, r).f1)
+            for j, s in enumerate(scores):
+                sums[j] += s
+            rows.append([i, *(repr(s) for s in scores)])
+        n = max(len(cand_lines), 1)
+        rows.append(["mean", *(repr(s / n) for s in sums)])
+        _write_csv(out_dir / "rouge.csv" if out_dir else None, rows)
     return 0
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    variants = _parse_list("--alphas", args.alphas, lambda raw: replace(cfg, alpha=float(raw)))
+    values = _config_values(args)  # as in ablate, the base alpha does not matter
+    variants = _parse_list("--alphas", args.alphas,
+                           lambda raw: PipelineConfig(**{**values, "alpha": float(raw)}))
+    # every draw reads its seed modulo 2**64: -1 would alias 2**64 - 1
+    if not 0 <= args.doc_seed <= (1 << 64) - args.n_docs:
+        raise ConfigError(f"--doc-seed {args.doc_seed}: the document seeds --doc-seed + i, "
+                          f"i < {args.n_docs}, must lie in [0, 2**64)")
+    cfg = variants[0]
     docs = [(f"synthetic-{i}",
              make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
                                      cfg.vocab_size, args.doc_seed + i))
             for i in range(args.n_docs)]
-    _make_out_dir(args.out_dir)
-    weights = init_weights(variants[0].encoder_config())
-    rows: list[list] = [["alpha", "probe_mse"]]
-    rows.extend([repr(variant.alpha), repr(position_probe([run.fused for run in runs]))]
-                for variant, (runs, _, _) in zip(variants, sweep(docs, variants, weights)))
-    out = (args.out_dir / "probe.csv") if args.out_dir else None
-    _write_csv(out, rows)
+    with _published(args.out_dir) as out_dir:
+        weights = init_weights(cfg.encoder_config())
+        rows: list[list] = [["alpha", "probe_mse"]]
+        rows.extend([repr(variant.alpha), repr(position_probe([run.fused for run in runs]))]
+                    for variant, (runs, _, _) in zip(variants, sweep(docs, variants, weights)))
+        _write_csv(out_dir / "probe.csv" if out_dir else None, rows)
     return 0
 
 

@@ -1,13 +1,16 @@
+import argparse
 import csv
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from chunkfuse.cli import build_config, load_corpus, main
+from chunkfuse.cli import _build_parser, build_config, load_corpus, main
 from chunkfuse.errors import InputError
 
 CORPORA = Path(__file__).resolve().parents[1] / "corpora"
@@ -62,6 +65,25 @@ def read_tree(root: Path) -> dict:
         if path.is_file():
             out[str(path.relative_to(root))] = path.read_bytes()
     return out
+
+
+# one quick run of every subcommand, to which the out-dir tests append --out-dir
+OUT_DIR_RUNS = {
+    "ablate": lambda tmp: ["ablate", str(identical_chunk_corpus(tmp)),
+                           "--axis", "alpha", "--values", "0.5", *SMALL_FLAGS],
+    "bench": lambda tmp: ["bench", "--lengths", "16,32,64,128", "--repeats", "1",
+                          *SMALL_FLAGS],
+    "pipeline": lambda tmp: ["pipeline", str(token_corpus(tmp)), *SMALL_FLAGS],
+    "probe": lambda tmp: ["probe", "--n-chunks", "4", "--n-docs", "1", *SMALL_FLAGS],
+    "rouge": lambda tmp: ["rouge", *[str(CORPORA / "tiny_text.jsonl")] * 2],
+    "segment": lambda tmp: ["segment", str(token_corpus(tmp)), *SMALL_FLAGS],
+}
+
+
+def test_out_dir_runs_cover_every_subcommand():
+    (subcommands,) = [action.choices for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(OUT_DIR_RUNS) == sorted(subcommands)
 
 
 class TestCorpusLoading:
@@ -399,16 +421,6 @@ class TestSegmentCommand:
         assert captured.err == f"error: --out-dir {out} exists and is not an empty directory\n"
         assert read_tree(out) == before
 
-    def test_empty_out_dir_is_written_into(self, tmp_path):
-        corpus = token_corpus(tmp_path)
-        (tmp_path / "empty").mkdir()
-        for name in ("empty", "fresh"):
-            assert main(["segment", str(corpus), "--include-tokens",
-                         "--out-dir", str(tmp_path / name), *SMALL_FLAGS]) == 0
-        assert read_tree(tmp_path / "empty") == read_tree(tmp_path / "fresh")
-        assert sorted(read_tree(tmp_path / "fresh")) == ["alpha.segments.json",
-                                                         "beta.segments.json"]
-
 
 class TestPipelineCommand:
     def test_artifacts_and_expected_rows(self, tmp_path, capsys):
@@ -450,7 +462,8 @@ class TestPipelineCommand:
         assert main([*args, "--out-dir", str(tmp_path / "r2")]) == 0
         assert read_tree(tmp_path / "r1") == read_tree(tmp_path / "r2")
 
-    @pytest.mark.parametrize("rerun", ["fewer-documents", "same-corpus", "out-dir-default"])
+    # a rerun of the same corpus is a case of TestAllOrNothingRuns
+    @pytest.mark.parametrize("rerun", ["fewer-documents", "out-dir-default"])
     def test_rerun_into_a_non_empty_out_dir_exits_one(self, tmp_path, capsys, monkeypatch,
                                                       rerun):
         corpus = token_corpus(tmp_path)
@@ -484,14 +497,6 @@ class TestPipelineCommand:
         assert f"{corpus}:1:" in err and "not an empty" not in err
         assert read_tree(out) == {"old.txt": b"keep\n"}
 
-    def test_empty_out_dir_is_run_into(self, tmp_path):
-        corpus = token_corpus(tmp_path)
-        args = ["pipeline", str(corpus), *SMALL_FLAGS]
-        (tmp_path / "empty").mkdir()
-        assert main([*args, "--out-dir", str(tmp_path / "empty")]) == 0
-        assert main([*args, "--out-dir", str(tmp_path / "fresh")]) == 0
-        assert read_tree(tmp_path / "empty") == read_tree(tmp_path / "fresh")
-
     def test_corpus_order_does_not_change_document_bytes(self, tmp_path):
         docs = [{"id": name, "tokens": [(7 * i + len(name)) % 64 for i in range(30)]}
                 for name in ("first", "second", "third")]
@@ -522,17 +527,51 @@ class TestAllOrNothingRuns:
     """A run appears whole or not at all: one that fails leaves ``--out-dir`` as it was."""
 
     @staticmethod
-    def fail_second_call(monkeypatch, name, exc):
+    def fail_call(monkeypatch, name, exc, nth):
         import chunkfuse.cli as cli_mod
         real, calls = getattr(cli_mod, name), []
 
-        def second_fails(*args, **kwargs):
+        def nth_fails(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 2:
+            if len(calls) == nth:
                 raise exc
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, name, second_fails)
+        monkeypatch.setattr(cli_mod, name, nth_fails)
+
+    # each subcommand reruns into its own out-dir, and each other one into a pipeline run
+    @pytest.mark.parametrize("earlier, command", [
+        *[(command, command) for command in sorted(OUT_DIR_RUNS)],
+        *[("pipeline", command) for command in sorted(OUT_DIR_RUNS) if command != "pipeline"],
+    ])
+    def test_rerun_into_a_used_out_dir_exits_one(self, tmp_path, capsys, monkeypatch,
+                                                 earlier, command):
+        out = tmp_path / "run"
+        assert main([*OUT_DIR_RUNS[earlier](tmp_path), "--out-dir", str(out)]) == 0
+        before = read_tree(out)
+        assert before
+        argv = [*OUT_DIR_RUNS[command](tmp_path), "--out-dir", str(out)]
+        calls = count_encode_calls(monkeypatch)
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out-dir {out} exists and is not an empty directory\n"
+        assert read_tree(out) == before
+        assert calls == []
+
+    @pytest.mark.parametrize("command", sorted(OUT_DIR_RUNS))
+    def test_empty_out_dir_is_run_into(self, tmp_path, monkeypatch, command):
+        import chunkfuse.pipeline as pipeline_mod
+        argv = OUT_DIR_RUNS[command](tmp_path)
+        (tmp_path / "empty").mkdir()
+        for name in ("empty", "fresh"):
+            # a clock that ticks once per read gives both runs the same wall-clock columns
+            monkeypatch.setattr(pipeline_mod, "time",
+                                SimpleNamespace(perf_counter=itertools.count().__next__))
+            assert main([*argv, "--out-dir", str(tmp_path / name)]) == 0
+        assert read_tree(tmp_path / "empty") == read_tree(tmp_path / "fresh")
+        assert read_tree(tmp_path / "fresh")
 
     @pytest.mark.parametrize("exc, code", [(RuntimeError("wired for the test"), 2),
                                            (InputError("wired for the test"), 1),
@@ -546,7 +585,7 @@ class TestAllOrNothingRuns:
         if existing:
             out.mkdir()
         before = sorted(os.listdir(tmp_path))
-        self.fail_second_call(monkeypatch, "run_document", exc)
+        self.fail_call(monkeypatch, "run_document", exc, nth=2)
         argv = ["pipeline", str(corpus), "--out-dir", str(out), *SMALL_FLAGS]
         if code is None:
             with pytest.raises(KeyboardInterrupt):
@@ -559,9 +598,19 @@ class TestAllOrNothingRuns:
 
     def test_segment_failing_on_its_second_file(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "seg"
-        self.fail_second_call(monkeypatch, "_write_json", OSError("disk full, wired for the test"))
+        self.fail_call(monkeypatch, "_write_json", OSError("disk full, wired for the test"),
+                       nth=2)
         assert main(["segment", str(CORPORA / "tiny_tokens.jsonl"), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == "error: disk full, wired for the test\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_bench_failing_on_verdict_json_leaves_no_scaling_csv(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        out = tmp_path / "bench"
+        self.fail_call(monkeypatch, "_write_json", OSError("disk full, wired for the test"),
+                       nth=1)
+        assert main([*OUT_DIR_RUNS["bench"](tmp_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.endswith("error: disk full, wired for the test\n")
         assert os.listdir(tmp_path) == []
 
     def test_out_dir_filled_during_the_run_exits_one(self, tmp_path, monkeypatch, capsys):
@@ -602,13 +651,13 @@ class TestAllOrNothingRuns:
         assert err.startswith("error: ") and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["a", "b"]
 
-    @pytest.mark.parametrize("command", ["pipeline", "segment"])
+    @pytest.mark.parametrize("command", sorted(OUT_DIR_RUNS))
     def test_out_dir_gets_the_mode_of_a_plain_mkdir(self, tmp_path, command):
         umask = os.umask(0o022)  # a umask under which mkdtemp's 0700 would show
         try:
             (tmp_path / "plain").mkdir()
-            assert main([command, str(token_corpus(tmp_path)), "--out-dir",
-                         str(tmp_path / "run"), *SMALL_FLAGS]) == 0
+            assert main([*OUT_DIR_RUNS[command](tmp_path), "--out-dir",
+                         str(tmp_path / "run")]) == 0
         finally:
             os.umask(umask)
         assert (tmp_path / "run").stat().st_mode == (tmp_path / "plain").stat().st_mode
@@ -619,6 +668,15 @@ class TestAllOrNothingRuns:
         corpus.write_text("")
         assert main([command, str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
         assert os.listdir(tmp_path) == ["empty.jsonl"]
+
+    @pytest.mark.parametrize("command", ["pipeline", "segment"])
+    def test_empty_corpus_exits_zero_before_the_out_dir_check(self, tmp_path, command):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("")
+        (tmp_path / "used").mkdir()
+        (tmp_path / "used" / "old.txt").write_text("keep\n")
+        assert main([command, str(corpus), "--out-dir", str(tmp_path / "used")]) == 0
+        assert read_tree(tmp_path / "used") == {"old.txt": b"keep\n"}
 
 
 # the README config on one 50k-token document: about 1k chunks and a 10k-row memory
@@ -838,6 +896,31 @@ class TestProbeCommand:
                      "--n-docs", "2", *SMALL_FLAGS]) == 0
         assert len(calls) == 2 * 4
 
+    def test_base_alpha_is_not_run(self, capsys):
+        # as in ablate, each --alphas entry replaces the merged config's alpha
+        argv = ["probe", "--alphas", "0,1", "--n-chunks", "4", "--n-docs", "1", *SMALL_FLAGS]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert main([*argv, "--alpha", "3"]) == 0
+        assert capsys.readouterr().out == expected
+
+    # every draw reads its seed modulo 2**64, so -1 would write the probe of 2**64 - 1
+    @pytest.mark.parametrize("doc_seed, n_docs", [(-1, 1), (2**64, 1), (2**64 - 1, 2)])
+    def test_doc_seed_outside_64_bits_exits_one(self, tmp_path, capsys, monkeypatch,
+                                                doc_seed, n_docs):
+        calls = count_encode_calls(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["probe", "--doc-seed", str(doc_seed), "--n-docs", str(n_docs),
+                     "--n-chunks", "4", "--out-dir", str(out), *SMALL_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --doc-seed {doc_seed}: ") and "[0, 2**64)" in err
+        assert calls == []
+        assert not out.exists()
+
+    def test_largest_doc_seeds_are_run(self, capsys):
+        assert main(["probe", "--doc-seed", str(2**64 - 2), "--n-docs", "2",
+                     "--n-chunks", "4", *SMALL_FLAGS]) == 0
+
     def test_reads_no_corpus(self, tmp_path, capsys):
         # a corpus sweep over alpha is `ablate --axis alpha`
         assert main(["probe", "--corpus", str(token_corpus(tmp_path))]) == 1
@@ -878,25 +961,14 @@ class TestListAndCountFlags:
 class TestOutDirThatIsAFile:
     """Checked before the first encode, so no work is thrown away."""
 
-    COMMANDS = {
-        "ablate": lambda tmp: ["ablate", str(identical_chunk_corpus(tmp)),
-                               "--axis", "alpha", "--values", "0.5", *SMALL_FLAGS],
-        "bench": lambda tmp: ["bench", "--lengths", "16,32,64,128", "--repeats", "1",
-                              *SMALL_FLAGS],
-        "pipeline": lambda tmp: ["pipeline", str(token_corpus(tmp)), *SMALL_FLAGS],
-        "probe": lambda tmp: ["probe", "--n-chunks", "4", "--n-docs", "1", *SMALL_FLAGS],
-        "rouge": lambda tmp: ["rouge", *[str(CORPORA / "tiny_text.jsonl")] * 2],
-        "segment": lambda tmp: ["segment", str(token_corpus(tmp)), *SMALL_FLAGS],
-    }
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("command", sorted(OUT_DIR_RUNS))
     @pytest.mark.parametrize("below", [False, True])
     def test_exits_one_naming_the_path(self, tmp_path, capsys, monkeypatch, command, below):
         calls = count_encode_calls(monkeypatch)
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
         out = afile / "sub" if below else afile
-        argv = [*self.COMMANDS[command](tmp_path), "--out-dir", str(out)]
+        argv = [*OUT_DIR_RUNS[command](tmp_path), "--out-dir", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(afile) in err

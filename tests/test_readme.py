@@ -10,6 +10,7 @@ reads files the README only names, are parsed but not run, so a flag
 renamed in either still fails here.
 """
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -38,6 +39,12 @@ def readme_commands() -> dict[str, list[str]]:
 
 def test_readme_lists_every_checked_command():
     assert set(CHECKED + PARSED) <= set(readme_commands())
+
+
+def test_every_subcommand_is_checked_or_parsed():
+    (subcommands,) = [action.choices for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(CHECKED + PARSED) == sorted(subcommands)
 
 
 @pytest.mark.parametrize("command", CHECKED)
