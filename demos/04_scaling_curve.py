@@ -31,7 +31,8 @@ print(f"\nlog-log slope of total time vs N: {report.slope:.3f} "
       "(1.0 means perfectly linear)")
 print(f"fusion cost relative to encoding at the largest N: "
       f"{report.fuse_encode_ratio:.4f}")
+largest = report.points[-1]
 print(f"decoder-input compression vs naive concatenation: "
-      f"{report.compression_ratio:.4f}")
+      f"{largest.memory_rows / largest.naive_rows:.4f}")
 if not report.reliable:
     print("note: smallest point ran close to timer resolution")

@@ -43,7 +43,6 @@ class ScalingPoint:
 class ScalingReport:
     points: tuple[ScalingPoint, ...]
     slope: float
-    compression_ratio: float
     fuse_encode_ratio: float
     reliable: bool
 
@@ -140,7 +139,6 @@ def run_scaling(
     return ScalingReport(
         points=tuple(points),
         slope=slope,
-        compression_ratio=(2 * cfg.boundary_width + cfg.middle_count) / cfg.chunk_len,
         fuse_encode_ratio=largest.fuse_seconds / largest.encode_seconds,
         reliable=points[0].total_seconds >= MIN_RELIABLE_SECONDS,
     )

@@ -40,6 +40,7 @@ ENV_PREFIX = "CHUNKFUSE_"
 _CONFIG_FIELDS = {f.name: f for f in fields(PipelineConfig)}
 _DECODE_PREFIX = [0]
 _DECODE_STEPS = 16
+_NAME_MAX = 255  # bytes in one file name on common file systems
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,11 +227,13 @@ def _read_corpus(path: Path) -> tuple[list[tuple[str, str, tuple[int, ...]]], di
     return docs, None
 
 
-def _check_file_names(docs: Sequence[tuple[str, str, object]]) -> None:
-    """Reject two ids that sanitize to one file name, naming both."""
+def _check_file_names(docs: Sequence[tuple[str, str, object]], suffix: str = "") -> None:
+    """Reject an id whose file name, ``suffix`` appended, is too long, or two ids of one name."""
     seen: dict[str, str] = {}
     for where, doc_id, _ in docs:
         name = _safe_id(doc_id)
+        if len(name + suffix) > _NAME_MAX:  # a safe name is ASCII: one byte a character
+            raise InputError(f"{where}: {len(name + suffix)}-byte file name, over {_NAME_MAX}")
         if name in seen:
             raise InputError(f"{seen[name]} and {where} both write to file name {name!r}")
         seen[name] = where
@@ -331,7 +334,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     docs, _ = _read_corpus(args.corpus)
     if args.out_dir is not None:
-        _check_file_names(docs)
+        _check_file_names(docs, ".segments.json")
     # a corpus with no documents creates nothing
     with _published(args.out_dir if docs else None) as out_dir:
         for _, doc_id, tokens in docs:
@@ -405,6 +408,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     labelled = _parse_list("--values", args.values, lambda raw: (
         f" at {args.axis} {raw}", PipelineConfig(**{**values, field: _field_type(field)(raw)})))
     variants, docs, _ = _load_checked(args.corpus, labelled, PROBE_MIN_CHUNKS)
+    if not docs:
+        raise InputError(f"corpus {args.corpus} holds no documents; the probe needs one")
     with _published(args.out_dir) as out_dir:
         weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
         rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]

@@ -3,8 +3,8 @@
 Proves the fused sequence is consumable by a standard encoder-decoder
 stack: masked self-attention over the prefix, cross-attention over
 every memory row, feed-forward, all with frozen seeded weights. The
-stack is the encoder's: its config type, block draw and attention
-routine, with cross-attention taking keys and values from the memory. No
+stack is the encoder's config, routine and draws: a layer is an encoder
+block plus a cross record over the memory, in one fixed draw order. No
 generation loop lives here; callers repeat :func:`decode_step` for
 greedy demos. The last layer's cross-attention (averaged over heads)
 is returned for attention accounting.
@@ -20,9 +20,11 @@ import numpy as np
 
 from .cumulation import CHUNK, FusedSequence
 from .encoder import (
+    AttentionWeights,
     LayerWeights,
     ModelConfig,
     _attention,
+    _draw_attention,
     _draw_layer,
     _feed_forward,
     _layer_norm,
@@ -35,11 +37,8 @@ from .numerics import SeededRng, check_finite
 
 @dataclass(frozen=True)
 class DecoderLayerWeights:
-    self_attn: LayerWeights
-    cross_q: np.ndarray
-    cross_k: np.ndarray
-    cross_v: np.ndarray
-    cross_o: np.ndarray
+    block: LayerWeights
+    cross: AttentionWeights
 
 
 @dataclass(frozen=True)
@@ -53,23 +52,18 @@ def init_decoder_weights(cfg: ModelConfig) -> DecoderWeights:
     """Seeded Gaussian decoder weights; draw order fixed and documented.
 
     Embedding first, then per layer: self q, k, v, o, ff w1, w2 (the
-    encoder's block draw), cross q, k, v, o; finally the output
-    projection. Same 1/sqrt(fan_in) scaling as the encoder.
+    encoder's block draw), cross q, k, v, o (its attention draw);
+    finally the output projection. The records group the arrays without
+    changing this order, which fixes every array. Same 1/sqrt(fan_in)
+    scaling as the encoder.
     """
     rng = SeededRng(cfg.seed)
     d = cfg.d_model
     std = 1.0 / math.sqrt(d)
     embedding = rng.normal_matrix(cfg.vocab_size, d, std=std)
-    layers = tuple(
-        DecoderLayerWeights(
-            self_attn=_draw_layer(rng, cfg),
-            cross_q=rng.normal_matrix(d, d, std=std),
-            cross_k=rng.normal_matrix(d, d, std=std),
-            cross_v=rng.normal_matrix(d, d, std=std),
-            cross_o=rng.normal_matrix(d, d, std=std),
-        )
-        for _ in range(cfg.n_layers)
-    )
+    layers = tuple(DecoderLayerWeights(block=_draw_layer(rng, cfg),
+                                       cross=_draw_attention(rng, d))
+                   for _ in range(cfg.n_layers))
     out_proj = rng.normal_matrix(d, cfg.vocab_size, std=std)
     return DecoderWeights(embedding=embedding, layers=layers, out_proj=out_proj)
 
@@ -107,14 +101,12 @@ def decode_step(
 
     h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:n]
     for lw in weights.layers:
-        sa = lw.self_attn
         x = _layer_norm(h)
-        h = h + _attention(x, x, sa.wq, sa.wk, sa.wv, sa.wo, cfg.n_heads, mask)[0]
+        h = h + _attention(x, x, lw.block.attn, cfg.n_heads, mask)[0]
         # cross-attention over the raw memory rows
-        out, cross = _attention(_layer_norm(h), memory.flattened, lw.cross_q, lw.cross_k,
-                                lw.cross_v, lw.cross_o, cfg.n_heads)
+        out, cross = _attention(_layer_norm(h), memory.flattened, lw.cross, cfg.n_heads)
         h = h + out
-        h = h + _feed_forward(_layer_norm(h), sa)
+        h = h + _feed_forward(_layer_norm(h), lw.block)
 
     logits = _layer_norm(h) @ weights.out_proj
     check_finite(logits, "decoder logits")

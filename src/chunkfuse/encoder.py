@@ -6,9 +6,9 @@ every chunk is encoded independently with sinusoidal positions that
 restart at 0. Pre-norm blocks keep activations bounded at random
 initialization. There is no dropout, no padding mask (chunks contain
 only real tokens), and nothing is ever trained. :func:`encode` computes
-only the top-layer rows its caller keeps. The decoder is built
-from the same parts: :class:`ModelConfig`, the per-block weight draw
-and the one attention routine.
+only the top-layer rows its caller keeps. The decoder is built from
+the same parts: :class:`ModelConfig`, the block and attention draws in
+one fixed order, and the one attention routine.
 """
 
 from __future__ import annotations
@@ -48,11 +48,16 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class LayerWeights:
+class AttentionWeights:
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
+
+
+@dataclass(frozen=True)
+class LayerWeights:
+    attn: AttentionWeights
     w1: np.ndarray
     w2: np.ndarray
 
@@ -63,18 +68,18 @@ class EncoderWeights:
     layers: tuple[LayerWeights, ...]
 
 
+def _draw_attention(rng: SeededRng, d: int) -> AttentionWeights:
+    """One attention sublayer's q, k, v, o, in that order, each (d x d), filled row-major."""
+    std = 1.0 / math.sqrt(d)
+    return AttentionWeights(*(rng.normal_matrix(d, d, std=std) for _ in range(4)))
+
+
 def _draw_layer(rng: SeededRng, cfg: ModelConfig) -> LayerWeights:
     """One block's q, k, v, o, w1, w2, in that order, each filled row-major."""
     d = cfg.d_model
-    std = 1.0 / math.sqrt(d)
-    return LayerWeights(
-        wq=rng.normal_matrix(d, d, std=std),
-        wk=rng.normal_matrix(d, d, std=std),
-        wv=rng.normal_matrix(d, d, std=std),
-        wo=rng.normal_matrix(d, d, std=std),
-        w1=rng.normal_matrix(d, cfg.d_ff, std=std),
-        w2=rng.normal_matrix(cfg.d_ff, d, std=1.0 / math.sqrt(cfg.d_ff)),
-    )
+    return LayerWeights(attn=_draw_attention(rng, d),
+                        w1=rng.normal_matrix(d, cfg.d_ff, std=1.0 / math.sqrt(d)),
+                        w2=rng.normal_matrix(cfg.d_ff, d, std=1.0 / math.sqrt(cfg.d_ff)))
 
 
 def init_weights(cfg: ModelConfig) -> EncoderWeights:
@@ -144,10 +149,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def _attention(
     x: np.ndarray,
     source: np.ndarray,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
-    wo: np.ndarray,
+    w: AttentionWeights,
     n_heads: int,
     mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -160,15 +162,15 @@ def _attention(
     and the softmax all run in the one scores array this call allocates.
     """
     head_dim = x.shape[1] // n_heads
-    q = _split_heads(x @ wq, n_heads)
-    k = _split_heads(source @ wk, n_heads)
-    v = _split_heads(source @ wv, n_heads)
+    q = _split_heads(x @ w.wq, n_heads)
+    k = _split_heads(source @ w.wk, n_heads)
+    v = _split_heads(source @ w.wv, n_heads)
     scores = q @ k.transpose(0, 2, 1)
     scores /= math.sqrt(head_dim)
     if mask is not None:
         scores += mask
     attn = _softmax_last(scores)
-    return _merge_heads(attn @ v) @ wo, attn
+    return _merge_heads(attn @ v) @ w.wo, attn
 
 
 def _token_ids(tokens, cfg: ModelConfig, what: str) -> np.ndarray:
@@ -214,6 +216,6 @@ def encode(
     for li, lw in enumerate(weights.layers):
         rows = keep if li == top else slice(None)  # the top block updates kept rows only
         x = _layer_norm(h)
-        h = h[rows] + _attention(x[rows], x, lw.wq, lw.wk, lw.wv, lw.wo, cfg.n_heads)[0]
+        h = h[rows] + _attention(x[rows], x, lw.attn, cfg.n_heads)[0]
         h = h + _feed_forward(_layer_norm(h), lw)
     return check_finite(_layer_norm(h), "window encoding")

@@ -256,6 +256,37 @@ class TestFileNameCollisions:
         assert [json.loads(line)["id"] for line in lines] == ["a/b", "other", "a_b"]
 
 
+class TestFileNameLength:
+    """An id whose file name would pass 255 bytes exits 1 before any encode, naming it."""
+
+    # the command, its longest id, and the file or directory that id writes
+    CASES = [(["pipeline"], 255, "docs/{}"), (["segment"], 241, "{}.segments.json")]
+
+    @pytest.mark.parametrize("command,longest,written", CASES, ids=["pipeline", "segment"])
+    def test_longest_id_runs(self, tmp_path, command, longest, written):
+        doc_id = "b" * longest
+        path = write_corpus(tmp_path / "c.jsonl", [{"id": doc_id, "tokens": [1, 2, 3, 4]}])
+        out = tmp_path / "run"
+        assert main([*command, str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 0
+        assert (out / written.format(doc_id)).exists()
+
+    @pytest.mark.parametrize("command,longest,written", CASES, ids=["pipeline", "segment"])
+    def test_one_byte_more_exits_one_naming_the_document(self, tmp_path, capsys, monkeypatch,
+                                                         command, longest, written):
+        calls = count_encode_calls(monkeypatch)
+        doc_id = "b" * (longest + 1)
+        path = write_corpus(tmp_path / "c.jsonl", [
+            {"id": "first", "tokens": [1, 2, 3]},
+            {"id": doc_id, "tokens": [1, 2, 3, 4]},
+        ])
+        out = tmp_path / "run"
+        assert main([*command, str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 1
+        assert capsys.readouterr().err == (f"error: {path}:2: document {doc_id!r}: "
+                                           "256-byte file name, over 255\n")
+        assert calls == []
+        assert not out.exists()
+
+
 class TestCorpusChecks:
     """Per-document checks against the config run before anything is written."""
 
@@ -677,6 +708,24 @@ class TestAllOrNothingRuns:
         (tmp_path / "used" / "old.txt").write_text("keep\n")
         assert main([command, str(corpus), "--out-dir", str(tmp_path / "used")]) == 0
         assert read_tree(tmp_path / "used") == {"old.txt": b"keep\n"}
+
+    @pytest.mark.parametrize("used", [False, True])
+    def test_ablate_empty_corpus_exits_one_naming_it_before_any_work(self, tmp_path, capsys,
+                                                                       monkeypatch, used):
+        monkeypatch.setattr("chunkfuse.cli.init_weights",
+                            lambda cfg: pytest.fail("ablate drew weights for no documents"))
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("")
+        if used:
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "old.txt").write_text("keep\n")
+        before = read_tree(tmp_path)
+        assert main(["ablate", str(corpus), "--axis", "alpha", "--values", "0.5",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: corpus {corpus} holds no documents; the probe needs one\n"
+        assert read_tree(tmp_path) == before
+        assert (tmp_path / "out").exists() == used
 
 
 # the README config on one 50k-token document: about 1k chunks and a 10k-row memory

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from oracles import kept_rows, layer_norm_mean_var, softmax_out_of_place, synthetic_chunks
@@ -115,7 +117,9 @@ def test_decoder_weights_deterministic():
     a, b = init_decoder_weights(cfg), init_decoder_weights(cfg)
     np.testing.assert_array_equal(a.embedding, b.embedding)
     np.testing.assert_array_equal(a.out_proj, b.out_proj)
-    np.testing.assert_array_equal(a.layers[0].cross_k, b.layers[0].cross_k)
+    for name in [f.name for f in fields(a.layers[0].cross)]:
+        np.testing.assert_array_equal(getattr(a.layers[0].cross, name),
+                                      getattr(b.layers[0].cross, name))
 
 
 @pytest.mark.parametrize("kind", ["causal self-attention", "cross-attention"])
@@ -128,14 +132,14 @@ def test_attention_leaves_its_inputs_unchanged(kind):
     n = 5
     x = rng.normal(size=(n, cfg.d_model))
     if kind == "causal self-attention":
-        sa = lw.self_attn
-        args = (x, x, sa.wq, sa.wk, sa.wv, sa.wo, cfg.n_heads, _causal_mask(n))
+        source, w, mask = x, lw.block.attn, _causal_mask(n)
     else:
-        args = (x, memory.flattened, lw.cross_q, lw.cross_k, lw.cross_v, lw.cross_o,
-                cfg.n_heads, None)
-    arrays = [a for a in args if isinstance(a, np.ndarray)]
+        source, w, mask = memory.flattened, lw.cross, None
+    weights = [getattr(w, f.name) for f in fields(w)]
+    assert len(weights) == 4  # q, k, v and o
+    arrays = [a for a in (x, source, mask) if a is not None] + weights
     before = [a.tobytes() for a in arrays]
-    _attention(*args)
+    _attention(x, source, w, cfg.n_heads, mask)
     assert [a.tobytes() for a in arrays] == before
 
 

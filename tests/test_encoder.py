@@ -45,7 +45,7 @@ def test_init_deterministic():
     w1, w2 = init_weights(cfg), init_weights(cfg)
     np.testing.assert_array_equal(w1.embedding, w2.embedding)
     for a, b in zip(w1.layers, w2.layers):
-        np.testing.assert_array_equal(a.wq, b.wq)
+        np.testing.assert_array_equal(a.attn.wq, b.attn.wq)
         np.testing.assert_array_equal(a.w2, b.w2)
 
 
@@ -58,7 +58,7 @@ def test_init_seeds_differ():
 def test_init_variance_matches_fan_in():
     cfg = ModelConfig(vocab_size=8, d_model=64, n_heads=4, n_layers=1,
                       d_ff=64, max_len=8, seed=5)
-    wq = init_weights(cfg).layers[0].wq
+    wq = init_weights(cfg).layers[0].attn.wq
     assert wq.shape == (64, 64)
     assert abs(wq.var() - 1.0 / 64) / (1.0 / 64) < 0.2
 
@@ -116,7 +116,7 @@ def test_attention_rows_sum_to_one_every_layer():
     x = _layer_norm(w.embedding[:10] + sinusoidal_positions(10, cfg.d_model))
     for lw in w.layers:
         for queries in (x, x[[0, 1, 5, 9, 9]]):
-            _, attn = _attention(queries, x, lw.wq, lw.wk, lw.wv, lw.wo, cfg.n_heads)
+            _, attn = _attention(queries, x, lw.attn, cfg.n_heads)
             assert attn.shape == (cfg.n_heads, len(queries), 10)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -220,7 +220,7 @@ THREAD_GUARD_CONFIGS = [
 THREAD_GUARD_SCRIPT = """
 import json, sys
 import numpy as np
-from chunkfuse.encoder import EncoderWeights, LayerWeights, encode
+from chunkfuse.encoder import AttentionWeights, EncoderWeights, LayerWeights, encode
 from chunkfuse.pipeline import PipelineConfig, encode_document
 
 for fields in json.loads(sys.argv[1]):
@@ -229,7 +229,8 @@ for fields in json.loads(sys.argv[1]):
     rng = np.random.default_rng(fields["seed"])
     draw = lambda *shape: rng.normal(size=shape) / np.sqrt(shape[0])
     weights = EncoderWeights(draw(cfg.vocab_size, d), tuple(
-        LayerWeights(draw(d, d), draw(d, d), draw(d, d), draw(d, d), draw(d, f), draw(f, d))
+        LayerWeights(AttentionWeights(draw(d, d), draw(d, d), draw(d, d), draw(d, d)),
+                     draw(d, f), draw(f, d))
         for _ in range(cfg.n_layers)))
     tokens = rng.integers(0, cfg.vocab_size, 3 * cfg.chunk_len - 2 * cfg.overlap).tolist()
     segs, rows, positions = encode_document(tokens, cfg, weights, "guard")
