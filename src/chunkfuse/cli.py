@@ -309,7 +309,8 @@ def _published(out_dir: Path | None) -> Iterator[Path | None]:
     # RuntimeError, an exit 2, on a symlink loop before Python 3.13
     target = Path(os.path.realpath(out_dir))
     target.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent) as sibling:
+    # a fixed prefix: ``target.name`` plus 10 bytes could pass the 255-byte name limit
+    with tempfile.TemporaryDirectory(prefix=".chunkfuse-", dir=target.parent) as sibling:
         # a plain mkdir gives the umask's mode, where the sibling has 0700
         build = Path(sibling) / "run"
         build.mkdir()

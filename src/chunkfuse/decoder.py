@@ -4,10 +4,10 @@ Proves the fused sequence is consumable by a standard encoder-decoder
 stack: masked self-attention over the prefix, cross-attention over
 every memory row, feed-forward, all with frozen seeded weights. The
 stack is the encoder's config, routine and draws: a layer is an encoder
-block plus a cross record over the memory, in one fixed draw order. No
-generation loop lives here; callers repeat :func:`decode_step` for
-greedy demos. The last layer's cross-attention (averaged over heads)
-is returned for attention accounting.
+block plus a cross record over the memory, in one fixed draw order. A
+:class:`DecoderMemory` projects a memory's keys and values once; callers
+repeat :func:`decode_pass` over it for greedy demos. The last layer's
+cross-attention is returned for attention accounting.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .encoder import (
     _draw_attention,
     _draw_layer,
     _feed_forward,
+    _keys_values,
     _layer_norm,
     _token_ids,
     sinusoidal_positions,
@@ -79,38 +80,56 @@ def _causal_mask(n: int) -> np.ndarray:
     return mask
 
 
-def decode_step(
+class DecoderMemory:
+    """The decoder weights and each layer's cross ``_keys_values`` of ``memory.flattened``."""
+
+    def __init__(self, memory: FusedSequence, cfg: ModelConfig):
+        if memory.width != cfg.d_model:
+            raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
+        self.cfg = cfg
+        self.weights = _cached_weights(cfg)
+        self.keys_values = tuple(_keys_values(memory.flattened, lw.cross, cfg.n_heads)
+                                 for lw in self.weights.layers)
+
+
+def decode_pass(
     prefix: list[int] | tuple[int, ...],
-    memory: FusedSequence,
-    cfg: ModelConfig,
+    memory: DecoderMemory,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder forward pass over ``prefix`` and the fused memory.
+    """One decoder forward pass over ``prefix`` and a bound memory.
 
     Returns per-position next-token logits (prefix length x vocab; the
     last row scores the continuation) and the final layer's
-    head-averaged cross-attention (prefix length x memory rows). The
-    memory is read as ``flattened`` lays it out, chunk after chunk.
+    cross-attention (heads x prefix length x memory rows).
     """
+    cfg, weights = memory.cfg, memory.weights
     ids = _token_ids(prefix, cfg, "prefix")
-    if memory.width != cfg.d_model:
-        raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
-
-    weights = _cached_weights(cfg)
     n = ids.size
     mask = _causal_mask(n)
 
     h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:n]
-    for lw in weights.layers:
+    for lw, kv in zip(weights.layers, memory.keys_values):
         x = _layer_norm(h)
-        h = h + _attention(x, x, lw.block.attn, cfg.n_heads, mask)[0]
-        # cross-attention over the raw memory rows
-        out, cross = _attention(_layer_norm(h), memory.flattened, lw.cross, cfg.n_heads)
+        h = h + _attention(x, _keys_values(x, lw.block.attn, cfg.n_heads),
+                           lw.block.attn, cfg.n_heads, mask)[0]
+        cross = None  # frees the previous layer's probabilities before these scores exist
+        out, cross = _attention(_layer_norm(h), kv, lw.cross, cfg.n_heads)
         h = h + out
         h = h + _feed_forward(_layer_norm(h), lw.block)
 
     logits = _layer_norm(h) @ weights.out_proj
     check_finite(logits, "decoder logits")
     # ModelConfig admits no fewer than one layer, so ``cross`` is the last layer's
+    return logits, cross
+
+
+def decode_step(
+    prefix: list[int] | tuple[int, ...],
+    memory: FusedSequence,
+    cfg: ModelConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One :func:`decode_pass`; its cross-attention averaged over heads (prefix length x rows)."""
+    logits, cross = decode_pass(prefix, DecoderMemory(memory, cfg))
     return logits, cross.mean(axis=0)
 
 

@@ -146,25 +146,29 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
+def _keys_values(source: np.ndarray, w: AttentionWeights, n_heads: int) -> tuple[np.ndarray, ...]:
+    """The (heads x rows x head dim) keys and values that ``_attention`` reads from ``source``."""
+    return _split_heads(source @ w.wk, n_heads), _split_heads(source @ w.wv, n_heads)
+
+
 def _attention(
     x: np.ndarray,
-    source: np.ndarray,
+    kv: tuple[np.ndarray, np.ndarray],
     w: AttentionWeights,
     n_heads: int,
     mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head attention of the rows of ``x`` over the rows of ``source``.
+    """Multi-head attention of the rows of ``x`` over ``kv``, the ``_keys_values`` of a source.
 
-    Self-attention passes ``x`` as ``source``; cross-attention passes the
+    Self-attention passes those of ``x``; cross-attention those of the
     memory. ``mask`` is additive (0 or -inf) if given. Returns the
     projected output and the (heads x queries x keys) probabilities.
-    ``x``, ``source`` and ``mask`` are left unchanged: scaling, masking
-    and the softmax all run in the one scores array this call allocates.
+    ``x``, ``kv`` and ``mask`` are left unchanged: scaling, masking and
+    the softmax all run in the one scores array this call allocates.
     """
     head_dim = x.shape[1] // n_heads
     q = _split_heads(x @ w.wq, n_heads)
-    k = _split_heads(source @ w.wk, n_heads)
-    v = _split_heads(source @ w.wv, n_heads)
+    k, v = kv
     scores = q @ k.transpose(0, 2, 1)
     scores /= math.sqrt(head_dim)
     if mask is not None:
@@ -216,6 +220,7 @@ def encode(
     for li, lw in enumerate(weights.layers):
         rows = keep if li == top else slice(None)  # the top block updates kept rows only
         x = _layer_norm(h)
-        h = h[rows] + _attention(x[rows], x, lw.attn, cfg.n_heads)[0]
+        h = h[rows] + _attention(x[rows], _keys_values(x, lw.attn, cfg.n_heads),
+                                 lw.attn, cfg.n_heads)[0]
         h = h + _feed_forward(_layer_norm(h), lw)
     return check_finite(_layer_norm(h), "window encoding")

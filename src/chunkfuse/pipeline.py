@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cumulation, encoder
-from .decoder import decode_step
+from .decoder import DecoderMemory, decode_pass
 from .encoder import EncoderWeights, ModelConfig, init_weights
 from .errors import ConfigError, InputError
 from .numerics import SeededRng, fnv1a64
@@ -201,9 +201,10 @@ def greedy_decode(
     cfg: ModelConfig,
     steps: int,
 ) -> list[int]:
-    """Repeat decode_step, appending the argmax token each time."""
+    """Run ``steps`` decode passes over one bound memory, appending the argmax token each time."""
+    bound = DecoderMemory(memory, cfg)
     out = list(prefix)
     for _ in range(steps):
-        logits, _ = decode_step(out, memory, cfg)
+        logits = decode_pass(out, bound)[0]
         out.append(int(logits[-1].argmax()))
     return out

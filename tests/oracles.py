@@ -23,7 +23,9 @@ parser, and ``next_u64``, ``randint_below``, ``uniform``, ``gaussian``,
 ``sample_indices_per_value`` the draw-at-a-time forms of ``SeededRng``'s
 block-wise streams. ``softmax_out_of_place`` and ``layer_norm_mean_var``
 are the textbook forms of the encoder's in-place softmax and one-pass
-layer norm, each step in a new array.
+layer norm, each step in a new array. ``decode_uncached`` is the decoder
+pass that projects the memory's keys and values afresh, and
+``greedy_decode_uncached`` repeats it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,28 @@ from typing import Sequence
 
 import numpy as np
 
-from chunkfuse.cumulation import CHUNK, LEFT, MIDDLE, POSITION, RIGHT, ROLE, assemble
-from chunkfuse.encoder import _LN_EPS, init_weights
+from chunkfuse.cumulation import (
+    CHUNK,
+    LEFT,
+    MIDDLE,
+    POSITION,
+    RIGHT,
+    ROLE,
+    FusedSequence,
+    assemble,
+)
+from chunkfuse.decoder import _cached_weights, _causal_mask
+from chunkfuse.encoder import (
+    _LN_EPS,
+    ModelConfig,
+    _attention,
+    _feed_forward,
+    _keys_values,
+    _layer_norm,
+    _token_ids,
+    init_weights,
+    sinusoidal_positions,
+)
 from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.numerics import SeededRng, as_matrix, check_finite
 from chunkfuse.pipeline import encode_document
@@ -406,3 +428,42 @@ def layer_norm_mean_var(x: np.ndarray) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + _LN_EPS)
+
+
+def decode_uncached(
+    prefix: Sequence[int],
+    memory: FusedSequence,
+    cfg: ModelConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One decoder pass that projects the memory's keys and values in every layer.
+
+    Returns the logits and the final layer's (heads x prefix length x
+    memory rows) cross-attention, which ``decode_step`` averages over heads.
+    """
+    ids = _token_ids(prefix, cfg, "prefix")
+    if memory.width != cfg.d_model:
+        raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
+    weights = _cached_weights(cfg)
+    n = ids.size
+    mask = _causal_mask(n)
+    h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:n]
+    for lw in weights.layers:
+        x = _layer_norm(h)
+        h = h + _attention(x, _keys_values(x, lw.block.attn, cfg.n_heads),
+                           lw.block.attn, cfg.n_heads, mask)[0]
+        out, cross = _attention(_layer_norm(h),
+                                _keys_values(memory.flattened, lw.cross, cfg.n_heads),
+                                lw.cross, cfg.n_heads)
+        h = h + out
+        h = h + _feed_forward(_layer_norm(h), lw.block)
+    logits = _layer_norm(h) @ weights.out_proj
+    return check_finite(logits, "decoder logits"), cross
+
+
+def greedy_decode_uncached(prefix: Sequence[int], memory: FusedSequence, cfg: ModelConfig,
+                           steps: int) -> list[int]:
+    """``steps`` :func:`decode_uncached` passes, appending the argmax token each time."""
+    out = list(prefix)
+    for _ in range(steps):
+        out.append(int(decode_uncached(out, memory, cfg)[0][-1].argmax()))
+    return out

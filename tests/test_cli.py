@@ -694,6 +694,14 @@ class TestAllOrNothingRuns:
         assert (tmp_path / "run").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
     @pytest.mark.parametrize("command", ["pipeline", "segment"])
+    def test_out_dir_name_of_250_bytes_is_run_into(self, tmp_path, command):
+        # the staging directory beside it must not lengthen a valid name past 255 bytes
+        out = tmp_path / ("o" * 250)
+        assert main([*OUT_DIR_RUNS[command](tmp_path), "--out-dir", str(out)]) == 0
+        assert read_tree(out)
+        assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", out.name]
+
+    @pytest.mark.parametrize("command", ["pipeline", "segment"])
     def test_empty_corpus_creates_nothing(self, tmp_path, capsys, command):
         corpus = tmp_path / "empty.jsonl"
         corpus.write_text("")

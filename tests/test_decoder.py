@@ -1,20 +1,34 @@
-from dataclasses import fields
+import os
+import subprocess
+import sys
+import tracemalloc
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import kept_rows, layer_norm_mean_var, softmax_out_of_place, synthetic_chunks
+from oracles import (
+    decode_uncached,
+    greedy_decode_uncached,
+    kept_rows,
+    layer_norm_mean_var,
+    softmax_out_of_place,
+    synthetic_chunks,
+)
 
 from chunkfuse import decoder, encoder
 from chunkfuse.cumulation import MIDDLE, assemble
 from chunkfuse.decoder import (
+    DecoderMemory,
     _causal_mask,
     attention_mass_by_chunk,
+    decode_pass,
     decode_step,
     init_decoder_weights,
 )
-from chunkfuse.encoder import ModelConfig, _attention
+from chunkfuse.encoder import ModelConfig, _attention, _keys_values
 from chunkfuse.errors import ConfigError, InputError
-from chunkfuse.pipeline import PipelineConfig, run_document
+from chunkfuse.pipeline import PipelineConfig, greedy_decode, run_document
 
 
 def decoder_config(**overrides) -> ModelConfig:
@@ -137,9 +151,10 @@ def test_attention_leaves_its_inputs_unchanged(kind):
         source, w, mask = memory.flattened, lw.cross, None
     weights = [getattr(w, f.name) for f in fields(w)]
     assert len(weights) == 4  # q, k, v and o
-    arrays = [a for a in (x, source, mask) if a is not None] + weights
+    kv = _keys_values(source, w, cfg.n_heads)
+    arrays = [a for a in (x, source, mask, *kv) if a is not None] + weights
     before = [a.tobytes() for a in arrays]
-    _attention(x, source, w, cfg.n_heads, mask)
+    _attention(x, kv, w, cfg.n_heads, mask)
     assert [a.tobytes() for a in arrays] == before
 
 
@@ -183,6 +198,102 @@ def test_stack_is_bitwise_the_out_of_place_routines(name, monkeypatch):
         monkeypatch.setattr(module, "_layer_norm", counted(module, layer_norm_mean_var))
     assert stack_bytes(cfg) == shipped
     assert len(called) == 3  # every patched routine ran
+
+
+# a memory of one 1200-token document, read by every prefix from 1 to 17 tokens
+PREFIX_LENGTHS = range(1, 18)
+
+
+def stack_memory(cfg: PipelineConfig):
+    """(document tokens, its memory, the decoder config for 17-token prefixes)."""
+    tokens = [(37 * i + 11) % cfg.vocab_size for i in range(1200)]
+    return tokens, run_document(tokens, cfg, doc_id="doc").fused, cfg.decoder_config(17)
+
+
+def assert_passes_match_the_oracle(bound, memory, tokens, cfg):
+    for n in PREFIX_LENGTHS:
+        logits, probs = decode_pass(tokens[:n], bound)
+        want_logits, want_probs = decode_uncached(tokens[:n], memory, cfg)
+        assert logits.tobytes() == want_logits.tobytes(), n
+        assert probs.tobytes() == want_probs.tobytes(), n
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+def test_cached_passes_are_bitwise_the_uncached_oracle(name):
+    tokens, memory, cfg = stack_memory(STACK_CONFIGS[name])
+    assert_passes_match_the_oracle(DecoderMemory(memory, cfg), memory, tokens, cfg)
+    logits, cross = decode_step(tokens[:17], memory, cfg)
+    want_logits, want_probs = decode_uncached(tokens[:17], memory, cfg)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert cross.tobytes() == want_probs.mean(axis=0).tobytes()
+    assert (greedy_decode(tokens[:1], memory, cfg, 16)
+            == greedy_decode_uncached(tokens[:1], memory, cfg, 16))
+
+
+# prints, per stack config, whether the cached passes and greedy tokens equal the oracle's
+CACHED_SCRIPT = """
+import sys
+from oracles import decode_uncached, greedy_decode_uncached
+from test_decoder import PREFIX_LENGTHS, STACK_CONFIGS, stack_memory
+from chunkfuse.decoder import DecoderMemory, decode_pass
+from chunkfuse.pipeline import greedy_decode
+
+for name in sorted(STACK_CONFIGS):
+    tokens, memory, cfg = stack_memory(STACK_CONFIGS[name])
+    bound = DecoderMemory(memory, cfg)
+    same = all(a.tobytes() == b.tobytes()
+               for n in PREFIX_LENGTHS
+               for a, b in zip(decode_pass(tokens[:n], bound),
+                               decode_uncached(tokens[:n], memory, cfg)))
+    print(same and greedy_decode(tokens[:1], memory, cfg, 16)
+          == greedy_decode_uncached(tokens[:1], memory, cfg, 16))
+"""
+
+
+def test_cached_passes_match_the_oracle_at_two_blas_threads():
+    tests = Path(__file__).resolve().parent
+    src = str(Path(encoder.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([src, str(tests), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", CACHED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * len(STACK_CONFIGS)
+
+
+def test_a_bound_memory_never_reads_the_memory_again():
+    tokens, memory, cfg = stack_memory(STACK_CONFIGS["small-window"])
+    copy = replace(memory, blocks=memory.blocks.copy())
+    bound = DecoderMemory(memory, cfg)
+    memory.blocks[...] = np.nan
+    assert_passes_match_the_oracle(bound, copy, tokens, cfg)
+
+
+def test_a_pass_holds_the_cache_and_one_scores_array():
+    # several thousand memory rows, so the (heads x 17 x rows) scores dwarf
+    # every other array of a pass; a second live scores array (the previous
+    # layer's or the previous pass's probabilities) would pass the bound
+    cfg = decoder_config(max_len=17)
+    *_, memory = make_memory(np.random.default_rng(9), n_chunks=400, width=1, middle=8)
+    prefix = list(range(17))
+    scores = cfg.n_heads * len(prefix) * memory.rows * 8
+    decode_pass(prefix, DecoderMemory(memory, cfg))  # draws the weights, fills position tables
+    tracemalloc.start()
+    try:
+        bound = DecoderMemory(memory, cfg)
+        cache = sum(k.nbytes + v.nbytes for k, v in bound.keys_values)
+        tracemalloc.reset_peak()
+        decode_pass(prefix, bound)
+        pass_peak = tracemalloc.get_traced_memory()[1]
+        del bound
+        tracemalloc.reset_peak()
+        greedy_decode(prefix[:1], memory, cfg, 16)
+        greedy_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert memory.rows == 4000
+    assert pass_peak < cache + 1.5 * scores, (pass_peak, cache, scores)
+    assert greedy_peak < cache + 1.5 * scores, (greedy_peak, cache, scores)
 
 
 class TestAttentionMass:

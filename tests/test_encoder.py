@@ -11,6 +11,7 @@ import chunkfuse
 from chunkfuse.encoder import (
     ModelConfig,
     _attention,
+    _keys_values,
     _layer_norm,
     encode,
     init_weights,
@@ -116,7 +117,8 @@ def test_attention_rows_sum_to_one_every_layer():
     x = _layer_norm(w.embedding[:10] + sinusoidal_positions(10, cfg.d_model))
     for lw in w.layers:
         for queries in (x, x[[0, 1, 5, 9, 9]]):
-            _, attn = _attention(queries, x, lw.attn, cfg.n_heads)
+            _, attn = _attention(queries, _keys_values(x, lw.attn, cfg.n_heads),
+                                 lw.attn, cfg.n_heads)
             assert attn.shape == (cfg.n_heads, len(queries), 10)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
