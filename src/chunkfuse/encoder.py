@@ -137,13 +137,8 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    n, d = x.shape
-    return x.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    *lead, n, d = x.shape  # (..., rows, d) to (..., heads, rows, head dim)
+    return x.reshape(*lead, n, n_heads, d // n_heads).swapaxes(-3, -2)
 
 
 def _keys_values(source: np.ndarray, w: AttentionWeights, n_heads: int) -> tuple[np.ndarray, ...]:
@@ -166,24 +161,23 @@ def _attention(
     ``x``, ``kv`` and ``mask`` are left unchanged: scaling, masking and
     the softmax all run in the one scores array this call allocates.
     """
-    head_dim = x.shape[1] // n_heads
     q = _split_heads(x @ w.wq, n_heads)
     k, v = kv
-    scores = q @ k.transpose(0, 2, 1)
-    scores /= math.sqrt(head_dim)
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= math.sqrt(x.shape[-1] // n_heads)
     if mask is not None:
         scores += mask
     attn = _softmax_last(scores)
-    return _merge_heads(attn @ v) @ w.wo, attn
+    return (attn @ v).swapaxes(-3, -2).reshape(x.shape) @ w.wo, attn
 
 
 def _token_ids(tokens, cfg: ModelConfig, what: str) -> np.ndarray:
-    """``tokens`` as int64 ids, checked to be 1 to ``max_len`` of them, each in the vocabulary."""
+    """``tokens`` as int64 ids: rows of 1 to ``max_len`` ids, each in the vocabulary."""
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.size == 0:
         raise InputError(f"{what} is empty")
-    if ids.size > cfg.max_len:
-        raise InputError(f"{what} length {ids.size} exceeds max_len {cfg.max_len}")
+    if ids.shape[-1] > cfg.max_len:
+        raise InputError(f"{what} length {ids.shape[-1]} exceeds max_len {cfg.max_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise InputError(f"{what} token id outside [0, {cfg.vocab_size})")
     return ids
@@ -201,24 +195,24 @@ def encode(
     cfg: ModelConfig,
     keep: np.ndarray,
 ) -> np.ndarray:
-    """Encode one window's token ids to the top-layer hidden states of its ``keep`` rows.
+    """Encode (g x n) windows to the top-layer hidden states of their (g x r) ``keep`` rows.
 
-    Pure function of (tokens, weights, config): embeddings plus
-    positions restarted at 0, then ``n_layers`` pre-norm blocks of
-    self-attention and feed-forward with residuals, then a final norm.
-    Lower blocks update every row; the top block updates only the
-    ``keep`` rows, attending over all rows, and returns a (len(keep) x
-    d_model) array. ``keep=np.arange(n)`` gives the full encoding. A kept
-    row is bitwise the full encoding's unless BLAS picks another kernel
-    for the smaller products: OpenBLAS does for at most 100**3
-    multiply-adds over a long inner dimension, as when under 62 kept rows
-    attend over a 1024-token window with 16-wide heads.
+    Pure function of (tokens, weights, config), each window on its own and
+    every product on the stack: embeddings plus positions restarted at 0,
+    ``n_layers`` pre-norm blocks of self-attention and feed-forward with
+    residuals, a final norm. The top block updates only the ``keep`` rows,
+    attending over all rows of their window. One window is ``tokens[None]``;
+    ``keep=np.arange(n)[None]`` gives its full encoding. A kept row is
+    bitwise the full encoding's unless BLAS picks another kernel for the
+    smaller products: OpenBLAS does for at most 100**3 multiply-adds over a
+    long inner dimension, as when under 62 kept rows attend over a
+    1024-token window with 16-wide heads.
     """
     ids = _token_ids(tokens, cfg, "window")
-    h = weights.embedding[ids] + sinusoidal_positions(ids.size, cfg.d_model)
-    top = len(weights.layers) - 1
-    for li, lw in enumerate(weights.layers):
-        rows = keep if li == top else slice(None)  # the top block updates kept rows only
+    h = weights.embedding[ids] + sinusoidal_positions(ids.shape[-1], cfg.d_model)
+    kept = (np.arange(len(keep))[:, None], keep)  # the top block updates these rows only
+    for li, lw in enumerate(weights.layers, 1):
+        rows = kept if li == len(weights.layers) else slice(None)
         x = _layer_norm(h)
         h = h[rows] + _attention(x[rows], _keys_values(x, lw.attn, cfg.n_heads),
                                  lw.attn, cfg.n_heads)[0]

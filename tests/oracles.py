@@ -11,7 +11,10 @@ brute-force context: the ``mean_of`` average of every block it spans,
 and ``reconstruct`` the round trip back from its windows,
 ``synthetic_chunks`` builds window starts and random encodings,
 ``kept_rows`` picks from them, one chunk at a time, the rows and
-positions ``assemble`` reads, ``fused_by_stages`` one document's
+positions ``assemble`` reads, ``encode_document_per_window`` the
+one-window-per-call reference for ``encode_document``, with
+``gaussian_weights`` as quick stand-in encoder weights,
+``fused_by_stages`` one document's
 memory from ``encode_document`` and ``assemble`` called by hand,
 ``probe_runs`` the assembled sequences the position probe reads,
 ``sweep_per_variant`` the memories of ``sweep`` with every document
@@ -49,18 +52,23 @@ from chunkfuse.cumulation import (
 from chunkfuse.decoder import _cached_weights, _causal_mask
 from chunkfuse.encoder import (
     _LN_EPS,
+    AttentionWeights,
+    EncoderWeights,
+    LayerWeights,
     ModelConfig,
     _attention,
     _feed_forward,
     _keys_values,
     _layer_norm,
     _token_ids,
+    encode,
     init_weights,
     sinusoidal_positions,
 )
 from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.numerics import SeededRng, as_matrix, check_finite
-from chunkfuse.pipeline import encode_document
+from chunkfuse.pipeline import encode_document, middle_rng_for, sample_document_middles
+from chunkfuse.segmenter import segment
 
 
 def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -315,6 +323,44 @@ def kept_rows(encodings: np.ndarray, boundary_width: int, middle_indices,
         rows.append(enc[keep])
         positions.append([start + i for i in keep])
     return np.stack(rows), np.array(positions, dtype=np.int64)
+
+
+def gaussian_weights(cfg: ModelConfig) -> EncoderWeights:
+    """Encoder weights of ``init_weights``' shapes, drawn by numpy from ``cfg.seed``.
+
+    Each array has std 1/sqrt(its rows). A stand-in where any weights
+    do: the seeded draw of ``init_weights`` at d_model 256 takes about a
+    second.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    d, f = cfg.d_model, cfg.d_ff
+
+    def draw(*shape):
+        return rng.normal(size=shape) / np.sqrt(shape[0])
+
+    return EncoderWeights(draw(cfg.vocab_size, d), tuple(
+        LayerWeights(AttentionWeights(draw(d, d), draw(d, d), draw(d, d), draw(d, d)),
+                     draw(d, f), draw(f, d))
+        for _ in range(cfg.n_layers)))
+
+
+def encode_document_per_window(tokens, cfg, weights, doc_id: str):
+    """``encode_document`` with one ``encode`` call per window, the kept rows stacked after.
+
+    Each chunk keeps its first k rows, its interior sample and its last
+    k rows, listed one chunk at a time.
+    """
+    segs = segment(tokens, cfg.chunk_len, cfg.overlap)
+    n = segs.tokens.shape[1]
+    k = cfg.boundary_width
+    middles = sample_document_middles(segs, cfg, middle_rng_for(cfg, doc_id))
+    model = cfg.encoder_config()
+    rows, positions = [], []
+    for window, start, idx in zip(segs.tokens, segs.starts.tolist(), middles.tolist()):
+        keep = np.array([*range(k), *idx, *range(n - k, n)], dtype=np.int64)
+        rows.append(encode(window[None], weights, model, keep[None])[0])
+        positions.append(keep + start)
+    return segs, np.stack(rows), np.stack(positions)
 
 
 def fused_by_stages(tokens, cfg, weights, doc_id: str = "doc"):

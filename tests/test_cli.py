@@ -45,18 +45,18 @@ def identical_chunk_corpus(tmp_path: Path) -> Path:
     return write_corpus(tmp_path / "ident.jsonl", docs)
 
 
-def count_encode_calls(monkeypatch) -> list:
-    """Record one entry per ``encoder.encode`` call for the rest of the test."""
+def count_encoded_windows(monkeypatch) -> list:
+    """Record one entry per window ``encoder.encode`` encodes, for the rest of the test."""
     import chunkfuse.encoder as encoder_mod
-    calls = []
+    windows = []
     real = encoder_mod.encode
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(tokens, *args, **kwargs):
+        windows.extend([1] * len(tokens))
+        return real(tokens, *args, **kwargs)
 
     monkeypatch.setattr(encoder_mod, "encode", counting)
-    return calls
+    return windows
 
 
 def read_tree(root: Path) -> dict:
@@ -214,14 +214,14 @@ class TestFileNameCollisions:
     @pytest.mark.parametrize("command", [["pipeline"], ["segment", "--include-tokens"]])
     def test_exits_one_naming_both_ids_and_lines(self, tmp_path, capsys, monkeypatch,
                                                  command):
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         path = self.corpus(tmp_path)
         out = tmp_path / "run"
         assert main([command[0], str(path), *command[1:], "--out-dir", str(out),
                      *SMALL_FLAGS]) == 1
         assert capsys.readouterr().err == (f"error: {path}:1: document 'a/b' and {path}:3: "
                                            "document 'a_b' both write to file name 'a_b'\n")
-        assert calls == []
+        assert windows == []
         assert not out.exists()
 
     def test_dot_ids_stay_inside_their_own_directories(self, tmp_path):
@@ -273,7 +273,7 @@ class TestFileNameLength:
     @pytest.mark.parametrize("command,longest,written", CASES, ids=["pipeline", "segment"])
     def test_one_byte_more_exits_one_naming_the_document(self, tmp_path, capsys, monkeypatch,
                                                          command, longest, written):
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         doc_id = "b" * (longest + 1)
         path = write_corpus(tmp_path / "c.jsonl", [
             {"id": "first", "tokens": [1, 2, 3]},
@@ -283,7 +283,7 @@ class TestFileNameLength:
         assert main([*command, str(path), "--out-dir", str(out), *SMALL_FLAGS]) == 1
         assert capsys.readouterr().err == (f"error: {path}:2: document {doc_id!r}: "
                                            "256-byte file name, over 255\n")
-        assert calls == []
+        assert windows == []
         assert not out.exists()
 
 
@@ -510,13 +510,13 @@ class TestPipelineCommand:
         if rerun == "fewer-documents":
             argv[1] = str(write_corpus(tmp_path / "one.jsonl",
                                        [{"id": "beta", "tokens": [3, 1, 4]}]))
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out.name) in err and "not an empty" in err
         assert read_tree(out) == before
-        assert calls == []
+        assert windows == []
 
     def test_corpus_error_is_named_before_a_non_empty_out_dir(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -582,14 +582,14 @@ class TestAllOrNothingRuns:
         before = read_tree(out)
         assert before
         argv = [*OUT_DIR_RUNS[command](tmp_path), "--out-dir", str(out)]
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         capsys.readouterr()
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --out-dir {out} exists and is not an empty directory\n"
         assert read_tree(out) == before
-        assert calls == []
+        assert windows == []
 
     @pytest.mark.parametrize("command", sorted(OUT_DIR_RUNS))
     def test_empty_out_dir_is_run_into(self, tmp_path, monkeypatch, command):
@@ -840,16 +840,16 @@ class TestAblateCommand:
         assert "--values entry '300'" in errors["4,300"]
 
     def test_alpha_sweep_encodes_each_chunk_once(self, tmp_path, capsys, monkeypatch):
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         corpus = identical_chunk_corpus(tmp_path)  # two documents of 4 chunks
         assert main(["ablate", str(corpus), "--axis", "alpha", "--values", "0.0,0.5,1.0",
                      *SMALL_FLAGS]) == 0
-        assert len(calls) == 2 * 4
+        assert len(windows) == 2 * 4
 
     def test_overlap_sweep_encodes_each_chunk_once_per_value(self, tmp_path, capsys,
                                                              monkeypatch):
         from chunkfuse.segmenter import segment_count
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         corpus = identical_chunk_corpus(tmp_path)
         docs, _ = load_corpus(corpus)
         assert main(["ablate", str(corpus), "--axis", "overlap", "--values", "2,4,2",
@@ -857,7 +857,7 @@ class TestAblateCommand:
         expected = [segment_count(len(tokens), 8, overlap)
                     for overlap in (2, 4, 2) for _, tokens in docs]
         assert expected == [4, 4, 6, 6, 4, 4]
-        assert len(calls) == sum(expected)
+        assert len(windows) == sum(expected)
 
     # the merged config is SMALL_FLAGS; each axis sweeps three of its values
     @pytest.mark.parametrize("axis, values", [("alpha", "0.0,0.5,1.0"),
@@ -948,10 +948,10 @@ class TestProbeCommand:
                            for alpha in (0.0, 0.5, 1.0)]
 
     def test_encodes_each_chunk_once(self, tmp_path, capsys, monkeypatch):
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         assert main(["probe", "--alphas", "0.0,0.5,1.0", "--n-chunks", "4",
                      "--n-docs", "2", *SMALL_FLAGS]) == 0
-        assert len(calls) == 2 * 4
+        assert len(windows) == 2 * 4
 
     def test_base_alpha_is_not_run(self, capsys):
         # as in ablate, each --alphas entry replaces the merged config's alpha
@@ -965,13 +965,13 @@ class TestProbeCommand:
     @pytest.mark.parametrize("doc_seed, n_docs", [(-1, 1), (2**64, 1), (2**64 - 1, 2)])
     def test_doc_seed_outside_64_bits_exits_one(self, tmp_path, capsys, monkeypatch,
                                                 doc_seed, n_docs):
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         out = tmp_path / "run"
         assert main(["probe", "--doc-seed", str(doc_seed), "--n-docs", str(n_docs),
                      "--n-chunks", "4", "--out-dir", str(out), *SMALL_FLAGS]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: --doc-seed {doc_seed}: ") and "[0, 2**64)" in err
-        assert calls == []
+        assert windows == []
         assert not out.exists()
 
     def test_largest_doc_seeds_are_run(self, capsys):
@@ -1003,7 +1003,7 @@ class TestListAndCountFlags:
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_bad_entry_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                  command, flag, value, entry):
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         corpus = str(token_corpus(tmp_path))
         argv = [corpus if a == "CORPUS" else a for a in command]
         out = tmp_path / "run"
@@ -1011,7 +1011,7 @@ class TestListAndCountFlags:
         err = capsys.readouterr().err
         assert flag in err and repr(entry) in err
         assert "Traceback" not in err
-        assert calls == []
+        assert windows == []
         assert not out.exists()
 
 
@@ -1021,7 +1021,7 @@ class TestOutDirThatIsAFile:
     @pytest.mark.parametrize("command", sorted(OUT_DIR_RUNS))
     @pytest.mark.parametrize("below", [False, True])
     def test_exits_one_naming_the_path(self, tmp_path, capsys, monkeypatch, command, below):
-        calls = count_encode_calls(monkeypatch)
+        windows = count_encoded_windows(monkeypatch)
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
         out = afile / "sub" if below else afile
@@ -1030,7 +1030,7 @@ class TestOutDirThatIsAFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(afile) in err
         assert afile.read_text() == "keep\n"
-        assert calls == []
+        assert windows == []
 
 
 class TestExitCodes:

@@ -59,7 +59,8 @@ def run_on_encodings(segs, encs: np.ndarray, cfg: PipelineConfig, doc_id: str):
     """
     windows = iter(encs)
     with mock.patch.object(pipeline, "segment", lambda *_: segs), \
-            mock.patch.object(encoder, "encode", lambda _t, _w, _c, keep: next(windows)[keep]):
+            mock.patch.object(encoder, "encode", lambda _t, _w, _c, keep:
+                              np.stack([next(windows)[kept] for kept in keep])):
         return run_document([], cfg, weights=object(), doc_id=doc_id).fused
 
 

@@ -121,7 +121,7 @@ def test_both_stacks_check_their_token_ids_alike(tokens, message):
     cfg = decoder_config()
     *_, memory = make_memory(np.random.default_rng(8))
     with pytest.raises(InputError, match="window " + message):
-        encoder.encode(tokens, encoder.init_weights(cfg), cfg, np.arange(len(tokens)))
+        encoder.encode([tokens], encoder.init_weights(cfg), cfg, np.arange(len(tokens))[None])
     with pytest.raises(InputError, match="prefix " + message):
         decode_step(tokens, memory, cfg)
 

@@ -30,7 +30,7 @@ def small_config(**overrides) -> ModelConfig:
 
 def encode_full(tokens, weights, cfg) -> np.ndarray:
     """Every row of one window's encoding."""
-    return encode(tokens, weights, cfg, np.arange(len(tokens)))
+    return encode([tokens], weights, cfg, np.arange(len(tokens))[None])[0]
 
 
 def test_config_head_divisibility():
@@ -82,7 +82,19 @@ def test_encode_shape():
         out = encode_full(toks, w, cfg)
         assert out.shape == (n, cfg.d_model)
         assert np.all(np.isfinite(out))
-        assert encode(toks, w, cfg, np.array([0, n - 1, 0])).shape == (3, cfg.d_model)
+        assert encode([toks], w, cfg, np.array([[0, n - 1, 0]])).shape == (1, 3, cfg.d_model)
+
+
+def test_stacked_windows_are_bitwise_one_window_calls():
+    # three windows of max_len tokens: the length check reads a window, not the stack
+    cfg = small_config()
+    w = init_weights(cfg)
+    tokens = np.random.default_rng(4).integers(0, cfg.vocab_size, (3, cfg.max_len))
+    keep = np.array([[0, 5, 5, 63], [1, 2, 3, 4], [63, 0, 7, 7]])
+    got = encode(tokens, w, cfg, keep)
+    assert got.shape == (3, 4, cfg.d_model)
+    for window, kept, rows in zip(tokens, keep, got):
+        assert rows.tobytes() == encode(window[None], w, cfg, kept[None])[0].tobytes()
 
 
 def test_positions_make_order_matter():
@@ -207,39 +219,39 @@ def test_encodings_deterministic_from_seed():
     np.testing.assert_array_equal(a, b)
 
 
-# the configs of perfbench's long-doc and wide-corpus workloads; at the
-# long-doc shape a keep of under 62 rows is not bitwise (see ``encode``)
+# the configs of perfbench's long-doc, small-window and wide-corpus workloads;
+# only small-window's windows share an encode call. At the long-doc shape a
+# keep of under 62 rows is not bitwise (see ``encode``)
 THREAD_GUARD_CONFIGS = [
     dict(chunk_len=1024, overlap=150, boundary_width=1, middle_count=300, d_model=32,
          n_heads=2, n_layers=2, d_ff=64, vocab_size=128, seed=7),
+    dict(chunk_len=64, overlap=16, boundary_width=2, middle_count=6, d_model=32,
+         n_heads=4, n_layers=2, d_ff=64, vocab_size=128, seed=7),
     dict(chunk_len=256, overlap=32, boundary_width=2, middle_count=124, d_model=256,
          n_heads=4, n_layers=2, d_ff=1024, vocab_size=1024, seed=7),
 ]
 
-# encodes three windows per config and prints, per config, whether every
-# kept row equals the full encoding's row bitwise; numpy draws stand in for
-# init_weights, whose seeded draw at d_model 256 takes about a second
+# encodes two groups and one window more per config, and prints, per
+# config, whether every row encode_document keeps equals the full
+# one-window encoding's row bitwise
 THREAD_GUARD_SCRIPT = """
 import json, sys
 import numpy as np
-from chunkfuse.encoder import AttentionWeights, EncoderWeights, LayerWeights, encode
-from chunkfuse.pipeline import PipelineConfig, encode_document
+from oracles import gaussian_weights
+from chunkfuse.encoder import encode
+from chunkfuse.pipeline import _SCORES_BUDGET, PipelineConfig, encode_document
 
 for fields in json.loads(sys.argv[1]):
     cfg = PipelineConfig(**fields)
-    d, f = cfg.d_model, cfg.d_ff
-    rng = np.random.default_rng(fields["seed"])
-    draw = lambda *shape: rng.normal(size=shape) / np.sqrt(shape[0])
-    weights = EncoderWeights(draw(cfg.vocab_size, d), tuple(
-        LayerWeights(AttentionWeights(draw(d, d), draw(d, d), draw(d, d), draw(d, d)),
-                     draw(d, f), draw(f, d))
-        for _ in range(cfg.n_layers)))
-    tokens = rng.integers(0, cfg.vocab_size, 3 * cfg.chunk_len - 2 * cfg.overlap).tolist()
-    segs, rows, positions = encode_document(tokens, cfg, weights, "guard")
-    n = segs.tokens.shape[1]
-    print(all(got.tobytes() == encode(window, weights, cfg.encoder_config(),
-                                      np.arange(n))[kept - start].tobytes()
-              for window, start, kept, got in zip(segs.tokens, segs.starts, positions, rows)))
+    n, stride = cfg.chunk_len, cfg.chunk_len - cfg.overlap
+    group = max(1, _SCORES_BUDGET // (8 * cfg.n_heads * n * n))
+    weights = gaussian_weights(cfg.encoder_config())
+    tokens = np.random.default_rng(cfg.seed).integers(0, cfg.vocab_size, n + 2 * group * stride)
+    segs, rows, positions = encode_document(tokens.tolist(), cfg, weights, "guard")
+    print(segs.count == 2 * group + 1 and all(
+        got.tobytes() == encode(window[None], weights, cfg.encoder_config(),
+                                np.arange(n)[None])[0][kept - start].tobytes()
+        for window, start, kept, got in zip(segs.tokens, segs.starts, positions, rows)))
 """
 
 
@@ -247,9 +259,10 @@ for fields in json.loads(sys.argv[1]):
 def test_kept_rows_match_full_rows_at_blas_thread_counts(threads):
     # the pruned top block multiplies fewer rows than the full one; the
     # thread count must not make those products round differently
+    tests = Path(__file__).resolve().parent
     src = str(Path(chunkfuse.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+           "PYTHONPATH": os.pathsep.join([src, str(tests), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", THREAD_GUARD_SCRIPT,
                            json.dumps(THREAD_GUARD_CONFIGS)],
                           env=env, capture_output=True, text=True, timeout=300)

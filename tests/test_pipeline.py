@@ -2,18 +2,29 @@
 
 The assembled memory is checked against the encoder itself: at
 alpha = 1 fusion is the identity, so every row must be the full
-encoding's row at the position its provenance names. ``sweep`` is
+encoding's row at the position its provenance names. The grouped
+``encode_document`` is checked against one ``encode`` call per window,
+at perfbench's workload configs and at every edge of a group. ``sweep`` is
 checked against a loop that encodes every document under every variant,
 and ``run_document``, which is ``sweep`` over one document, against
 ``encode_document`` and ``assemble`` called by hand.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import fused_by_stages, sweep_per_variant
+from oracles import (
+    encode_document_per_window,
+    fused_by_stages,
+    gaussian_weights,
+    sweep_per_variant,
+)
+from test_encoder import THREAD_GUARD_CONFIGS
 
+from chunkfuse import encoder, pipeline
 from chunkfuse.cumulation import (
     CHUNK,
     LEFT,
@@ -27,7 +38,7 @@ from chunkfuse.cumulation import (
 from chunkfuse.encoder import encode, init_weights
 from chunkfuse.errors import ConfigError
 from chunkfuse.metrics import make_random_doc
-from chunkfuse.pipeline import PipelineConfig, run_document, sweep
+from chunkfuse.pipeline import PipelineConfig, encode_document, run_document, sweep
 from chunkfuse.segmenter import segment
 
 
@@ -48,7 +59,7 @@ def test_alpha_one_rows_are_full_encoder_rows():
         weights = init_weights(cfg.encoder_config())
         run = run_document(make_random_doc(n_tokens, cfg.vocab_size, 5), cfg, weights=weights)
         n = run.segments.tokens.shape[1]
-        full = [encode(window, weights, cfg.encoder_config(), np.arange(n))
+        full = [encode(window[None], weights, cfg.encoder_config(), np.arange(n)[None])[0]
                 for window in run.segments.tokens]
         starts = run.segments.starts
         for row, (chunk, _role, pos) in zip(run.fused.flattened, run.fused.provenance):
@@ -89,6 +100,64 @@ def test_rows_provenance_and_roles_property(case, doc_seed):
                       & (mine[:, POSITION] < start + width))
         middles = len(mine) - 2 * k
         assert mine[:, ROLE].tolist() == [LEFT] * k + [MIDDLE] * middles + [RIGHT] * k
+
+
+def grouped_is_per_window(tokens, cfg, weights, doc_id) -> list[int]:
+    """Assert ``encode_document`` is bitwise its per-window oracle; return its group sizes."""
+    sizes, real = [], encoder.encode
+
+    def counted(windows, *args):
+        sizes.append(len(windows))
+        return real(windows, *args)
+
+    with mock.patch.object(encoder, "encode", counted):
+        got = encode_document(tokens, cfg, weights, doc_id)
+    want = encode_document_per_window(tokens, cfg, weights, doc_id)
+    for a, b in zip((got[0].tokens, got[0].starts, *got[1:]),
+                    (want[0].tokens, want[0].starts, *want[1:])):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert a.tobytes() == b.tobytes()
+    assert sum(sizes) == len(got[1])
+    return sizes
+
+
+@pytest.mark.parametrize("fields, groups", [
+    (THREAD_GUARD_CONFIGS[0], [1, 1, 1]),
+    (THREAD_GUARD_CONFIGS[1], [16, 16, 1]),
+    (THREAD_GUARD_CONFIGS[2], [1, 1, 1]),
+], ids=["long-doc", "small-window", "wide-corpus"])
+def test_workload_documents_are_bitwise_the_per_window_loop(fields, groups):
+    # the score budget groups small-window's 64-token windows 16 to a call,
+    # and gives the longer windows of the other two one call each
+    cfg = PipelineConfig(**fields)
+    n_tokens = cfg.chunk_len + (sum(groups) - 1) * (cfg.chunk_len - cfg.overlap)
+    tokens = make_random_doc(n_tokens, cfg.vocab_size, 21)
+    weights = gaussian_weights(cfg.encoder_config())
+    assert grouped_is_per_window(tokens, cfg, weights, "doc-0000") == groups
+
+
+TINY_WEIGHTS = init_weights(tiny_config().encoder_config())
+
+
+# 61 tokens make 5 windows of 16; 10 tokens one short window; 4 tokens at
+# k = 3 a window shorter than 2k, whose keep repeats rows
+@given(document_configs(), st.integers(0, 6), st.integers(0, 2**16))
+@example((tiny_config(), 10), 3, 0)  # C = 1 < g, a document shorter than chunk_len
+@example((tiny_config(), 61), 2, 1)  # groups 2, 2, 1: a last group of one window
+@example((tiny_config(), 61), 3, 2)  # groups 3, 2
+@example((tiny_config(), 61), 5, 3)  # C = g
+@example((tiny_config(), 61), 0, 4)  # a budget under one window's scores
+@example((tiny_config(boundary_width=3), 4), 2, 5)
+@settings(max_examples=30, deadline=None)
+def test_encode_document_groups_are_bitwise_the_per_window_loop(case, group, doc_seed):
+    cfg, n_tokens = case
+    n = min(cfg.chunk_len, n_tokens)
+    tokens = make_random_doc(n_tokens, cfg.vocab_size, doc_seed)
+    # exactly ``group`` windows' scores
+    with mock.patch.object(pipeline, "_SCORES_BUDGET", group * 8 * cfg.n_heads * n * n):
+        sizes = grouped_is_per_window(tokens, cfg, TINY_WEIGHTS, f"doc-{doc_seed}")
+    c, g = sum(sizes), max(group, 1)
+    assert sizes == [g] * (c // g) + [c % g] * (c % g > 0)
 
 
 @pytest.mark.parametrize("overrides", [
