@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
 import tempfile
 import traceback
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -37,10 +38,14 @@ from .encoder import init_weights
 from .segmenter import segment, segment_count, segment_set_to_dict
 
 ENV_PREFIX = "CHUNKFUSE_"
-_CONFIG_FIELDS = {f.name: f for f in fields(PipelineConfig)}
+_CONFIG_FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in fields(PipelineConfig)}
 _DECODE_PREFIX = [0]
 _DECODE_STEPS = 16
 _NAME_MAX = 255  # bytes in one file name on common file systems
+# the float64 arrays a run allocates whole, by the config fields that size them
+_ARRAYS = {"embedding": ("vocab_size", "d_model"), "attention": ("d_model", "d_model"),
+           "feed-forward": ("d_model", "d_ff"), "position": ("chunk_len", "d_model"),
+           "window score": ("n_heads", "chunk_len", "chunk_len")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,40 +55,49 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         sys.exit(1)
 
+    def _get_values(self, action, arg_strings):
+        # argparse of Python 3.11 drops the value of ``--flag=--`` and stores []
+        if action.nargs is None and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
 
-def _field_type(name: str):
-    return float if _CONFIG_FIELDS[name].type == "float" else int
+
+def _json_value(raw: str) -> object:
+    """``raw`` read as JSON: every value the CLI reads has a ``--config`` file's grammar."""
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
+        raise ConfigError("not a JSON value") from exc
 
 
-def _at_least(minimum: int) -> Callable[[str], int]:
-    """The type of an int flag or list entry that must be at least ``minimum``."""
+def _at_least(minimum: int | None) -> Callable[[str], int]:
+    """The type of a count flag or list entry: a JSON int, at least ``minimum`` if given."""
     def parse(raw: str) -> int:
         try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{raw!r} is not an int") from None
-        if value < minimum:
+            value = _json_value(raw)
+        except ConfigError:
+            value = None
+        if type(value) is not int:  # comparing types rejects bools
+            raise argparse.ArgumentTypeError(f"{raw!r} is not a JSON int")
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"{raw!r} is below {minimum}")
         return value
     return parse
 
 
+def _parsed(where: str, raw: str, parse: Callable[[str], object]) -> object:
+    """``parse(raw)``, a value string the CLI reads; an error exits 1 naming ``where``."""
+    try:
+        return parse(raw)
+    except argparse.ArgumentTypeError as exc:  # names ``raw`` itself
+        raise ConfigError(f"{where} {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{where} {raw!r}: {exc}") from exc
+
+
 def _parse_list(flag: str, raw: str, parse: Callable[[str], object]) -> list:
     """``parse`` each comma-separated entry of a list flag; a bad entry exits 1."""
-    items = []
-    for entry in raw.split(","):
-        try:
-            items.append(parse(entry))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"{flag} entry {entry!r}: {exc}") from exc
-    return items
-
-
-def _config_flags(parser: argparse.ArgumentParser) -> None:
-    for name in _CONFIG_FIELDS:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=_field_type(name), default=None,
-                            help=f"pipeline config field {name}")
+    return [_parsed(f"{flag} entry", entry, parse) for entry in raw.split(",")]
 
 
 def _out_dir_flag(parser: argparse.ArgumentParser) -> None:
@@ -92,56 +106,50 @@ def _out_dir_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags of every subcommand that builds a PipelineConfig."""
+    """Flags of every subcommand that builds a PipelineConfig; config values stay text."""
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file of pipeline config fields")
     _out_dir_flag(parser)
-    _config_flags(parser)
+    for name, flag in _CONFIG_FLAGS.items():
+        parser.add_argument(flag, default=None, help=f"pipeline config field {name}, as JSON")
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     """Merge defaults, --config file, CHUNKFUSE_* env vars, then flags."""
-    return PipelineConfig(**_config_values(args))
+    return PipelineConfig.from_json(_config_values(args))
 
 
 def _config_values(args: argparse.Namespace) -> dict:
-    """The merged config fields of :func:`build_config`, not yet validated."""
-    values = asdict(PipelineConfig())
-
+    """The JSON field values of :func:`build_config`'s layers, later ones winning."""
+    values = {}
     if args.config is not None:
         try:
-            file_values = json.loads(args.config.read_text(encoding="utf-8"))
+            values = json.loads(args.config.read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: UTF-8, JSON, digits
             raise InputError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
+        if not isinstance(values, dict):
             raise InputError(f"config file {args.config} must hold a JSON object")
-        unknown = set(file_values) - set(values)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in file_values.items():
-            # JSON spells 1.0 as 1 too: a float field reads it as the flag would
-            if type(value) is int and _field_type(name) is float:
-                try:
-                    value = float(value)
-                except OverflowError as exc:
-                    raise ConfigError(f"{name} {value} is too large for a float") from exc
-            values[name] = value
 
-    for name in _CONFIG_FIELDS:
-        raw = os.environ.get(ENV_PREFIX + name.upper())
-        if raw is not None:
-            try:
-                values[name] = _field_type(name)(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {ENV_PREFIX + name.upper()}: {raw!r}") from exc
-
-    for name in _CONFIG_FIELDS:
-        flag_val = getattr(args, name, None)
-        if flag_val is not None:
-            values[name] = flag_val
-
+    for name, flag in _CONFIG_FLAGS.items():
+        variable = ENV_PREFIX + name.upper()
+        for where, raw in ((variable, os.environ.get(variable)), (flag, getattr(args, name))):
+            if raw is not None:
+                values[name] = _parsed(where, raw, _json_value)
     return values
+
+
+def _check_memory(cfg: PipelineConfig) -> None:
+    """Reject, before any draw, a config whose largest array passes physical memory.
+
+    The error names the largest field that sizes that array, its bytes and the memory.
+    """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    nbytes, array = max((8 * math.prod(getattr(cfg, name) for name in sizes), array)
+                        for array, sizes in _ARRAYS.items())
+    if nbytes > memory:
+        name = max(_ARRAYS[array], key=lambda size: getattr(cfg, size))
+        raise ConfigError(f"{name} {getattr(cfg, name)} needs a {nbytes}-byte {array} "
+                          f"array, more than the machine's {memory} bytes of physical memory")
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +365,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(f"warning: corpus {args.corpus} holds no documents; "
               "nothing to do", file=sys.stderr)
         return 0
+    _check_memory(cfg)
 
     with _published(args.out_dir or Path("chunkfuse-run")) as run_dir:
         _write_json(run_dir / "config.json", json.loads(cfg.canonical_json()))
@@ -407,10 +416,12 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     field = args.axis.replace("-", "_")
     values = _config_values(args)
     labelled = _parse_list("--values", args.values, lambda raw: (
-        f" at {args.axis} {raw}", PipelineConfig(**{**values, field: _field_type(field)(raw)})))
+        f" at {args.axis} {raw}",
+        PipelineConfig.from_json({**values, field: _json_value(raw)})))
     variants, docs, _ = _load_checked(args.corpus, labelled, PROBE_MIN_CHUNKS)
     if not docs:
         raise InputError(f"corpus {args.corpus} holds no documents; the probe needs one")
+    _check_memory(variants[0])
     with _published(args.out_dir) as out_dir:
         weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
         rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
@@ -426,6 +437,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     lengths = bench_mod.check_lengths(_parse_list("--lengths", args.lengths, _at_least(1)),
                                       cfg)
+    _check_memory(cfg)
     with _published(args.out_dir) as out_dir:
         report = bench_mod.run_scaling(lengths, cfg, repeats=args.repeats)
         if not report.reliable:
@@ -468,13 +480,14 @@ def cmd_rouge(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     values = _config_values(args)  # as in ablate, the base alpha does not matter
-    variants = _parse_list("--alphas", args.alphas,
-                           lambda raw: PipelineConfig(**{**values, "alpha": float(raw)}))
+    variants = _parse_list("--alphas", args.alphas, lambda raw: PipelineConfig.from_json(
+        {**values, "alpha": _json_value(raw)}))
     # every draw reads its seed modulo 2**64: -1 would alias 2**64 - 1
     if not 0 <= args.doc_seed <= (1 << 64) - args.n_docs:
         raise ConfigError(f"--doc-seed {args.doc_seed}: the document seeds --doc-seed + i, "
                           f"i < {args.n_docs}, must lie in [0, 2**64)")
     cfg = variants[0]
+    _check_memory(cfg)
     docs = [(f"synthetic-{i}",
              make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
                                      cfg.vocab_size, args.doc_seed + i))
@@ -533,7 +546,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--alphas", default="0.0,0.25,0.5,0.75,1.0")
     p.add_argument("--n-chunks", type=_at_least(PROBE_MIN_CHUNKS), default=5)
     p.add_argument("--n-docs", type=_at_least(1), default=3)
-    p.add_argument("--doc-seed", type=int, default=11)
+    p.add_argument("--doc-seed", type=_at_least(None), default=11)
     p.set_defaults(func=cmd_probe)
 
     return parser

@@ -38,13 +38,14 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
+        # dimensions first: n_heads 0 would divide by zero
+        if min(self.vocab_size, self.d_model, self.n_heads, self.n_layers,
+               self.d_ff, self.max_len) < 1:
+            raise ConfigError("all model dimensions must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if min(self.vocab_size, self.d_model, self.n_heads, self.n_layers,
-               self.d_ff, self.max_len) < 1:
-            raise ConfigError("all model dimensions must be >= 1")
 
 
 @dataclass(frozen=True)

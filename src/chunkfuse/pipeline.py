@@ -69,6 +69,21 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must lie in [0, 2**64), got {value}")
         self.encoder_config()  # ModelConfig checks the model dimensions
 
+    @classmethod
+    def from_json(cls, values: dict) -> PipelineConfig:
+        """The config of JSON field ``values``, defaults filling the rest."""
+        types = {f.name: f.type for f in fields(cls)}
+        if not types.keys() >= values.keys():
+            raise ConfigError(f"unknown config fields: {sorted(values.keys() - types.keys())}")
+        typed = dict(values)
+        for name, value in values.items():
+            if type(value) is int and types[name] == "float":  # JSON spells 1.0 as 1 too
+                try:
+                    typed[name] = float(value)
+                except OverflowError as exc:
+                    raise ConfigError(f"{name} {value} is too large for a float") from exc
+        return cls(**typed)
+
     def effective_middle_seed(self) -> int:
         return self.seed if self.middle_seed is None else self.middle_seed
 

@@ -78,9 +78,9 @@ def segment_set_to_dict(segment_set: SegmentSet, include_tokens: bool = False) -
 
 
 def check_window(chunk_len: int, overlap: int) -> None:
-    """Reject a ``chunk_len`` below 2 or an ``overlap`` outside ``[0, chunk_len)``."""
-    if chunk_len < 2:
-        raise ConfigError(f"chunk_len must be >= 2, got {chunk_len}")
+    """Reject a ``chunk_len`` outside ``[2, 2**63)`` or ``overlap`` outside ``[0, chunk_len)``."""
+    if not 2 <= chunk_len < 1 << 63:  # window starts are int64
+        raise ConfigError(f"chunk_len must lie in [2, 2**63), got {chunk_len}")
     if overlap < 0:
         raise ConfigError(f"overlap must be >= 0, got {overlap}")
     if overlap >= chunk_len:

@@ -381,6 +381,13 @@ class TestConfigLayers:
         assert err.startswith(named) and "Traceback" not in err
         assert not out.exists()
 
+    def test_null_flag_unsets_a_file_middle_seed(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"middle_seed": 9}))
+        args = _build_parser().parse_args(["segment", str(token_corpus(tmp_path)),
+                                           "--config", str(cfg_file), "--middle-seed", "null"])
+        assert build_config(args).middle_seed is None
+
     def test_unknown_config_field_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"bogus": 1}))
@@ -1013,6 +1020,55 @@ class TestListAndCountFlags:
         assert "Traceback" not in err
         assert windows == []
         assert not out.exists()
+
+
+# flags, named field, array and its bytes under SMALL_FLAGS (d_model 16, n_heads 2): every
+# size is refused before anything is allocated, and none comes near a machine's memory
+SIZE_CLIFFS = [
+    (["--vocab-size", str(10**12)], "vocab_size", "embedding", 8 * 10**12 * 16),
+    (["--d-ff", str(10**12)], "d_ff", "feed-forward", 8 * 16 * 10**12),
+    (["--d-model", str(4 * 10**12), "--n-heads", "1"], "d_model", "attention",
+     8 * (4 * 10**12) ** 2),
+    (["--chunk-len", str(10**6)], "chunk_len", "window score", 8 * 2 * 10**12),
+]
+
+
+class TestSizeCliff:
+    """A model one of whose arrays passes physical memory exits 1 before any draw."""
+
+    # every subcommand that draws weights; ablate's corpus makes one window at chunk_len 10**6,
+    # which it names first
+    @pytest.mark.parametrize("command, flags, field, array, nbytes", [
+        (command, *case) for command in ("ablate", "bench", "pipeline", "probe")
+        for case in SIZE_CLIFFS if (command, case[1]) != ("ablate", "chunk_len")])
+    def test_exits_one_naming_field_bytes_and_memory(self, tmp_path, capsys, monkeypatch,
+                                                     command, flags, field, array, nbytes):
+        from chunkfuse.numerics import SeededRng
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew weights")
+
+        monkeypatch.setattr(SeededRng, "normal_matrix", no_draw)
+        out = tmp_path / "run"
+        assert main([*OUT_DIR_RUNS[command](tmp_path), *flags, "--out-dir", str(out)]) == 1
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        value = flags[flags.index("--" + field.replace("_", "-")) + 1]
+        assert capsys.readouterr().err == (
+            f"error: {field} {value} needs a {nbytes}-byte {array} array, more than "
+            f"the machine's {memory} bytes of physical memory\n")
+        assert not out.exists()
+
+
+    # int() once read 0_3, +3 and the Arabic-Indic 3; argparse's own message named no JSON
+    @pytest.mark.parametrize("flag", ["--n-chunks", "--n-docs", "--doc-seed", "--lengths"])
+    @pytest.mark.parametrize("raw", ["x", "3.0", "true", "null", "0_3", "+3", "٣"])
+    def test_count_is_a_json_int(self, capsys, flag, raw):
+        command = "bench" if flag == "--lengths" else "probe"
+        value = f"8,16,32,{raw}" if flag == "--lengths" else raw
+        assert main([command, f"{flag}={value}", *SMALL_FLAGS]) == 1
+        where = f"{flag} entry" if flag == "--lengths" else f"argument {flag}:"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {where} {raw!r} is not a JSON int")
 
 
 class TestOutDirThatIsAFile:

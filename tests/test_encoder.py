@@ -41,6 +41,12 @@ def test_config_head_divisibility():
         PipelineConfig(d_model=10, n_heads=4)
 
 
+def test_zero_heads_is_a_config_error():
+    # the divisibility check once ran first and divided by zero, a program fault
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        small_config(n_heads=0)
+
+
 def test_init_deterministic():
     cfg = small_config()
     w1, w2 = init_weights(cfg), init_weights(cfg)

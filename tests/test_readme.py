@@ -7,7 +7,9 @@ README's command block goes through ``cli.main`` in a temporary working
 directory, with the shipped corpora given by absolute path, and must
 exit 0. ``bench``, which times 64k-token documents, and ``rouge``, which
 reads files the README only names, are parsed but not run, so a flag
-renamed in either still fails here.
+renamed in either still fails here. Config flags reach argparse as text,
+so a parsed command that takes them also builds its config: a mistyped
+value fails here too.
 """
 
 import argparse
@@ -17,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from chunkfuse.cli import _build_parser, main
+from chunkfuse.cli import _build_parser, build_config, main
+from chunkfuse.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECKED = ("segment", "pipeline", "ablate", "probe")
@@ -55,10 +58,23 @@ def test_readme_command_exits_zero(command, tmp_path, monkeypatch, capsys):
     assert main(argv) == 0, capsys.readouterr().err
 
 
+def parse_checked(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed, with its config built if the command takes config flags."""
+    args = _build_parser().parse_args(argv)
+    if hasattr(args, "config"):
+        build_config(args)
+    return args
+
+
 @pytest.mark.parametrize("command", PARSED)
 def test_readme_command_parses(command):
-    args = _build_parser().parse_args(readme_commands()[command])
-    assert args.command == command
+    assert parse_checked(readme_commands()[command]).command == command
+
+
+def test_parse_check_rejects_a_mistyped_config_value():
+    argv = ["bench", "--lengths", "8192,16384,32768,65536", "--d-model", "3x"]
+    with pytest.raises(ConfigError, match="--d-model '3x': not a JSON value"):
+        parse_checked(argv)
 
 
 def test_readme_library_tour_runs(capsys):

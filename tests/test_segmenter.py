@@ -56,6 +56,13 @@ def test_chunk_len_minimum():
         segment([1, 2, 3], 1, 0)
 
 
+def test_chunk_len_fits_int64_starts():
+    # a stride past int64 once raised OverflowError in numpy, a program fault
+    assert segment([1, 2, 3], (1 << 63) - 1, 150).starts.tolist() == [0]
+    with pytest.raises(ConfigError, match=r"\[2, 2\*\*63\), got 100000000000000000000000"):
+        segment([1, 2, 3], 10**23, 150)
+
+
 def test_negative_overlap():
     with pytest.raises(ConfigError):
         segment([1, 2, 3], 4, -1)
