@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -42,10 +41,6 @@ _CONFIG_FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in fields(Pipelin
 _DECODE_PREFIX = [0]
 _DECODE_STEPS = 16
 _NAME_MAX = 255  # bytes in one file name on common file systems
-# the float64 arrays a run allocates whole, by the config fields that size them
-_ARRAYS = {"embedding": ("vocab_size", "d_model"), "attention": ("d_model", "d_model"),
-           "feed-forward": ("d_model", "d_ff"), "position": ("chunk_len", "d_model"),
-           "window score": ("n_heads", "chunk_len", "chunk_len")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,18 +133,22 @@ def _config_values(args: argparse.Namespace) -> dict:
     return values
 
 
-def _check_memory(cfg: PipelineConfig) -> None:
-    """Reject, before any draw, a config whose largest array passes physical memory.
+def _check_memory(cfg: PipelineConfig, n_tokens: int) -> None:
+    """Reject, before any draw, a run of ``n_tokens`` document tokens that passes memory.
 
-    The error names the largest field that sizes that array, its bytes and the memory.
+    The price is a lower bound in float64 and int64 words: both weight stacks as
+    ``pipeline`` draws them (two embeddings, the output projection, and a layer's 12
+    attention and 4 feed-forward matrices), one window's scores and the tokens.
     """
+    d = cfg.d_model
+    nbytes = 8 * (3 * cfg.vocab_size * d + cfg.n_layers * (12 * d * d + 4 * d * cfg.d_ff)
+                  + cfg.n_heads * cfg.chunk_len ** 2 + n_tokens)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    nbytes, array = max((8 * math.prod(getattr(cfg, name) for name in sizes), array)
-                        for array, sizes in _ARRAYS.items())
     if nbytes > memory:
-        name = max(_ARRAYS[array], key=lambda size: getattr(cfg, size))
-        raise ConfigError(f"{name} {getattr(cfg, name)} needs a {nbytes}-byte {array} "
-                          f"array, more than the machine's {memory} bytes of physical memory")
+        sizes = ", ".join(f"{name} {getattr(cfg, name)}" for name in
+                          ("vocab_size", "d_model", "n_layers", "d_ff", "n_heads", "chunk_len"))
+        raise ConfigError(f"{sizes} and {n_tokens} document tokens need at least {nbytes} "
+                          f"bytes, more than the machine's {memory} bytes of physical memory")
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(f"warning: corpus {args.corpus} holds no documents; "
               "nothing to do", file=sys.stderr)
         return 0
-    _check_memory(cfg)
+    _check_memory(cfg, sum(len(tokens) for _, tokens in docs))
 
     with _published(args.out_dir or Path("chunkfuse-run")) as run_dir:
         _write_json(run_dir / "config.json", json.loads(cfg.canonical_json()))
@@ -421,23 +420,27 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     variants, docs, _ = _load_checked(args.corpus, labelled, PROBE_MIN_CHUNKS)
     if not docs:
         raise InputError(f"corpus {args.corpus} holds no documents; the probe needs one")
-    _check_memory(variants[0])
+    _check_memory(variants[0], sum(len(tokens) for _, tokens in docs))
     with _published(args.out_dir) as out_dir:
-        weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
-        rows: list[list] = [[args.axis, "probe_mse", "scale_rows", "fuse_seconds"]]
-        for variant, (runs, _, fuse_seconds) in zip(variants, sweep(docs, variants, weights)):
-            memories = [run.fused for run in runs]
-            rows.append([repr(getattr(variant, field)), repr(position_probe(memories)),
-                         sum(memory.rows for memory in memories), repr(fuse_seconds)])
+        rows = list(_sweep_table(docs, variants, args.axis))
         _write_csv(out_dir / "ablation.csv" if out_dir else None, rows)
     return 0
 
 
+def _sweep_table(docs: list, variants: list[PipelineConfig], axis: str) -> Iterator[list]:
+    """A header, then per variant its ``axis`` value, probe mse, fused rows and fuse seconds."""
+    yield [axis, "probe_mse", "scale_rows", "fuse_seconds"]
+    weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
+    for variant, (runs, _, fuse_seconds) in zip(variants, sweep(docs, variants, weights)):
+        memories = [run.fused for run in runs]
+        yield [repr(getattr(variant, axis.replace("-", "_"))), repr(position_probe(memories)),
+               sum(memory.rows for memory in memories), repr(fuse_seconds)]
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    lengths = bench_mod.check_lengths(_parse_list("--lengths", args.lengths, _at_least(1)),
-                                      cfg)
-    _check_memory(cfg)
+    lengths = _parse_list("--lengths", args.lengths, _at_least(1))
+    _check_memory(cfg, sum(bench_mod.check_lengths(lengths, cfg)))
     with _published(args.out_dir) as out_dir:
         report = bench_mod.run_scaling(lengths, cfg, repeats=args.repeats)
         if not report.reliable:
@@ -487,16 +490,13 @@ def cmd_probe(args: argparse.Namespace) -> int:
         raise ConfigError(f"--doc-seed {args.doc_seed}: the document seeds --doc-seed + i, "
                           f"i < {args.n_docs}, must lie in [0, 2**64)")
     cfg = variants[0]
-    _check_memory(cfg)
+    _check_memory(cfg, args.n_docs * (args.n_chunks * (cfg.chunk_len - cfg.overlap) + cfg.overlap))
     docs = [(f"synthetic-{i}",
              make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
                                      cfg.vocab_size, args.doc_seed + i))
             for i in range(args.n_docs)]
     with _published(args.out_dir) as out_dir:
-        weights = init_weights(cfg.encoder_config())
-        rows: list[list] = [["alpha", "probe_mse"]]
-        rows.extend([repr(variant.alpha), repr(position_probe([run.fused for run in runs]))]
-                    for variant, (runs, _, _) in zip(variants, sweep(docs, variants, weights)))
+        rows = [row[:2] for row in _sweep_table(docs, variants, "alpha")]
         _write_csv(out_dir / "probe.csv" if out_dir else None, rows)
     return 0
 

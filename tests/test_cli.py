@@ -1022,8 +1022,9 @@ class TestListAndCountFlags:
         assert not out.exists()
 
 
-# flags, named field, array and its bytes under SMALL_FLAGS (d_model 16, n_heads 2): every
-# size is refused before anything is allocated, and none comes near a machine's memory
+# flags, the field they raise, and the largest array that field sizes with its bytes under
+# SMALL_FLAGS: every size is refused before anything is allocated, and none comes near a
+# machine's memory
 SIZE_CLIFFS = [
     (["--vocab-size", str(10**12)], "vocab_size", "embedding", 8 * 10**12 * 16),
     (["--d-ff", str(10**12)], "d_ff", "feed-forward", 8 * 16 * 10**12),
@@ -1033,8 +1034,52 @@ SIZE_CLIFFS = [
 ]
 
 
+# in 8-byte words under SMALL_FLAGS (vocab_size 64, d_model 16, n_layers 1, d_ff 32,
+# n_heads 2, chunk_len 8): a layer's 12 attention and 4 feed-forward matrices, the two
+# embeddings and the output projection, and one window's scores
+SMALL_LAYER, SMALL_EMBEDDINGS, SMALL_SCORES = 12 * 16**2 + 4 * 16 * 32, 3 * 64 * 16, 2 * 8**2
+SMALL_MODEL = SMALL_EMBEDDINGS + SMALL_LAYER + SMALL_SCORES
+# the words of both weight stacks and one window's scores for each SIZE_CLIFFS case, by field
+CLIFF_MODEL_WORDS = {
+    "vocab_size": 3 * 10**12 * 16 + SMALL_LAYER + SMALL_SCORES,
+    "d_ff": SMALL_EMBEDDINGS + 12 * 16**2 + 4 * 16 * 10**12 + SMALL_SCORES,
+    "d_model": 3 * 64 * 4 * 10**12 + 12 * (4 * 10**12) ** 2 + 4 * 4 * 10**12 * 32 + 8**2,
+    "chunk_len": SMALL_EMBEDDINGS + SMALL_LAYER + 2 * (10**6) ** 2,
+}
+SIZE_FIELDS = ("vocab_size", "d_model", "n_layers", "d_ff", "n_heads", "chunk_len")
+
+
+def run_tokens(command: str, chunk_len: int) -> int:
+    """The document tokens an ``OUT_DIR_RUNS`` run holds at ``chunk_len`` and overlap 2."""
+    if command == "probe":  # one document of 4 windows
+        return chunk_len + 3 * (chunk_len - 2)
+    return {"ablate": 2 * 26, "bench": 16 + 32 + 64 + 128, "pipeline": 10 + 8}[command]
+
+
 class TestSizeCliff:
-    """A model one of whose arrays passes physical memory exits 1 before any draw."""
+    """A run whose weights, window scores and documents pass memory exits 1 before any draw."""
+
+    def assert_refused(self, tmp_path, capsys, monkeypatch, command, flags, tokens, words):
+        """``command`` with ``flags`` prints one line: its sizes, ``tokens``, model ``words``."""
+        from chunkfuse.numerics import SeededRng
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew weights or tokens")
+
+        argv = OUT_DIR_RUNS[command](tmp_path)  # ablate's corpus draws its tokens here
+        monkeypatch.setattr(SeededRng, "normal_matrix", no_draw)
+        monkeypatch.setattr(SeededRng, "token_ids", no_draw)
+        out = tmp_path / "run"
+        assert main([*argv, *flags, "--out-dir", str(out)]) == 1
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        pairs = [*SMALL_FLAGS, *flags]
+        values = dict(zip(pairs[::2], pairs[1::2]))  # a later flag wins, as in argparse
+        sizes = ", ".join(f"{name} {values['--' + name.replace('_', '-')]}"
+                          for name in SIZE_FIELDS)
+        assert capsys.readouterr().err == (
+            f"error: {sizes} and {tokens} document tokens need at least {8 * (words + tokens)} "
+            f"bytes, more than the machine's {memory} bytes of physical memory\n")
+        assert not out.exists()
 
     # every subcommand that draws weights; ablate's corpus makes one window at chunk_len 10**6,
     # which it names first
@@ -1043,20 +1088,58 @@ class TestSizeCliff:
         for case in SIZE_CLIFFS if (command, case[1]) != ("ablate", "chunk_len")])
     def test_exits_one_naming_field_bytes_and_memory(self, tmp_path, capsys, monkeypatch,
                                                      command, flags, field, array, nbytes):
-        from chunkfuse.numerics import SeededRng
+        words = CLIFF_MODEL_WORDS[field]
+        assert nbytes <= 8 * words  # the total prices each array the old check did
+        tokens = run_tokens(command, 10**6 if field == "chunk_len" else 8)
+        self.assert_refused(tmp_path, capsys, monkeypatch, command, flags, tokens, words)
 
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew weights")
+    # a model whose arrays each fit but whose layers together do not, and documents past
+    # memory under a small model: each priced before its first token is drawn
+    @pytest.mark.parametrize("command, flags, tokens, words", [
+        *[(command, flags, run_tokens(command, 8), words)
+          for command in ("ablate", "bench", "pipeline", "probe")
+          for flags, words in [
+              (["--n-layers", str(10**12)], SMALL_MODEL + (10**12 - 1) * SMALL_LAYER),
+              (["--d-model", "8192", "--d-ff", "8192", "--n-heads", "4", "--n-layers", "100"],
+               3 * 64 * 8192 + 100 * 16 * 8192**2 + 4 * 8**2)]],
+        ("probe", ["--n-chunks", str(2**63)], 8 + (2**63 - 1) * 6, SMALL_MODEL),
+        ("probe", ["--n-docs", str(10**12)], 10**12 * 26, SMALL_MODEL),
+        ("bench", ["--lengths", f"16,32,64,{10**15}"], 112 + 10**15, SMALL_MODEL),
+    ])
+    def test_run_past_memory_exits_one(self, tmp_path, capsys, monkeypatch,
+                                       command, flags, tokens, words):
+        self.assert_refused(tmp_path, capsys, monkeypatch, command, flags, tokens, words)
 
-        monkeypatch.setattr(SeededRng, "normal_matrix", no_draw)
-        out = tmp_path / "run"
-        assert main([*OUT_DIR_RUNS[command](tmp_path), *flags, "--out-dir", str(out)]) == 1
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        value = flags[flags.index("--" + field.replace("_", "-")) + 1]
-        assert capsys.readouterr().err == (
-            f"error: {field} {value} needs a {nbytes}-byte {array} array, more than "
-            f"the machine's {memory} bytes of physical memory\n")
-        assert not out.exists()
+    @pytest.mark.parametrize("sizes", [
+        dict(vocab_size=11, d_model=6, n_heads=2, n_layers=1, d_ff=10),
+        dict(vocab_size=5, d_model=7, n_heads=7, n_layers=2, d_ff=3),
+        dict(vocab_size=13, d_model=8, n_heads=4, n_layers=3, d_ff=20),
+    ])
+    def test_weight_price_is_the_drawn_bytes(self, monkeypatch, sizes):
+        import dataclasses
+
+        import numpy as np
+
+        from chunkfuse import cli
+        from chunkfuse.decoder import init_decoder_weights
+        from chunkfuse.encoder import init_weights
+        from chunkfuse.pipeline import PipelineConfig
+
+        def array_bytes(record) -> int:
+            if isinstance(record, np.ndarray):
+                return record.nbytes
+            if isinstance(record, tuple):
+                return sum(map(array_bytes, record))
+            return sum(array_bytes(getattr(record, f.name)) for f in dataclasses.fields(record))
+
+        cfg = PipelineConfig(**sizes)
+        drawn = (array_bytes(init_weights(cfg.encoder_config()))
+                 + array_bytes(init_decoder_weights(cfg.decoder_config(17))))
+        monkeypatch.setattr(cli.os, "sysconf", lambda name: 1)  # one byte: every run is refused
+        with pytest.raises(cli.ConfigError, match=r"need at least (\d+) bytes") as refused:
+            cli._check_memory(cfg, 0)
+        price = int(refused.value.args[0].split("need at least ")[1].split()[0])
+        assert price - 8 * cfg.n_heads * cfg.chunk_len ** 2 == drawn
 
 
     # int() once read 0_3, +3 and the Arabic-Indic 3; argparse's own message named no JSON
