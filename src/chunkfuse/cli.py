@@ -22,7 +22,7 @@ import sys
 import tempfile
 import traceback
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -58,11 +58,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_value(raw: str) -> object:
-    """``raw`` read as JSON: every value the CLI reads has a ``--config`` file's grammar."""
+    """``raw`` read as JSON: a corpus line, a ``--config`` file or a value has one grammar.
+
+    The error's cause says why ``raw`` is not JSON; a flag's message says
+    only that. A name given twice in one object is refused: RFC 8259 leaves
+    its meaning open, and ``json.loads`` would keep the last value.
+    """
     try:
-        return json.loads(raw)
+        return json.loads(raw, object_pairs_hook=_members)
     except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
         raise ConfigError("not a JSON value") from exc
+
+
+def _members(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ConfigError(f"name {name!r} given twice")
+        obj[name] = value
+    return obj
 
 
 def _at_least(minimum: int | None) -> Callable[[str], int]:
@@ -119,9 +133,10 @@ def _config_values(args: argparse.Namespace) -> dict:
     values = {}
     if args.config is not None:
         try:
-            values = json.loads(args.config.read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:  # ValueError: UTF-8, JSON, digits
-            raise InputError(f"cannot read config file {args.config}: {exc}") from exc
+            values = _json_value(args.config.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # not UTF-8, or not JSON and its cause says why
+            raise InputError(f"cannot read config file {args.config}: "
+                             f"{exc.__cause__ or exc}") from exc
         if not isinstance(values, dict):
             raise InputError(f"config file {args.config} must hold a JSON object")
 
@@ -167,49 +182,48 @@ def load_corpus(path: Path) -> tuple[list[tuple[str, tuple[int, ...]]], dict | N
     return [(doc_id, tokens) for _, doc_id, tokens in docs], vocab
 
 
-def _read_corpus(path: Path) -> tuple[list[tuple[str, str, tuple[int, ...]]], dict | None]:
-    """:func:`load_corpus`, with each document's ``file:line: document 'id'`` prefix first."""
-    docs_raw = []
+def _read_lines(path: Path, what: str) -> Iterator[tuple[str, str]]:
+    """``(path:line, line)`` of each line of UTF-8 file ``path``, ended by \\r\\n, \\n or \\r."""
     try:
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines()
+        lines = Path(path).read_bytes().splitlines()  # U+2028 or a form feed ends no line
     except OSError as exc:
-        raise InputError(f"cannot read corpus {path}: {exc}") from exc
-
-    kind = None
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+        yield f"{path}:{lineno}", line
+
+
+def _read_corpus(path: Path) -> tuple[list[tuple[str, str, tuple[int, ...]]], dict | None]:
+    """:func:`load_corpus`, with each document's ``file:line: document 'id'`` prefix first."""
+    docs_raw = []
+    kind = None
+    for at, line in _read_lines(path, "corpus"):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
-            raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            obj = _json_value(line)
+        except ConfigError as exc:
+            raise InputError(f"{at}: malformed JSON: {exc.__cause__}") from exc
         if not isinstance(obj, dict) or "id" not in obj:
-            raise InputError(f"{path}:{lineno}: document needs an \"id\" field")
+            raise InputError(f"{at}: document needs an \"id\" field")
         if not isinstance(obj["id"], str):
-            raise InputError(f"{path}:{lineno}: document id must be a string, got {obj['id']!r}")
+            raise InputError(f"{at}: document id must be a string, got {obj['id']!r}")
         try:
             obj["id"].encode("utf-8")
         except UnicodeEncodeError as exc:  # a lone surrogate, which a JSON \u escape admits
-            raise InputError(f"{path}:{lineno}: document id {obj['id']!r} is not UTF-8") from exc
-        where = f"{path}:{lineno}: document {obj['id']!r}"
+            raise InputError(f"{at}: document id {obj['id']!r} is not UTF-8") from exc
+        where = f"{at}: document {obj['id']!r}"
         if "tokens" in obj and "text" in obj:
             raise InputError(f"{where}: has both \"tokens\" and \"text\"")
-        if "tokens" in obj:
-            this_kind = "tokens"
-        elif "text" in obj:
-            this_kind = "text"
-        else:
-            raise InputError(f"{path}:{lineno}: need \"tokens\" or \"text\"")
-        if kind is None:
-            kind = this_kind
-        elif kind != this_kind:
-            raise InputError(
-                f"{path}:{lineno}: cannot mix \"tokens\" and \"text\" documents")
+        if "tokens" not in obj and "text" not in obj:
+            raise InputError(f"{at}: need \"tokens\" or \"text\"")
+        this_kind = "tokens" if "tokens" in obj else "text"
+        if kind not in (None, this_kind):
+            raise InputError(f"{at}: cannot mix \"tokens\" and \"text\" documents")
+        kind = this_kind
         docs_raw.append((where, obj["id"], obj))
 
     if kind == "text":
@@ -234,23 +248,11 @@ def _read_corpus(path: Path) -> tuple[list[tuple[str, str, tuple[int, ...]]], di
     return docs, None
 
 
-def _check_file_names(docs: Sequence[tuple[str, str, object]], suffix: str = "") -> None:
-    """Reject an id whose file name, ``suffix`` appended, is too long, or two ids of one name."""
-    seen: dict[str, str] = {}
-    for where, doc_id, _ in docs:
-        name = _safe_id(doc_id)
-        if len(name + suffix) > _NAME_MAX:  # a safe name is ASCII: one byte a character
-            raise InputError(f"{where}: {len(name + suffix)}-byte file name, over {_NAME_MAX}")
-        if name in seen:
-            raise InputError(f"{seen[name]} and {where} both write to file name {name!r}")
-        seen[name] = where
-
-
 def _load_checked(
     path: Path,
     configs: Sequence[tuple[str, PipelineConfig]],
     min_chunks: int = 1,
-    file_per_document: bool = False,
+    suffix: str | None = None,
 ) -> tuple[list[PipelineConfig], list[tuple[str, tuple[int, ...]]], dict | None]:
     """Load a corpus and check every document against every config before any write.
 
@@ -259,8 +261,9 @@ def _load_checked(
     sets each config's ``vocab_size`` to the size of its vocabulary. A
     document shorter than one boundary block, holding a token id outside
     the vocabulary, or cut into fewer than ``min_chunks`` windows is
-    rejected with its line and id. For a run that writes one file per
-    document, :func:`_check_file_names` runs last.
+    rejected with its line and id. A run that writes one file per document
+    gives the ``suffix`` its names end in: an id whose name, ``suffix``
+    appended, is too long, or two ids of one name, are rejected last.
     """
     docs, vocab = _read_corpus(path)
     if vocab is not None:
@@ -280,8 +283,14 @@ def _load_checked(
             if count < min_chunks:
                 raise InputError(f"{where}{label}: the position probe needs at least "
                                  f"{min_chunks} chunks, got {count}")
-    if file_per_document:
-        _check_file_names(docs)
+    seen: dict[str, str] = {}
+    for where, doc_id, _ in docs if suffix is not None else ():  # None: no file per document
+        name = _safe_id(doc_id)
+        if len(name + suffix) > _NAME_MAX:  # a safe name is ASCII: one byte a character
+            raise InputError(f"{where}: {len(name + suffix)}-byte file name, over {_NAME_MAX}")
+        if name in seen:
+            raise InputError(f"{seen[name]} and {where} both write to file name {name!r}")
+        seen[name] = where
     return [cfg for _, cfg in configs], [(doc_id, tokens) for _, doc_id, tokens in docs], vocab
 
 
@@ -340,12 +349,10 @@ def _write_csv(path: Path | None, rows: list[list]) -> None:
 
 def cmd_segment(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    docs, _ = _read_corpus(args.corpus)
-    if args.out_dir is not None:
-        _check_file_names(docs, ".segments.json")
+    _, docs, _ = _load_checked(args.corpus, [], suffix=".segments.json" if args.out_dir else None)
     # a corpus with no documents creates nothing
     with _published(args.out_dir if docs else None) as out_dir:
-        for _, doc_id, tokens in docs:
+        for doc_id, tokens in docs:
             seg_json = segment_set_to_dict(
                 segment(tokens, cfg.chunk_len, cfg.overlap),
                 include_tokens=args.include_tokens)
@@ -358,8 +365,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))],
-                                        file_per_document=True)
+    (cfg,), docs, vocab = _load_checked(args.corpus, [("", build_config(args))], suffix="")
     if not docs:
         print(f"warning: corpus {args.corpus} holds no documents; "
               "nothing to do", file=sys.stderr)
@@ -367,7 +373,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     _check_memory(cfg, sum(len(tokens) for _, tokens in docs))
 
     with _published(args.out_dir or Path("chunkfuse-run")) as run_dir:
-        _write_json(run_dir / "config.json", json.loads(cfg.canonical_json()))
+        _write_json(run_dir / "config.json", asdict(cfg))
         with open(run_dir / "config_hash.txt", "w", encoding="ascii", newline="\n") as fh:
             fh.write(cfg.config_hash() + "\n")
         if vocab is not None:
@@ -454,18 +460,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_rouge(args: argparse.Namespace) -> int:
-    def read_lines(path: Path) -> list[str]:
-        try:
-            return path.read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-
-    cand_lines = read_lines(args.candidates)
-    ref_lines = read_lines(args.references)
+    cand_lines = [line for _, line in _read_lines(args.candidates, "candidates")]
+    ref_lines = [line for _, line in _read_lines(args.references, "references")]
     if len(cand_lines) != len(ref_lines):
-        raise InputError(
-            f"line count mismatch: {len(cand_lines)} candidate lines vs "
-            f"{len(ref_lines)} reference lines")
+        raise InputError(f"line count mismatch: {len(cand_lines)} candidate lines vs "
+                         f"{len(ref_lines)} reference lines")
     with _published(args.out_dir) as out_dir:
         rows: list[list] = [["line", "rouge1_f1", "rouge2_f1", "rougeL_f1"]]
         sums = [0.0, 0.0, 0.0]
@@ -507,7 +506,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chunkfuse",
-                     description=__doc__.splitlines()[0] if __doc__ else None)
+                     description=__doc__.partition("\n")[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("segment", help="dump overlapping windows per document")

@@ -122,6 +122,32 @@ class TestCorpusLoading:
         err = capsys.readouterr().err
         assert f"{path}:2: malformed JSON" in err and "Traceback" not in err
 
+    def test_missing_corpus_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "absent.jsonl"
+        assert main(["segment", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read corpus {path}: ")
+
+    def test_blank_lines_keep_later_line_numbers(self, tmp_path, capsys):
+        path = tmp_path / "blank.jsonl"
+        good = '{"id": "a", "tokens": [1, 2, 3]}\n\n \t\n{"id": "b", "tokens": [4]}\n'
+        path.write_text(good)
+        assert [doc_id for doc_id, _ in load_corpus(path)[0]] == ["a", "b"]
+        path.write_text(good + '\n{"id": "c", "tokens": [true]}\n')
+        assert main(["segment", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: {path}:6: document 'c': tokens must be "
+                                           "a non-empty list of ints in [0, 2**63)\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"tokens": [1, 2, 3]}', 'document needs an "id" field'),
+        ("[1, 2, 3]", 'document needs an "id" field'),
+        ('{"id": "b"}', 'need "tokens" or "text"'),
+    ])
+    def test_line_that_is_no_document_exits_one(self, tmp_path, capsys, line, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "tokens": [1, 2, 3]}\n' + line + "\n")
+        assert main(["segment", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
     def test_mixed_kinds_rejected(self, tmp_path):
         path = write_corpus(tmp_path / "m.jsonl", [
             {"id": "a", "tokens": [1]},
@@ -199,6 +225,45 @@ class TestCorpusLoading:
         assert main(["segment", str(path), "--include-tokens"]) == 0
         line = json.loads(capsys.readouterr().out)
         assert line["segments"][0]["tokens"] == [2**63 - 1]
+
+
+class TestRepeatedNames:
+    """An object that gives one member name twice exits 1; ``json.loads`` kept the last."""
+
+    # 20 tokens: 3 windows under SMALL_FLAGS, as many as ablate's probe reads
+    TOKENS = json.dumps(list(range(1, 21)))
+
+    @pytest.mark.parametrize("command, line, name", [
+        (["segment"], '{"id": "a", "id": "b", "tokens": T}', "id"),
+        (["pipeline"], '{"id": "a", "tokens": [1, 2, 3], "tokens": T}', "tokens"),
+        (["ablate", "--axis", "alpha", "--values", "0.5"],
+         '{"id": "a", "tokens": T, "meta": {"k": 1, "k": 2}}', "k"),
+    ], ids=["segment", "pipeline", "ablate"])
+    def test_corpus_line_exits_one(self, tmp_path, capsys, command, line, name):
+        path = tmp_path / "c.jsonl"
+        path.write_text(f'{{"id": "z", "tokens": {self.TOKENS}}}\n'
+                        + line.replace("T", self.TOKENS) + "\n")
+        out = tmp_path / "run"
+        assert main([command[0], str(path), *command[1:], "--out-dir", str(out),
+                     *SMALL_FLAGS]) == 1
+        assert capsys.readouterr().err == (f"error: {path}:2: malformed JSON: "
+                                           f"name {name!r} given twice\n")
+        assert not out.exists()
+
+    def test_config_file_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 0.1, "alpha": 0.9}')
+        out = tmp_path / "run"
+        assert main(["pipeline", str(token_corpus(tmp_path)), "--config", str(cfg),
+                     "--out-dir", str(out), *SMALL_FLAGS]) == 1
+        assert capsys.readouterr().err == (f"error: cannot read config file {cfg}: "
+                                           "name 'alpha' given twice\n")
+        assert not out.exists()
+
+    def test_flag_exits_one(self, tmp_path, capsys):
+        value = '{"a": 1, "a": 2}'
+        assert main(["segment", str(token_corpus(tmp_path)), f"--middle-seed={value}"]) == 1
+        assert capsys.readouterr().err == f"error: --middle-seed {value!r}: not a JSON value\n"
 
 
 class TestFileNameCollisions:
@@ -788,6 +853,29 @@ class TestRougeCommand:
         assert rows[0] == ["line", "rouge1_f1", "rouge2_f1", "rougeL_f1"]
         assert rows[-1][0] == "mean"
         assert [float(v) for v in rows[-1][1:]] == [1.0, 1.0, 1.0]
+
+    # a line ends at \\n, \\r\\n or \\r only, as a corpus line does; str.splitlines
+    # also ended one at U+2028 and at a form feed
+    @pytest.mark.parametrize("cand, ref", [("the cat\u2028sat\nb c\n", "the cat sat\nb c\n"),
+                                           ("the\x0ccat\nb c\n", "the\x0ccat\nb\n"),
+                                           ("a b\r\nc\rd e\n", "a b\nc\nd e")],
+                             ids=["U+2028", "form-feed", "CR"])
+    def test_one_row_per_line_of_the_file(self, tmp_path, capsys, cand, ref):
+        paths = tmp_path / "c.txt", tmp_path / "r.txt"
+        for path, text in zip(paths, (cand, ref)):
+            path.write_bytes(text.encode("utf-8"))
+        assert main(["rouge", *map(str, paths)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.strip().split("\n")))
+        lines = len(ref.split("\n")) - ref.endswith("\n")
+        assert [row[0] for row in rows] == ["line", *map(str, range(1, lines + 1)), "mean"]
+        assert [float(v) for v in rows[1][1:]] == [1.0, 1.0, 1.0]
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys):
+        cand, ref = tmp_path / "c.txt", tmp_path / "r.txt"
+        cand.write_text("a b\nc d\n")
+        ref.write_bytes(b"a b\nc \xff d\n")
+        assert main(["rouge", str(cand), str(ref)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ref}:2: not UTF-8: ")
 
     def test_length_mismatch_names_both_counts(self, tmp_path, capsys):
         cand = tmp_path / "c.txt"

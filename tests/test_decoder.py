@@ -335,6 +335,10 @@ class TestAttentionMass:
         with pytest.raises(ConfigError, match="5 attention columns"):
             attention_mass_by_chunk(np.full((1, 5), 0.2), prov)
 
+    def test_one_dimensional_attention_rejected(self):
+        with pytest.raises(ConfigError, match="must be 2-D"):
+            attention_mass_by_chunk(np.full(4, 0.25), self._provenance([2, 2]))
+
     def test_non_stochastic_rows_rejected(self):
         prov = self._provenance([2, 2])
         with pytest.raises(InputError, match="sum to 1"):

@@ -124,6 +124,10 @@ class TestRepeatedChunkDocs:
         first = segs.tokens[0].tolist()
         assert all(row == first for row in segs.tokens.tolist())
 
+    def test_needs_a_chunk(self):
+        with pytest.raises(InputError, match="n_chunks must be >= 1"):
+            make_repeated_chunk_doc(0, 12, 3, 64, seed=4)
+
 
 class TestPositionProbe:
     def test_alpha_one_mse_is_target_variance(self):
@@ -151,3 +155,7 @@ class TestPositionProbe:
         runs = probe_runs([make_repeated_chunk_doc(2, 12, 0, 64, seed=1)], 0.5, cfg)
         with pytest.raises(InputError):
             position_probe(runs)
+
+    def test_needs_a_document(self):
+        with pytest.raises(InputError, match="at least one document"):
+            position_probe([])

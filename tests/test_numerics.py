@@ -39,6 +39,10 @@ class TestMatmul:
         a = np.array([[1.5, -2.0], [0.25, 7.0]])
         np.testing.assert_array_equal(as_matrix(np.eye(2)) @ a, a)
 
+    def test_one_dimensional_array_is_not_a_matrix(self):
+        with pytest.raises(ConfigError, match="ndim=1"):
+            as_matrix(np.ones(3))
+
     def test_hand_product(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[5.0], [6.0]])
