@@ -463,8 +463,9 @@ def cmd_rouge(args: argparse.Namespace) -> int:
     cand_lines = [line for _, line in _read_lines(args.candidates, "candidates")]
     ref_lines = [line for _, line in _read_lines(args.references, "references")]
     if len(cand_lines) != len(ref_lines):
-        raise InputError(f"line count mismatch: {len(cand_lines)} candidate lines vs "
-                         f"{len(ref_lines)} reference lines")
+        raise InputError(f"line count mismatch: candidates {args.candidates} has "
+                         f"{len(cand_lines)} lines, references {args.references} has "
+                         f"{len(ref_lines)}")
     with _published(args.out_dir) as out_dir:
         rows: list[list] = [["line", "rouge1_f1", "rouge2_f1", "rougeL_f1"]]
         sums = [0.0, 0.0, 0.0]

@@ -159,13 +159,22 @@ def _attention(
     Self-attention passes those of ``x``; cross-attention those of the
     memory. ``mask`` is additive (0 or -inf) if given. Returns the
     projected output and the (heads x queries x keys) probabilities.
-    ``x``, ``kv`` and ``mask`` are left unchanged: scaling, masking and
-    the softmax all run in the one scores array this call allocates.
+    ``x``, ``kv`` and ``mask`` are left unchanged: masking and the softmax
+    run in the one scores array this call allocates, and so does the
+    ``1/sqrt(d_head)`` scale unless that root is a power of two. Then it
+    divides the queries, bitwise the same since scaling by 2**j is exact,
+    except for a term or partial sum below 2**-1022 (subnormal), which
+    layer-normed rows and seeded weights stay far above.
     """
-    q = _split_heads(x @ w.wq, n_heads)
+    q = x @ w.wq
+    root = math.sqrt(x.shape[-1] // n_heads)
+    fold = math.frexp(root)[0] == 0.5  # root is 2**j: scaling the queries is exact
+    if fold:
+        q /= root
     k, v = kv
-    scores = q @ k.swapaxes(-1, -2)
-    scores /= math.sqrt(x.shape[-1] // n_heads)
+    scores = _split_heads(q, n_heads) @ k.swapaxes(-1, -2)
+    if not fold:
+        scores /= root
     if mask is not None:
         scores += mask
     attn = _softmax_last(scores)

@@ -26,9 +26,11 @@ parser, and ``next_u64``, ``randint_below``, ``uniform``, ``gaussian``,
 ``sample_indices_per_value`` the draw-at-a-time forms of ``SeededRng``'s
 block-wise streams. ``softmax_out_of_place`` and ``layer_norm_mean_var``
 are the textbook forms of the encoder's in-place softmax and one-pass
-layer norm, each step in a new array. ``decode_uncached`` is the decoder
-pass that projects the memory's keys and values afresh, and
-``greedy_decode_uncached`` repeats it.
+layer norm, each step in a new array. ``attention_scaled_after`` is the
+attention routine that always scales the scores, never the queries.
+``decode_uncached`` is the decoder pass, with that routine, that projects
+the memory's keys and values afresh, and ``greedy_decode_uncached``
+repeats it.
 """
 
 from __future__ import annotations
@@ -56,10 +58,11 @@ from chunkfuse.encoder import (
     EncoderWeights,
     LayerWeights,
     ModelConfig,
-    _attention,
     _feed_forward,
     _keys_values,
     _layer_norm,
+    _softmax_last,
+    _split_heads,
     _token_ids,
     encode,
     init_weights,
@@ -476,12 +479,31 @@ def layer_norm_mean_var(x: np.ndarray) -> np.ndarray:
     return (x - mu) / np.sqrt(var + _LN_EPS)
 
 
+def attention_scaled_after(
+    x: np.ndarray,
+    kv: tuple[np.ndarray, np.ndarray],
+    w: AttentionWeights,
+    n_heads: int,
+    mask: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``encoder._attention`` with the ``1/sqrt(d_head)`` scale always after ``q @ kᵀ``."""
+    q = _split_heads(x @ w.wq, n_heads)
+    k, v = kv
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= math.sqrt(x.shape[-1] // n_heads)
+    if mask is not None:
+        scores += mask
+    attn = _softmax_last(scores)
+    return (attn @ v).swapaxes(-3, -2).reshape(x.shape) @ w.wo, attn
+
+
 def decode_uncached(
     prefix: Sequence[int],
     memory: FusedSequence,
     cfg: ModelConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder pass that projects the memory's keys and values in every layer.
+    """One decoder pass of :func:`attention_scaled_after` that projects the memory's
+    keys and values in every layer.
 
     Returns the logits and the final layer's (heads x prefix length x
     memory rows) cross-attention, which ``decode_step`` averages over heads.
@@ -495,11 +517,12 @@ def decode_uncached(
     h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:n]
     for lw in weights.layers:
         x = _layer_norm(h)
-        h = h + _attention(x, _keys_values(x, lw.block.attn, cfg.n_heads),
-                           lw.block.attn, cfg.n_heads, mask)[0]
-        out, cross = _attention(_layer_norm(h),
-                                _keys_values(memory.flattened, lw.cross, cfg.n_heads),
-                                lw.cross, cfg.n_heads)
+        h = h + attention_scaled_after(x, _keys_values(x, lw.block.attn, cfg.n_heads),
+                                       lw.block.attn, cfg.n_heads, mask)[0]
+        out, cross = attention_scaled_after(_layer_norm(h),
+                                            _keys_values(memory.flattened, lw.cross,
+                                                         cfg.n_heads),
+                                            lw.cross, cfg.n_heads)
         h = h + out
         h = h + _feed_forward(_layer_norm(h), lw.block)
     logits = _layer_norm(h) @ weights.out_proj

@@ -887,6 +887,14 @@ class TestRougeCommand:
         err = capsys.readouterr().err
         assert "2" in err and "1" in err
 
+    def test_length_mismatch_names_both_files_with_their_counts(self, tmp_path, capsys):
+        cand, ref = tmp_path / "c.txt", tmp_path / "r.txt"
+        cand.write_text("a\nb\nc\n")
+        ref.write_text("a\n")
+        assert main(["rouge", str(cand), str(ref)]) == 1
+        assert capsys.readouterr().err == (f"error: line count mismatch: candidates {cand} "
+                                           f"has 3 lines, references {ref} has 1\n")
+
 
 class TestAblateCommand:
     def test_alpha_sweep_row_count(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (
+    attention_scaled_after,
     decode_uncached,
     greedy_decode_uncached,
     kept_rows,
@@ -26,9 +27,9 @@ from chunkfuse.decoder import (
     decode_step,
     init_decoder_weights,
 )
-from chunkfuse.encoder import ModelConfig, _attention, _keys_values
+from chunkfuse.encoder import ModelConfig, _attention, _keys_values, init_weights
 from chunkfuse.errors import ConfigError, InputError
-from chunkfuse.pipeline import PipelineConfig, greedy_decode, run_document
+from chunkfuse.pipeline import PipelineConfig, encode_document, greedy_decode, run_document
 
 
 def decoder_config(**overrides) -> ModelConfig:
@@ -198,6 +199,39 @@ def test_stack_is_bitwise_the_out_of_place_routines(name, monkeypatch):
         monkeypatch.setattr(module, "_layer_norm", counted(module, layer_norm_mean_var))
     assert stack_bytes(cfg) == shipped
     assert len(called) == 3  # every patched routine ran
+
+
+def pipeline_bytes(cfg: PipelineConfig) -> tuple[bytes, list[int], bytes]:
+    """One short document's encoded rows, 16 greedy tokens and final cross-attention,
+    decoded as ``chunkfuse pipeline`` decodes."""
+    tokens = [(37 * i + 11) % cfg.vocab_size for i in range(150)]
+    weights = init_weights(cfg.encoder_config())
+    rows = encode_document(tokens, cfg, weights, "doc")[1]
+    memory = run_document(tokens, cfg, weights=weights, doc_id="doc").fused
+    dec_cfg = cfg.decoder_config(17)
+    generated = greedy_decode([0], memory, dec_cfg, 16)
+    return rows.tobytes(), generated, decode_step(generated, memory, dec_cfg)[1].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+def test_stack_is_bitwise_the_scale_after_product_attention(name, monkeypatch):
+    # long-doc and wide-corpus (head dims 16 and 64) scale the queries;
+    # small-window (8) scales the scores, as the oracle always does
+    cfg = STACK_CONFIGS[name]
+    shipped = pipeline_bytes(cfg)
+    called = set()
+
+    def counted(module):
+        def run(*args):
+            called.add(module.__name__)
+            return attention_scaled_after(*args)
+        return run
+
+    # the decoder imports the attention routine by name
+    for module in (encoder, decoder):
+        monkeypatch.setattr(module, "_attention", counted(module))
+    assert pipeline_bytes(cfg) == shipped
+    assert called == {encoder.__name__, decoder.__name__}
 
 
 # a memory of one 1200-token document, read by every prefix from 1 to 17 tokens

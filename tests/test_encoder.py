@@ -6,11 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import attention_scaled_after
 
 import chunkfuse
+from chunkfuse.decoder import _causal_mask
 from chunkfuse.encoder import (
     ModelConfig,
     _attention,
+    _draw_attention,
     _keys_values,
     _layer_norm,
     encode,
@@ -18,6 +23,7 @@ from chunkfuse.encoder import (
     sinusoidal_positions,
 )
 from chunkfuse.errors import ConfigError, InputError
+from chunkfuse.numerics import SeededRng
 from chunkfuse.pipeline import PipelineConfig, encode_document
 
 
@@ -139,6 +145,31 @@ def test_attention_rows_sum_to_one_every_layer():
                                  lw.attn, cfg.n_heads)
             assert attn.shape == (cfg.n_heads, len(queries), 10)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
+
+
+# square head dims (1, 4, 16, 64) scale the queries, the others the scores
+@settings(max_examples=150, deadline=None)
+@given(d_head=st.sampled_from([1, 2, 4, 8, 16, 32, 64]), n_heads=st.integers(1, 3),
+       lead=st.sampled_from([(), (1,), (2,), (3,)]), n_keys=st.integers(1, 64),
+       data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_attention_is_bitwise_the_scale_after_product_oracle(d_head, n_heads, lead, n_keys,
+                                                             data, seed):
+    # seeded weights over layer-normed rows: the encoder's and decoder's domain.
+    # Causal self-attention, or fewer query rows than keys, as in cross-attention
+    # and in the top block's kept rows
+    d = d_head * n_heads
+    w = _draw_attention(SeededRng(seed), d)
+    rng = np.random.default_rng(seed)
+    source = _layer_norm(rng.normal(size=(*lead, n_keys, d)))
+    if data.draw(st.booleans(), label="causal"):
+        x, mask = source, _causal_mask(n_keys)
+    else:
+        n_queries = data.draw(st.integers(1, n_keys), label="n_queries")
+        x, mask = _layer_norm(rng.normal(size=(*lead, n_queries, d))), None
+    kv = _keys_values(source, w, n_heads)
+    got = _attention(x, kv, w, n_heads, mask)
+    want = attention_scaled_after(x, kv, w, n_heads, mask)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def pipeline_config() -> PipelineConfig:
