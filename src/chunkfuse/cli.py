@@ -436,7 +436,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def _sweep_table(docs: list, variants: list[PipelineConfig], axis: str) -> Iterator[list]:
     """A header, then per variant its ``axis`` value, probe mse, fused rows and fuse seconds."""
     yield [axis, "probe_mse", "scale_rows", "fuse_seconds"]
-    weights = init_weights(variants[0].encoder_config())  # sweep checks that all share it
+    weights = init_weights(variants[0].encoder_config())
     for variant, (runs, _, fuse_seconds) in zip(variants, sweep(docs, variants, weights)):
         memories = [run.fused for run in runs]
         yield [repr(getattr(variant, axis.replace("-", "_"))), repr(position_probe(memories)),

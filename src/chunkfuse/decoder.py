@@ -4,10 +4,12 @@ Proves the fused sequence is consumable by a standard encoder-decoder
 stack: masked self-attention over the prefix, cross-attention over
 every memory row, feed-forward, all with frozen seeded weights. The
 stack is the encoder's config, routine and draws: a layer is an encoder
-block plus a cross record over the memory, in one fixed draw order. A
-:class:`DecoderMemory` projects a memory's keys and values once; callers
-repeat :func:`decode_pass` over it for greedy demos. The last layer's
-cross-attention is returned for attention accounting.
+block plus a cross record over the memory, in one fixed draw order, and
+the stack carries the config it was drawn for. A :class:`DecoderMemory`
+binds the one cached, read-only stack of a config and projects a memory's
+keys and values once; :func:`decode_pass` reads every dimension off that
+stack, and callers repeat it over one memory for greedy demos. The last
+layer's cross-attention is returned for attention accounting.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ class DecoderLayerWeights:
 
 @dataclass(frozen=True)
 class DecoderWeights:
+    cfg: ModelConfig  # the config the arrays were drawn for
     embedding: np.ndarray
     layers: tuple[DecoderLayerWeights, ...]
     out_proj: np.ndarray
@@ -56,7 +59,7 @@ def init_decoder_weights(cfg: ModelConfig) -> DecoderWeights:
     encoder's block draw), cross q, k, v, o (its attention draw);
     finally the output projection. The records group the arrays without
     changing this order, which fixes every array. Same 1/sqrt(fan_in)
-    scaling as the encoder.
+    scaling as the encoder; the stack carries ``cfg``, its arrays read-only.
     """
     rng = SeededRng(cfg.seed)
     d = cfg.d_model
@@ -66,7 +69,7 @@ def init_decoder_weights(cfg: ModelConfig) -> DecoderWeights:
                                        cross=_draw_attention(rng, d))
                    for _ in range(cfg.n_layers))
     out_proj = rng.normal_matrix(d, cfg.vocab_size, std=std)
-    return DecoderWeights(embedding=embedding, layers=layers, out_proj=out_proj)
+    return DecoderWeights(cfg=cfg, embedding=embedding, layers=layers, out_proj=out_proj)
 
 
 @lru_cache(maxsize=4)
@@ -81,12 +84,11 @@ def _causal_mask(n: int) -> np.ndarray:
 
 
 class DecoderMemory:
-    """The decoder weights and each layer's cross ``_keys_values`` of ``memory.flattened``."""
+    """The decoder weights for ``cfg`` and each layer's cross ``_keys_values`` of a memory."""
 
     def __init__(self, memory: FusedSequence, cfg: ModelConfig):
         if memory.width != cfg.d_model:
             raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
-        self.cfg = cfg
         self.weights = _cached_weights(cfg)
         self.keys_values = tuple(_keys_values(memory.flattened, lw.cross, cfg.n_heads)
                                  for lw in self.weights.layers)
@@ -102,7 +104,7 @@ def decode_pass(
     last row scores the continuation) and the final layer's
     cross-attention (heads x prefix length x memory rows).
     """
-    cfg, weights = memory.cfg, memory.weights
+    cfg, weights = memory.weights.cfg, memory.weights
     ids = _token_ids(prefix, cfg, "prefix")
     n = ids.size
     mask = _causal_mask(n)

@@ -1,7 +1,8 @@
 """Frozen-weight transformer encoder for per-chunk hidden states.
 
 The encoder is a stand-in for a pretrained model: weights are Gaussian
-draws fully determined by (config, seed), the forward pass is pure, and
+draws fully determined by their config, seed included, which they carry
+as the one record of the model's dimensions; the forward pass is pure, and
 every chunk is encoded independently with sinusoidal positions that
 restart at 0. Pre-norm blocks keep activations bounded at random
 initialization. There is no dropout, no padding mask (chunks contain
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .numerics import SeededRng, check_finite
+from .numerics import SeededRng, as_token_ids, check_finite
 
 _LN_EPS = 1e-5
 
@@ -65,6 +66,7 @@ class LayerWeights:
 
 @dataclass(frozen=True)
 class EncoderWeights:
+    cfg: ModelConfig  # the config the arrays were drawn for
     embedding: np.ndarray
     layers: tuple[LayerWeights, ...]
 
@@ -84,18 +86,19 @@ def _draw_layer(rng: SeededRng, cfg: ModelConfig) -> LayerWeights:
 
 
 def init_weights(cfg: ModelConfig) -> EncoderWeights:
-    """Deterministic Gaussian weights, std 1/sqrt(fan_in) per tensor.
+    """Deterministic Gaussian weights for ``cfg``, std 1/sqrt(fan_in) per tensor.
 
     Draw order is fixed (embedding first, then per layer q, k, v, o,
     w1, w2, each filled row-major) so identical configs are
     bitwise-identical. The embedding uses fan_in = d_model so lookup
-    rows have the same scale as projection outputs.
+    rows have the same scale as projection outputs. The stack carries
+    ``cfg``, and its arrays are read-only.
     """
     rng = SeededRng(cfg.seed)
     embedding = rng.normal_matrix(cfg.vocab_size, cfg.d_model,
                                   std=1.0 / math.sqrt(cfg.d_model))
     layers = tuple(_draw_layer(rng, cfg) for _ in range(cfg.n_layers))
-    return EncoderWeights(embedding=embedding, layers=layers)
+    return EncoderWeights(cfg=cfg, embedding=embedding, layers=layers)
 
 
 @lru_cache(maxsize=8)
@@ -183,7 +186,7 @@ def _attention(
 
 def _token_ids(tokens, cfg: ModelConfig, what: str) -> np.ndarray:
     """``tokens`` as int64 ids: rows of 1 to ``max_len`` ids, each in the vocabulary."""
-    ids = np.asarray(tokens, dtype=np.int64)
+    ids = as_token_ids(tokens)
     if ids.size == 0:
         raise InputError(f"{what} is empty")
     if ids.shape[-1] > cfg.max_len:
@@ -199,15 +202,10 @@ def _feed_forward(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     return hidden @ lw.w2
 
 
-def encode(
-    tokens: np.ndarray,
-    weights: EncoderWeights,
-    cfg: ModelConfig,
-    keep: np.ndarray,
-) -> np.ndarray:
+def encode(tokens: np.ndarray, weights: EncoderWeights, keep: np.ndarray) -> np.ndarray:
     """Encode (g x n) windows to the top-layer hidden states of their (g x r) ``keep`` rows.
 
-    Pure function of (tokens, weights, config), each window on its own and
+    Pure function of (tokens, weights), each window on its own and
     every product on the stack: embeddings plus positions restarted at 0,
     ``n_layers`` pre-norm blocks of self-attention and feed-forward with
     residuals, a final norm. The top block updates only the ``keep`` rows,
@@ -218,6 +216,7 @@ def encode(
     long inner dimension, as when under 62 kept rows attend over a
     1024-token window with 16-wide heads.
     """
+    cfg = weights.cfg
     ids = _token_ids(tokens, cfg, "window")
     h = weights.embedding[ids] + sinusoidal_positions(ids.shape[-1], cfg.d_model)
     kept = (np.arange(len(keep))[:, None], keep)  # the top block updates these rows only

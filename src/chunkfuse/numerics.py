@@ -37,6 +37,20 @@ def as_matrix(data) -> np.ndarray:
     return a
 
 
+def as_token_ids(tokens) -> np.ndarray:
+    """``tokens`` as an int64 array, or ``InputError`` where a cast would coerce them.
+
+    numpy infers the dtype, so floats, strings and a list of bools are refused
+    rather than truncated, parsed or read as 0 and 1, as are ids past int64
+    (inferred as uint64, float64 or object). An empty ``tokens`` is left to the
+    caller to refuse.
+    """
+    ids = np.asarray(tokens)
+    if ids.size and (ids.dtype.kind not in "iu" or ids.dtype.kind == "u" and ids.max() >= 1 << 63):
+        raise InputError(f"token ids must be integers in int64's range, got {ids.dtype} values")
+    return ids.astype(np.int64, copy=False)
+
+
 def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Return ``a``; a NaN or infinity in it is a numeric fault, a ``FloatingPointError``."""
     if not np.all(np.isfinite(a)):
@@ -155,6 +169,8 @@ class SeededRng:
         count is odd. ``sqrt`` and the products are correctly rounded in
         numpy; ``log``, ``sin`` and ``cos`` stay on libm through ``math``,
         so every entry is bitwise the value of a one-draw-at-a-time loop.
+        The matrix is read-only: weight stacks, which the decoder caches and
+        shares, hold these arrays.
         """
         out = np.empty(rows * cols, dtype=np.float64)
         filled = 0
@@ -178,6 +194,7 @@ class SeededRng:
             filled += take
             if take < g.size:
                 self._gauss_spare = float(g[-1])
+        out.flags.writeable = False
         return out.reshape(rows, cols)
 
     def token_ids(self, count: int, vocab_size: int) -> tuple[int, ...]:

@@ -152,9 +152,13 @@ def encode_document(
     any encode, and no array holds a row nobody reads. Chunks shorter than 2k
     keep some rows twice; chunks shorter than k cannot be represented at all.
     Each ``encoder.encode`` call takes as many windows as keep their scores in
-    one fixed byte budget. Returns the windows, the (C, 2k + t, d) kept rows
-    and their (C, 2k + t) document positions.
+    one fixed byte budget. ``weights`` must have been drawn for
+    ``cfg.encoder_config()``. Returns the windows, the (C, 2k + t, d) kept
+    rows and their (C, 2k + t) document positions.
     """
+    if weights.cfg != cfg.encoder_config():
+        raise ConfigError(f"weights drawn for {weights.cfg} cannot encode under "
+                          f"{cfg.encoder_config()}")
     segs = segment(tokens, cfg.chunk_len, cfg.overlap)
     c, n = segs.tokens.shape
     k = cfg.boundary_width
@@ -163,9 +167,8 @@ def encode_document(
     lead = np.broadcast_to(np.arange(k), (c, k))
     middles = sample_document_middles(segs, cfg, middle_rng_for(cfg, doc_id))
     keep = np.concatenate([lead, middles, lead + (n - k)], axis=1)
-    model = cfg.encoder_config()
-    g = max(1, _SCORES_BUDGET // (8 * model.n_heads * n * n))
-    rows = np.concatenate([encoder.encode(segs.tokens[i:i + g], weights, model, keep[i:i + g])
+    g = max(1, _SCORES_BUDGET // (8 * cfg.n_heads * n * n))
+    rows = np.concatenate([encoder.encode(segs.tokens[i:i + g], weights, keep[i:i + g])
                            for i in range(0, c, g)])
     return segs, rows, keep + segs.starts[:, None]
 
@@ -193,11 +196,9 @@ def sweep(
     document and the seconds spent encoding (:func:`encode_document`) and
     fusing (``cumulation.assemble``) them. Encoding does not read alpha, so
     a variant that differs from the one before it only in alpha reuses its
-    encodings, at 0.0 encode seconds. ``weights`` serve every variant, so
-    all must share one encoder config.
+    encodings, at 0.0 encode seconds. ``weights`` serve every variant, and
+    :func:`encode_document` refuses a variant they were not drawn for.
     """
-    if len({variant.encoder_config() for variant in variants}) > 1:
-        raise ConfigError("sweep variants must share one encoder config")
     results = []
     encoded_for = encoded = None
     for variant in variants:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .numerics import as_token_ids
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def segment(tokens: Sequence[int], chunk_len: int, overlap: int) -> SegmentSet:
     shifted left to end at the last token (it then shares more than
     ``overlap`` positions with its neighbor, never less).
     """
-    toks = np.asarray(tokens, dtype=np.int64)
+    toks = as_token_ids(tokens)
     count = segment_count(toks.size, chunk_len, overlap)
     n = min(chunk_len, toks.size)
     starts = np.minimum(np.arange(count) * (chunk_len - overlap), toks.size - n)

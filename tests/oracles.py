@@ -233,6 +233,10 @@ class PerChunkMemory:
     short_chunks: list[int]
     middle_shortfall: dict[str, int]
 
+    @property
+    def width(self) -> int:
+        return self.flattened.shape[1]
+
 
 def assemble_per_chunk(fused_lefts, fused_rights, encodings, middle_indices, starts,
                        middle_requested: int) -> PerChunkMemory:
@@ -341,7 +345,7 @@ def gaussian_weights(cfg: ModelConfig) -> EncoderWeights:
     def draw(*shape):
         return rng.normal(size=shape) / np.sqrt(shape[0])
 
-    return EncoderWeights(draw(cfg.vocab_size, d), tuple(
+    return EncoderWeights(cfg, draw(cfg.vocab_size, d), tuple(
         LayerWeights(AttentionWeights(draw(d, d), draw(d, d), draw(d, d), draw(d, d)),
                      draw(d, f), draw(f, d))
         for _ in range(cfg.n_layers)))
@@ -357,11 +361,10 @@ def encode_document_per_window(tokens, cfg, weights, doc_id: str):
     n = segs.tokens.shape[1]
     k = cfg.boundary_width
     middles = sample_document_middles(segs, cfg, middle_rng_for(cfg, doc_id))
-    model = cfg.encoder_config()
     rows, positions = [], []
     for window, start, idx in zip(segs.tokens, segs.starts.tolist(), middles.tolist()):
         keep = np.array([*range(k), *idx, *range(n - k, n)], dtype=np.int64)
-        rows.append(encode(window[None], weights, model, keep[None])[0])
+        rows.append(encode(window[None], weights, keep[None])[0])
         positions.append(keep + start)
     return segs, np.stack(rows), np.stack(positions)
 

@@ -1218,12 +1218,14 @@ class TestSizeCliff:
 
         from chunkfuse import cli
         from chunkfuse.decoder import init_decoder_weights
-        from chunkfuse.encoder import init_weights
+        from chunkfuse.encoder import ModelConfig, init_weights
         from chunkfuse.pipeline import PipelineConfig
 
         def array_bytes(record) -> int:
             if isinstance(record, np.ndarray):
                 return record.nbytes
+            if isinstance(record, ModelConfig):  # the config a stack carries holds no array
+                return 0
             if isinstance(record, tuple):
                 return sum(map(array_bytes, record))
             return sum(array_bytes(getattr(record, f.name)) for f in dataclasses.fields(record))

@@ -4,14 +4,17 @@ A ``--config`` file, a ``CHUNKFUSE_*`` variable, a config flag and an
 ``ablate --values`` entry all read a value as JSON, and
 ``PipelineConfig.from_json`` alone turns JSON values into a config. The
 AST checks keep a second reader from growing back: only ``pipeline.py``
-reads a config field's ``.type``. The generated test drives ``cli.main``
-over one field and one spelling in every layer:
+reads a config field's ``.type``. The generated tests drive ``cli.main``
+over one field and one spelling in every layer, and over 1 to 3 fields
+held in one ``--config`` file, given as ``CHUNKFUSE_*`` values or given
+as flags:
 
 - a spelling that ``json.loads`` accepts gives one config in every layer,
   or the same ``error:`` line in every layer (an ``ablate`` entry prefixes
   it with ``--values entry``);
 - any other spelling exits 1 in every layer, naming the flag, variable,
-  entry or config file;
+  entry or config file (of several fields, the first bad one in field
+  order; a file whose text is JSON after all is typed like any other);
 - an exit 1 prints one ``error:`` line and no traceback, and leaves no
   ``--out-dir``; nothing exits 2.
 
@@ -71,22 +74,36 @@ def corpora(tmp_path_factory):
     return root, tokens, empty
 
 
-def run_layer(layer, field, spelling, work, tokens, empty):
-    """``(exit code, whether --out-dir exists, last config built)`` of one layer."""
+def flag_of(field: str) -> str:
+    return "--" + field.replace("_", "-")
+
+
+def file_text(written: dict[str, str]) -> str:
+    """The ``--config`` file of the fields ``written``, each value's text as given."""
+    return "{" + ", ".join(json.dumps(field) + ": " + spelling
+                           for field, spelling in written.items()) + "}"
+
+
+def run_layer(layer, written, work, tokens, empty):
+    """``(exit code, whether --out-dir exists, last config built)`` of one layer.
+
+    ``written`` maps each field given to its value's text; ``ablate``
+    sweeps the one field given.
+    """
     out = work / "out"
-    flag = "--" + field.replace("_", "-")
     argv = ["segment", str(tokens), "--out-dir", str(out)]
     env = {}
     if layer == "file":
         config = work / "cfg.json"
-        config.write_text("{" + json.dumps(field) + ": " + spelling + "}", encoding="utf-8")
+        config.write_text(file_text(written), encoding="utf-8")
         argv += ["--config", str(config)]
     elif layer == "env":
-        env[ENV_PREFIX + field.upper()] = spelling
+        env = {ENV_PREFIX + field.upper(): spelling for field, spelling in written.items()}
     elif layer == "flag":
-        argv.append(f"{flag}={spelling}")
+        argv += [f"{flag_of(field)}={spelling}" for field, spelling in written.items()]
     else:
-        argv = ["ablate", str(empty), "--axis", flag[2:], f"--values={spelling}",
+        [(field, spelling)] = written.items()
+        argv = ["ablate", str(empty), "--axis", flag_of(field)[2:], f"--values={spelling}",
                 "--out-dir", str(out)]
 
     built = []
@@ -138,6 +155,25 @@ other_text = st.text(max_size=8).filter(lambda text: "," not in text)
 spellings = (json_spellings | number_like | other_text).filter(env_safe)
 
 
+def run_layers(layers, written, corpora, capsys) -> dict:
+    """Per layer, ``(exit code, last config built, its error: line)``, checking that
+    each exits 0 or 1 without a traceback, and that an exit 1 prints one ``error:``
+    line and leaves no ``--out-dir``."""
+    root, tokens, empty = corpora
+    seen = {}
+    for layer in layers:
+        with tempfile.TemporaryDirectory(dir=root) as work:
+            capsys.readouterr()
+            code, out_exists, cfg = run_layer(layer, written, Path(work), tokens, empty)
+            err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert code in (0, 1) and "Traceback" not in err, (layer, err)
+        if code == 1:
+            assert len(errors) == 1 and not out_exists, (layer, err)
+        seen[layer] = code, cfg, errors[0] if errors else None
+    return seen
+
+
 @given(field=st.sampled_from(FIELDS), spelling=spellings)
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -155,25 +191,13 @@ spellings = (json_spellings | number_like | other_text).filter(env_safe)
 @example(field="n_heads", spelling="0")
 @example(field="chunk_len", spelling="--")
 def test_a_value_reads_alike_in_every_layer(corpora, capsys, field, spelling):
-    root, tokens, empty = corpora
     layers = ["file", "env", "flag"] + (["ablate"] if field in AXES else [])
-    seen = {}
-    for layer in layers:
-        with tempfile.TemporaryDirectory(dir=root) as work:
-            capsys.readouterr()
-            code, out_exists, cfg = run_layer(layer, field, spelling, Path(work),
-                                              tokens, empty)
-            err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error: ")]
-        assert code in (0, 1) and "Traceback" not in err, (layer, err)
-        if code == 1:
-            assert len(errors) == 1 and not out_exists, (layer, err)
-        seen[layer] = code, cfg, errors[0] if errors else None
+    seen = run_layers(layers, {field: spelling}, corpora, capsys)
 
     if not json_accepts(spelling):
         assert all(code == 1 and cfg is None for code, cfg, _ in seen.values()), seen
         named = {"file": "cannot read config file ", "env": f"{ENV_PREFIX}{field.upper()} ",
-                 "flag": "--" + field.replace("_", "-") + " ", "ablate": "--values entry "}
+                 "flag": flag_of(field) + " ", "ablate": "--values entry "}
         for layer, (_, _, line) in seen.items():
             assert line.startswith("error: " + named[layer]), (layer, line)
             if layer != "file":
@@ -194,3 +218,30 @@ def test_a_value_reads_alike_in_every_layer(corpora, capsys, field, spelling):
     if cfg is not None:
         assert code == 0
         assert cfg == PipelineConfig.from_json({field: json.loads(spelling)})
+
+
+@given(written=st.dictionaries(st.sampled_from(FIELDS), spellings, min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(written={"chunk_len": "8", "overlap": "4", "middle_count": "2"})
+@example(written={"overlap": "9", "chunk_len": "8"})  # one fault of two fields, in either order
+@example(written={"alpha": "2", "seed": "-1"})  # two faults: the first checked is named
+@example(written={"overlap": '{"a": 1', "alpha": "0.5}"})  # a file that is JSON after all
+@example(written={"seed": "+5", "n_heads": "x", "alpha": "0.5"})
+def test_several_values_read_alike_in_every_layer(corpora, capsys, written):
+    seen = run_layers(["file", "env", "flag"], written, corpora, capsys)
+    bad = [field for field in FIELDS if field in written and not json_accepts(written[field])]
+    if bad:
+        assert all(code == 1 and cfg is None for code, cfg, _ in seen.values()), seen
+        assert seen["env"][2].startswith(f"error: {ENV_PREFIX}{bad[0].upper()} "), seen
+        assert seen["flag"][2].startswith(f"error: {flag_of(bad[0])} "), seen
+        if not json_accepts(file_text(written)):
+            assert seen["file"][2].startswith("error: cannot read config file "), seen
+        return
+
+    code, cfg, _ = seen["file"]
+    assert seen["env"] == seen["flag"] == seen["file"], seen
+    if cfg is not None:
+        assert code == 0
+        assert cfg == PipelineConfig.from_json({field: json.loads(spelling)
+                                                for field, spelling in written.items()})

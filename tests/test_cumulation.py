@@ -1,3 +1,4 @@
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -55,13 +56,15 @@ def run_on_encodings(segs, encs: np.ndarray, cfg: PipelineConfig, doc_id: str):
     """``run_document``'s memory for the windows ``segs``, as if ``encs`` were their encodings.
 
     The pipeline picks each chunk's kept rows and their positions as it
-    always does; a stub encoder hands back those rows of ``encs``.
+    always does; a stub encoder hands back those rows of ``encs``, and a
+    stand-in stack carries only the config it is checked against.
     """
     windows = iter(encs)
+    stack = SimpleNamespace(cfg=cfg.encoder_config())
     with mock.patch.object(pipeline, "segment", lambda *_: segs), \
-            mock.patch.object(encoder, "encode", lambda _t, _w, _c, keep:
+            mock.patch.object(encoder, "encode", lambda _t, _w, keep:
                               np.stack([next(windows)[kept] for kept in keep])):
-        return run_document([], cfg, weights=object(), doc_id=doc_id).fused
+        return run_document([], cfg, weights=stack, doc_id=doc_id).fused
 
 
 def kept_boundaries(encs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -122,7 +122,7 @@ def test_both_stacks_check_their_token_ids_alike(tokens, message):
     cfg = decoder_config()
     *_, memory = make_memory(np.random.default_rng(8))
     with pytest.raises(InputError, match="window " + message):
-        encoder.encode([tokens], encoder.init_weights(cfg), cfg, np.arange(len(tokens))[None])
+        encoder.encode([tokens], encoder.init_weights(cfg), np.arange(len(tokens))[None])
     with pytest.raises(InputError, match="prefix " + message):
         decode_step(tokens, memory, cfg)
 
@@ -135,6 +135,37 @@ def test_decoder_weights_deterministic():
     for name in [f.name for f in fields(a.layers[0].cross)]:
         np.testing.assert_array_equal(getattr(a.layers[0].cross, name),
                                       getattr(b.layers[0].cross, name))
+
+
+def test_greedy_decode_refuses_a_float_prefix():
+    *_, memory = make_memory(np.random.default_rng(9))
+    with pytest.raises(InputError, match="got float64 values"):
+        greedy_decode([0.9], memory, decoder_config(), 2)
+
+
+@pytest.mark.parametrize("stack", ["cached decoder", "encoder"])
+def test_weight_stacks_are_read_only(stack):
+    # every DecoderMemory of one config shares the cached stack: an edit would reach them all
+    cfg = decoder_config()
+    weights = decoder._cached_weights(cfg) if stack == "cached decoder" else init_weights(cfg)
+    arrays = [weights.embedding, weights.layers[0].attn.wq if stack == "encoder"
+              else weights.layers[0].cross.wk]
+    if stack == "cached decoder":
+        arrays.append(weights.out_proj)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+
+
+def test_weight_stacks_carry_the_config_they_were_drawn_for():
+    cfg = decoder_config()
+    assert init_weights(cfg).cfg == cfg
+    assert init_decoder_weights(cfg).cfg == cfg
+    assert decoder._cached_weights(cfg).cfg == cfg
+    assert not hasattr(DecoderMemory(make_memory(np.random.default_rng(10))[2], cfg), "cfg")
 
 
 @pytest.mark.parametrize("kind", ["causal self-attention", "cross-attention"])

@@ -34,9 +34,9 @@ def small_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def encode_full(tokens, weights, cfg) -> np.ndarray:
+def encode_full(tokens, weights) -> np.ndarray:
     """Every row of one window's encoding."""
-    return encode([tokens], weights, cfg, np.arange(len(tokens))[None])[0]
+    return encode([tokens], weights, np.arange(len(tokens))[None])[0]
 
 
 def test_config_head_divisibility():
@@ -80,8 +80,7 @@ def test_encode_is_pure():
     cfg = small_config()
     w = init_weights(cfg)
     window = (1, 2, 3, 4, 5)
-    np.testing.assert_array_equal(encode_full(window, w, cfg),
-                                  encode_full(window, w, cfg))
+    np.testing.assert_array_equal(encode_full(window, w), encode_full(window, w))
 
 
 def test_encode_shape():
@@ -91,10 +90,10 @@ def test_encode_shape():
     for _ in range(5):
         n = int(rng.integers(1, cfg.max_len + 1))
         toks = tuple(int(t) for t in rng.integers(0, cfg.vocab_size, n))
-        out = encode_full(toks, w, cfg)
+        out = encode_full(toks, w)
         assert out.shape == (n, cfg.d_model)
         assert np.all(np.isfinite(out))
-        assert encode([toks], w, cfg, np.array([[0, n - 1, 0]])).shape == (1, 3, cfg.d_model)
+        assert encode([toks], w, np.array([[0, n - 1, 0]])).shape == (1, 3, cfg.d_model)
 
 
 def test_stacked_windows_are_bitwise_one_window_calls():
@@ -103,10 +102,10 @@ def test_stacked_windows_are_bitwise_one_window_calls():
     w = init_weights(cfg)
     tokens = np.random.default_rng(4).integers(0, cfg.vocab_size, (3, cfg.max_len))
     keep = np.array([[0, 5, 5, 63], [1, 2, 3, 4], [63, 0, 7, 7]])
-    got = encode(tokens, w, cfg, keep)
+    got = encode(tokens, w, keep)
     assert got.shape == (3, 4, cfg.d_model)
     for window, kept, rows in zip(tokens, keep, got):
-        assert rows.tobytes() == encode(window[None], w, cfg, kept[None])[0].tobytes()
+        assert rows.tobytes() == encode(window[None], w, kept[None])[0].tobytes()
 
 
 def test_positions_make_order_matter():
@@ -114,8 +113,8 @@ def test_positions_make_order_matter():
     w = init_weights(cfg)
     tokens = (3, 9, 9, 4, 20, 31)
     swapped = (9, 3, 9, 4, 20, 31)
-    a = encode_full(tokens, w, cfg)
-    b = encode_full(swapped, w, cfg)
+    a = encode_full(tokens, w)
+    b = encode_full(swapped, w)
     assert np.max(np.abs(a - b)) > 0
 
 
@@ -123,14 +122,14 @@ def test_token_id_out_of_range():
     cfg = small_config()
     w = init_weights(cfg)
     with pytest.raises(InputError):
-        encode_full((0, cfg.vocab_size), w, cfg)
+        encode_full((0, cfg.vocab_size), w)
 
 
 def test_segment_longer_than_max_len():
     cfg = small_config(max_len=4)
     w = init_weights(cfg)
     with pytest.raises(InputError):
-        encode_full((0, 1, 2, 3, 4), w, cfg)
+        encode_full((0, 1, 2, 3, 4), w)
 
 
 def test_attention_rows_sum_to_one_every_layer():
@@ -187,7 +186,7 @@ def test_encode_document_order_and_chunk_independence():
     assert positions.shape == (segs.count, 4)
     assert segs.tokens.shape == (segs.count, 8)
     for window, start, kept, got in zip(segs.tokens, segs.starts, positions, rows):
-        full = encode_full(window, w, cfg.encoder_config())
+        full = encode_full(window, w)
         assert got.tobytes() == full[kept - start].tobytes()
 
     # editing one chunk's tokens leaves the others bitwise unchanged
@@ -286,7 +285,7 @@ for fields in json.loads(sys.argv[1]):
     tokens = np.random.default_rng(cfg.seed).integers(0, cfg.vocab_size, n + 2 * group * stride)
     segs, rows, positions = encode_document(tokens.tolist(), cfg, weights, "guard")
     print(segs.count == 2 * group + 1 and all(
-        got.tobytes() == encode(window[None], weights, cfg.encoder_config(),
+        got.tobytes() == encode(window[None], weights,
                                 np.arange(n)[None])[0][kept - start].tobytes()
         for window, start, kept, got in zip(segs.tokens, segs.starts, positions, rows)))
 """

@@ -136,10 +136,12 @@ WEIGHT_GOLDEN = {
 
 
 def weights_sha256(weights) -> str:
-    """sha256 of every weight array's bytes, in dataclass field order."""
+    """sha256 of every weight array's bytes, in dataclass field order; the config is no array."""
     h = hashlib.sha256()
 
     def feed(w):
+        if isinstance(w, ModelConfig):
+            return
         if dataclasses.is_dataclass(w):
             for f in dataclasses.fields(w):
                 feed(getattr(w, f.name))

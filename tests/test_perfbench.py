@@ -1,9 +1,12 @@
 """The benchmark harness still runs against the library.
 
-``perfbench/run.py`` reads the library by name: ``run_document``,
-``fused_sequence_manifest``, the memory's ``flattened`` and
-``provenance``, ``decode_step``, ``greedy_decode`` and
-``attention_mass_by_chunk``. One short small-window run, in its own
+``perfbench/`` reads the library by name: ``cli.load_corpus``,
+``cli.main``, ``encoder.init_weights``, ``pipeline.run_document``,
+``segmenter.segment_set_to_dict``, ``cumulation.fused_sequence_manifest``,
+the memory's ``flattened`` and ``provenance``, ``numerics.save_matrix``,
+``numerics.load_matrix``, ``pipeline.greedy_decode``,
+``decoder.decode_step`` and ``decoder.attention_mass_by_chunk``, beside
+``PipelineConfig`` and its methods. One short small-window run, in its own
 process, must check every document it ran and find its run directory
 byte-identical to ``chunkfuse pipeline``'s. The artifact sha256 is not
 pinned: it depends on the BLAS thread count.

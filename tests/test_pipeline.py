@@ -36,7 +36,7 @@ from chunkfuse.cumulation import (
     fused_sequence_manifest,
 )
 from chunkfuse.encoder import encode, init_weights
-from chunkfuse.errors import ConfigError
+from chunkfuse.errors import ConfigError, InputError
 from chunkfuse.metrics import make_random_doc
 from chunkfuse.pipeline import PipelineConfig, encode_document, run_document, sweep
 from chunkfuse.segmenter import segment
@@ -59,7 +59,7 @@ def test_alpha_one_rows_are_full_encoder_rows():
         weights = init_weights(cfg.encoder_config())
         run = run_document(make_random_doc(n_tokens, cfg.vocab_size, 5), cfg, weights=weights)
         n = run.segments.tokens.shape[1]
-        full = [encode(window[None], weights, cfg.encoder_config(), np.arange(n)[None])[0]
+        full = [encode(window[None], weights, np.arange(n)[None])[0]
                 for window in run.segments.tokens]
         starts = run.segments.starts
         for row, (chunk, _role, pos) in zip(run.fused.flattened, run.fused.provenance):
@@ -136,9 +136,6 @@ def test_workload_documents_are_bitwise_the_per_window_loop(fields, groups):
     assert grouped_is_per_window(tokens, cfg, weights, "doc-0000") == groups
 
 
-TINY_WEIGHTS = init_weights(tiny_config().encoder_config())
-
-
 # 61 tokens make 5 windows of 16; 10 tokens one short window; 4 tokens at
 # k = 3 a window shorter than 2k, whose keep repeats rows
 @given(document_configs(), st.integers(0, 6), st.integers(0, 2**16))
@@ -155,7 +152,8 @@ def test_encode_document_groups_are_bitwise_the_per_window_loop(case, group, doc
     tokens = make_random_doc(n_tokens, cfg.vocab_size, doc_seed)
     # exactly ``group`` windows' scores
     with mock.patch.object(pipeline, "_SCORES_BUDGET", group * 8 * cfg.n_heads * n * n):
-        sizes = grouped_is_per_window(tokens, cfg, TINY_WEIGHTS, f"doc-{doc_seed}")
+        sizes = grouped_is_per_window(tokens, cfg, init_weights(cfg.encoder_config()),
+                                      f"doc-{doc_seed}")
     c, g = sum(sizes), max(group, 1)
     assert sizes == [g] * (c // g) + [c % g] * (c % g > 0)
 
@@ -259,8 +257,30 @@ def test_sweep_reuses_encodings_only_after_an_alpha_change():
     assert all(fuse_s > 0.0 for _, _, fuse_s in results)
 
 
+@pytest.mark.parametrize("caller", ["run_document", "sweep", "encode_document"])
+@pytest.mark.parametrize("other", [{"seed": 4}, {"n_heads": 4}, {"d_model": 16},
+                                   {"chunk_len": 20}])
+def test_a_stack_drawn_for_another_config_is_refused(caller, other):
+    cfg = tiny_config()
+    weights = init_weights(tiny_config(**other).encoder_config())
+    doc_id, tokens = SWEEP_DOCS[0]
+    call = {"run_document": lambda: run_document(tokens, cfg, weights, doc_id),
+            "sweep": lambda: sweep(SWEEP_DOCS, [cfg], weights),
+            "encode_document": lambda: encode_document(tokens, cfg, weights, doc_id)}[caller]
+    with pytest.raises(ConfigError, match=r"weights drawn for ModelConfig\(.*\) cannot encode "
+                       r"under ModelConfig\("):
+        call()
+
+
+def test_float_ids_are_refused_not_truncated():
+    cfg = tiny_config()
+    with pytest.raises(InputError, match="got float64 values"):
+        run_document([1.7] * 20, cfg)
+    assert run_document([1] * 20, cfg).fused.rows > 0
+
+
 @pytest.mark.parametrize("other", [{"chunk_len": 20}, {"d_model": 16}, {"seed": 4}])
 def test_sweep_rejects_variants_of_two_encoder_configs(other):
     variants = [tiny_config(), tiny_config(**other)]
-    with pytest.raises(ConfigError, match="one encoder config"):
+    with pytest.raises(ConfigError, match="weights drawn for .* cannot encode under"):
         sweep(SWEEP_DOCS, variants, init_weights(variants[0].encoder_config()))

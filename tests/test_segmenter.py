@@ -73,6 +73,31 @@ def test_empty_sequence():
         segment([], 4, 2)
 
 
+def test_float_ids_are_refused_not_truncated():
+    with pytest.raises(InputError, match="got float64 values"):
+        segment([1.9, 2.9, 3.9, 4.2], 2, 0)
+
+
+def test_digit_strings_are_refused_not_parsed():
+    with pytest.raises(InputError, match="got <U1 values"):
+        segment(["3", "4", "5"], 2, 0)
+
+
+@pytest.mark.parametrize("tokens, dtype", [([True, False, True], "bool"),
+                                           ([1 << 63], "uint64"), ([-1, 1 << 63], "float64"),
+                                           ([1 << 64], "object")])
+def test_bools_and_ids_past_int64_are_refused(tokens, dtype):
+    with pytest.raises(InputError, match=f"integers in int64's range, got {dtype} values"):
+        segment(tokens, 2, 0)
+
+
+def test_integer_arrays_of_any_width_segment_alike():
+    want = segment(list(range(9)), 4, 1).tokens
+    for dtype in (np.uint8, np.int32, np.uint64):
+        got = segment(np.arange(9, dtype=dtype), 4, 1).tokens
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+
 def test_count_formula_matches_construction():
     rnd = random.Random(0)
     for _ in range(300):
