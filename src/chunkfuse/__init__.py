@@ -16,7 +16,7 @@ from .cumulation import (
     fuse,
     fused_sequence_manifest,
 )
-from .decoder import attention_mass_by_chunk, decode_step, init_decoder_weights
+from .decoder import attention_mass_by_chunk, decode, decode_step, init_decoder_weights
 from .encoder import EncoderWeights, ModelConfig, encode, init_weights
 from .errors import ChunkfuseError, ConfigError, InputError
 from .metrics import (

@@ -28,11 +28,11 @@ from typing import Callable, Iterator, Sequence
 
 from . import bench as bench_mod
 from . import cumulation
-from .decoder import attention_mass_by_chunk, decode_step
+from .decoder import attention_mass_by_chunk, decode
 from .errors import ChunkfuseError, ConfigError, InputError
 from .metrics import PROBE_MIN_CHUNKS, make_repeated_chunk_doc, position_probe, rouge_l, rouge_n
 from .numerics import save_matrix
-from .pipeline import PipelineConfig, greedy_decode, run_document, sweep
+from .pipeline import PipelineConfig, run_document, sweep
 from .encoder import init_weights
 from .segmenter import segment, segment_count, segment_set_to_dict
 
@@ -394,13 +394,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             manifest["n_tokens"] = len(tokens)
             _write_json(doc_dir / "fused_manifest.json", manifest)
             save_matrix(run.fused.flattened, doc_dir / "fused_matrix.txt")
-            generated = greedy_decode(_DECODE_PREFIX, run.fused, dec_cfg, _DECODE_STEPS)
+            generated, _, cross = decode(_DECODE_PREFIX, run.fused, dec_cfg, _DECODE_STEPS)
             _write_json(doc_dir / "decode_demo.json", {
                 "doc_id": doc_id,
                 "prefix": _DECODE_PREFIX,
                 "generated": generated[len(_DECODE_PREFIX):],
             })
-            _, cross = decode_step(generated, run.fused, dec_cfg)
             mass = attention_mass_by_chunk(cross, run.fused.provenance)
             _write_csv(doc_dir / "attention_mass.csv",
                        [["chunk", "mass"],

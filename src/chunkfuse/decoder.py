@@ -1,15 +1,15 @@
 """Forward-only decoder bridge over an assembled memory.
 
 Proves the fused sequence is consumable by a standard encoder-decoder
-stack: masked self-attention over the prefix, cross-attention over
-every memory row, feed-forward, all with frozen seeded weights. The
-stack is the encoder's config, routine and draws: a layer is an encoder
-block plus a cross record over the memory, in one fixed draw order, and
-the stack carries the config it was drawn for. A :class:`DecoderMemory`
-binds the one cached, read-only stack of a config and projects a memory's
-keys and values once; :func:`decode_pass` reads every dimension off that
-stack, and callers repeat it over one memory for greedy demos. The last
-layer's cross-attention is returned for attention accounting.
+stack: causal self-attention, cross-attention over every memory row,
+feed-forward, all with frozen seeded weights. The stack is the encoder's
+config, routine and draws: a layer is an encoder block plus a cross record
+over the memory, in one fixed draw order, and the stack carries the config
+it was drawn for. :func:`decode` runs one position per pass over a per-layer
+key/value cache, as incremental decoding does, with a :class:`DecoderMemory`
+(the one cached, read-only stack of a config and the memory's keys and
+values, projected once); ``pipeline.greedy_decode`` and :func:`decode_step`
+are its two views.
 """
 
 from __future__ import annotations
@@ -77,12 +77,6 @@ def _cached_weights(cfg: ModelConfig) -> DecoderWeights:
     return init_decoder_weights(cfg)
 
 
-def _causal_mask(n: int) -> np.ndarray:
-    mask = np.zeros((n, n), dtype=np.float64)
-    mask[np.triu_indices(n, k=1)] = -np.inf
-    return mask
-
-
 class DecoderMemory:
     """The decoder weights for ``cfg`` and each layer's cross ``_keys_values`` of a memory."""
 
@@ -94,35 +88,50 @@ class DecoderMemory:
                                  for lw in self.weights.layers)
 
 
-def decode_pass(
+def decode(
     prefix: list[int] | tuple[int, ...],
-    memory: DecoderMemory,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder forward pass over ``prefix`` and a bound memory.
+    memory: FusedSequence,
+    cfg: ModelConfig,
+    steps: int,
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Run ``prefix``, then ``steps`` greedy positions, over ``memory``, one position a pass.
 
-    Returns per-position next-token logits (prefix length x vocab; the
-    last row scores the continuation) and the final layer's
-    cross-attention (heads x prefix length x memory rows).
+    Per layer, a pass appends its position's self-attention keys and values
+    to a cache and attends over the filled part with no mask, so a position
+    reads only the tokens up to it; its cross-attention reads the memory,
+    bound once, with one query row. Returns the tokens (the prefix, then each
+    argmax from its last position on), the (positions x vocab) logits and each
+    position's last-layer cross-attention averaged over heads (positions x rows).
     """
-    cfg, weights = memory.weights.cfg, memory.weights
-    ids = _token_ids(prefix, cfg, "prefix")
-    n = ids.size
-    mask = _causal_mask(n)
-
-    h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:n]
-    for lw, kv in zip(weights.layers, memory.keys_values):
-        x = _layer_norm(h)
-        h = h + _attention(x, _keys_values(x, lw.block.attn, cfg.n_heads),
-                           lw.block.attn, cfg.n_heads, mask)[0]
-        cross = None  # frees the previous layer's probabilities before these scores exist
-        out, cross = _attention(_layer_norm(h), kv, lw.cross, cfg.n_heads)
-        h = h + out
-        h = h + _feed_forward(_layer_norm(h), lw.block)
-
-    logits = _layer_norm(h) @ weights.out_proj
+    tokens = _token_ids(prefix, cfg, "prefix").tolist()
+    if not 0 <= steps <= cfg.max_len - len(tokens):
+        raise InputError(f"steps must lie in [0, {cfg.max_len - len(tokens)}] after a "
+                         f"{len(tokens)}-token prefix under max_len {cfg.max_len}, got {steps}")
+    n = len(tokens) + steps
+    rows = np.empty((n, memory.rows))  # before binding, so the kept rows do not pin the heap top
+    bound = DecoderMemory(memory, cfg)
+    weights = bound.weights
+    # per layer, the self-attention keys [0] and values [1] of every position
+    caches = [np.empty((2, cfg.n_heads, n, cfg.d_model // cfg.n_heads)) for _ in weights.layers]
+    positions = sinusoidal_positions(cfg.max_len, cfg.d_model)
+    logits = np.empty((n, cfg.vocab_size))
+    for i in range(n):
+        h = weights.embedding[tokens[i]:tokens[i] + 1] + positions[i:i + 1]
+        for lw, kv, cache in zip(weights.layers, bound.keys_values, caches):
+            x = _layer_norm(h)
+            cache[:, :, i:i + 1] = _keys_values(x, lw.block.attn, cfg.n_heads)
+            h = h + _attention(x, cache[:, :, :i + 1], lw.block.attn, cfg.n_heads)[0]
+            cross = None  # frees the last probabilities before these scores exist
+            out, cross = _attention(_layer_norm(h), kv, lw.cross, cfg.n_heads)
+            h = h + out
+            h = h + _feed_forward(_layer_norm(h), lw.block)
+        logits[i] = _layer_norm(h) @ weights.out_proj
+        # ModelConfig admits no fewer than one layer, so ``cross`` is the last layer's
+        rows[i] = cross.mean(axis=0)
+        if len(tokens) == i + 1 < n:  # past the prefix: this pass picks the next token
+            tokens.append(int(logits[i].argmax()))
     check_finite(logits, "decoder logits")
-    # ModelConfig admits no fewer than one layer, so ``cross`` is the last layer's
-    return logits, cross
+    return tokens, logits, rows
 
 
 def decode_step(
@@ -130,9 +139,8 @@ def decode_step(
     memory: FusedSequence,
     cfg: ModelConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One :func:`decode_pass`; its cross-attention averaged over heads (prefix length x rows)."""
-    logits, cross = decode_pass(prefix, DecoderMemory(memory, cfg))
-    return logits, cross.mean(axis=0)
+    """:func:`decode` of ``prefix`` with no steps: its logits and head-mean cross rows."""
+    return decode(prefix, memory, cfg, 0)[1:]
 
 
 def attention_mass_by_chunk(

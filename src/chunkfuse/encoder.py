@@ -155,15 +155,14 @@ def _attention(
     kv: tuple[np.ndarray, np.ndarray],
     w: AttentionWeights,
     n_heads: int,
-    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head attention of the rows of ``x`` over ``kv``, the ``_keys_values`` of a source.
 
-    Self-attention passes those of ``x``; cross-attention those of the
-    memory. ``mask`` is additive (0 or -inf) if given. Returns the
+    Self-attention passes those of ``x`` (the decoder, those of the
+    positions so far); cross-attention those of the memory. Returns the
     projected output and the (heads x queries x keys) probabilities.
-    ``x``, ``kv`` and ``mask`` are left unchanged: masking and the softmax
-    run in the one scores array this call allocates, and so does the
+    ``x`` and ``kv`` are left unchanged: the softmax runs in the one
+    scores array this call allocates, and so does the
     ``1/sqrt(d_head)`` scale unless that root is a power of two. Then it
     divides the queries, bitwise the same since scaling by 2**j is exact,
     except for a term or partial sum below 2**-1022 (subnormal), which
@@ -178,8 +177,6 @@ def _attention(
     scores = _split_heads(q, n_heads) @ k.swapaxes(-1, -2)
     if not fold:
         scores /= root
-    if mask is not None:
-        scores += mask
     attn = _softmax_last(scores)
     return (attn @ v).swapaxes(-3, -2).reshape(x.shape) @ w.wo, attn
 

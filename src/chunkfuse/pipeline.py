@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cumulation, encoder
-from .decoder import DecoderMemory, decode_pass
+from .decoder import decode
 from .encoder import EncoderWeights, ModelConfig, init_weights
 from .errors import ConfigError, InputError
 from .numerics import SeededRng, fnv1a64
@@ -223,10 +223,5 @@ def greedy_decode(
     cfg: ModelConfig,
     steps: int,
 ) -> list[int]:
-    """Run ``steps`` decode passes over one bound memory, appending the argmax token each time."""
-    bound = DecoderMemory(memory, cfg)
-    out = list(prefix)
-    for _ in range(steps):
-        logits = decode_pass(out, bound)[0]
-        out.append(int(logits[-1].argmax()))
-    return out
+    """``prefix`` and ``steps`` argmax tokens over ``memory``: the tokens of ``decoder.decode``."""
+    return decode(prefix, memory, cfg, steps)[0]

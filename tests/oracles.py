@@ -27,10 +27,12 @@ parser, and ``next_u64``, ``randint_below``, ``uniform``, ``gaussian``,
 block-wise streams. ``softmax_out_of_place`` and ``layer_norm_mean_var``
 are the textbook forms of the encoder's in-place softmax and one-pass
 layer norm, each step in a new array. ``attention_scaled_after`` is the
-attention routine that always scales the scores, never the queries.
-``decode_uncached`` is the decoder pass, with that routine, that projects
-the memory's keys and values afresh, and ``greedy_decode_uncached``
-repeats it.
+attention routine that always scales the scores, never the queries,
+and takes an additive ``causal_mask``. ``decode_per_position`` is the
+textbook incremental decoder: one position at a time, with that routine,
+each layer's keys and values kept in lists. ``decode_uncached`` is the
+full decoder pass over a prefix under the causal mask, projecting the
+memory's keys and values afresh, and ``greedy_decode_uncached`` repeats it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from chunkfuse.cumulation import (
     FusedSequence,
     assemble,
 )
-from chunkfuse.decoder import _cached_weights, _causal_mask
+from chunkfuse.decoder import _cached_weights
 from chunkfuse.encoder import (
     _LN_EPS,
     AttentionWeights,
@@ -482,6 +484,14 @@ def layer_norm_mean_var(x: np.ndarray) -> np.ndarray:
     return (x - mu) / np.sqrt(var + _LN_EPS)
 
 
+def causal_mask(n: int) -> np.ndarray:
+    """The (n x n) additive mask by which query i reads keys 0..i: 0 there, -inf after."""
+    mask = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        mask[i, i + 1:] = -np.inf
+    return mask
+
+
 def attention_scaled_after(
     x: np.ndarray,
     kv: tuple[np.ndarray, np.ndarray],
@@ -516,7 +526,7 @@ def decode_uncached(
         raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
     weights = _cached_weights(cfg)
     n = ids.size
-    mask = _causal_mask(n)
+    mask = causal_mask(n)
     h = weights.embedding[ids] + sinusoidal_positions(cfg.max_len, cfg.d_model)[:n]
     for lw in weights.layers:
         x = _layer_norm(h)
@@ -530,6 +540,48 @@ def decode_uncached(
         h = h + _feed_forward(_layer_norm(h), lw.block)
     logits = _layer_norm(h) @ weights.out_proj
     return check_finite(logits, "decoder logits"), cross
+
+
+def decode_per_position(prefix: Sequence[int], memory: FusedSequence, cfg: ModelConfig,
+                        steps: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """``prefix``, then ``steps`` greedy tokens, one position at a time, as a textbook
+    incremental decoder runs them.
+
+    Each layer keeps a list of every position's self-attention keys and
+    one of its values; position i appends its own, then attends, with
+    :func:`attention_scaled_after`, over the lists joined. Returns the
+    tokens, each position's next-token logits (positions x vocab), and its
+    last-layer cross-attention averaged over heads (positions x memory rows).
+    """
+    if memory.width != cfg.d_model:
+        raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
+    weights = _cached_weights(cfg)
+    tokens = _token_ids(prefix, cfg, "prefix").tolist()
+    memory_kv = [_keys_values(memory.flattened, lw.cross, cfg.n_heads) for lw in weights.layers]
+    keys = [[] for _ in weights.layers]
+    values = [[] for _ in weights.layers]
+    logits, rows = [], []
+    table = sinusoidal_positions(cfg.max_len, cfg.d_model)
+    i = 0
+    while i < len(tokens):
+        h = weights.embedding[[tokens[i]]] + table[[i]]
+        for layer, lw in enumerate(weights.layers):
+            x = _layer_norm(h)
+            k, v = _keys_values(x, lw.block.attn, cfg.n_heads)
+            keys[layer].append(k)
+            values[layer].append(v)
+            kv = np.concatenate(keys[layer], axis=-2), np.concatenate(values[layer], axis=-2)
+            h = h + attention_scaled_after(x, kv, lw.block.attn, cfg.n_heads)[0]
+            out, cross = attention_scaled_after(_layer_norm(h), memory_kv[layer], lw.cross,
+                                                cfg.n_heads)
+            h = h + out
+            h = h + _feed_forward(_layer_norm(h), lw.block)
+        logits.append((_layer_norm(h) @ weights.out_proj)[0])
+        rows.append(cross.mean(axis=0)[0])
+        if i + 1 == len(tokens) < len(prefix) + steps:
+            tokens.append(int(logits[-1].argmax()))
+        i += 1
+    return tokens, check_finite(np.array(logits), "decoder logits"), np.array(rows)
 
 
 def greedy_decode_uncached(prefix: Sequence[int], memory: FusedSequence, cfg: ModelConfig,

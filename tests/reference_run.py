@@ -12,8 +12,9 @@ step at a time and without the library's pipeline:
   (1 - alpha) * context``;
 - the memory from ``assemble_per_chunk``, written by
   ``matrix_to_text_per_value``;
-- greedy tokens from ``greedy_decode_uncached`` and the final pass from
-  ``decode_uncached``, its attention mass summed one column at a time.
+- the greedy tokens and each position's cross-attention from
+  ``decode_per_position``, one position at a time, the attention mass
+  summed one column at a time.
 
 The contexts alone are the library's ``cumulation.contexts``: the context
 oracles add in another order than ``cumsum`` and agree with it only
@@ -37,8 +38,7 @@ from pathlib import Path
 import numpy as np
 from oracles import (
     assemble_per_chunk,
-    decode_uncached,
-    greedy_decode_uncached,
+    decode_per_position,
     matrix_to_text_per_value,
     sample_indices_per_value,
     windows_one_by_one,
@@ -81,16 +81,15 @@ def middles_of(doc_id: str, values: dict, count: int, n: int) -> list[list[int]]
             for _ in range(count)]
 
 
-def attention_mass(cross: np.ndarray, provenance: np.ndarray) -> list[float]:
+def attention_mass(per_query: np.ndarray, provenance: np.ndarray) -> list[float]:
     """Per chunk, the mean over queries of the summed attention of its columns.
 
-    ``cross`` is (heads x queries x rows), averaged over heads as
-    ``decode_step`` does. Each chunk's columns are added in a loop, left to
-    right; the mean over queries is numpy's over the (queries x chunks) sums,
-    whose order numpy picks by shape: pairwise when there is one chunk.
+    ``per_query`` is (queries x rows), each query's attention averaged over
+    heads. Each chunk's columns are added in a loop, left to right; the mean
+    over queries is numpy's over the (queries x chunks) sums, whose order
+    numpy picks by shape: pairwise when there is one chunk.
     """
     chunks = provenance[:, CHUNK].tolist()
-    per_query = cross.mean(axis=0)
     sums = np.zeros((len(per_query), max(chunks)))
     for query, row in enumerate(per_query.tolist()):
         for column, value in enumerate(row):
@@ -136,10 +135,10 @@ def write_document(doc_dir: Path, doc_id: str, tokens: list[int], values: dict,
     })
     (doc_dir / "fused_matrix.txt").write_text(matrix_to_text_per_value(memory.flattened),
                                                encoding="ascii")
-    generated = greedy_decode_uncached(PREFIX, memory, dec_cfg, STEPS)
+    generated, _, cross = decode_per_position(PREFIX, memory, dec_cfg, STEPS)
     write_json(doc_dir / "decode_demo.json", {"doc_id": doc_id, "prefix": PREFIX,
                                               "generated": generated[len(PREFIX):]})
-    mass = attention_mass(decode_uncached(generated, memory, dec_cfg)[1], memory.provenance)
+    mass = attention_mass(cross, memory.provenance)
     (doc_dir / "attention_mass.csv").write_text(
         "chunk,mass\n" + "".join(f"{i},{value!r}\n" for i, value in enumerate(mass, 1)),
         encoding="utf-8")

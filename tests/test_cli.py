@@ -819,9 +819,6 @@ CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 
 
 @pytest.mark.skipif((CORES or 1) < 2, reason="one core runs one BLAS thread")
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "attention_mass.csv depends on the BLAS thread count: the decoder's scores and "
-    "attention products round differently when OpenBLAS splits them across threads"))
 def test_run_tree_does_not_depend_on_the_blas_thread_count(tmp_path):
     from chunkfuse.metrics import make_random_doc
     corpus = write_corpus(tmp_path / "long.jsonl",

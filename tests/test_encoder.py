@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import attention_scaled_after
+from oracles import attention_scaled_after, causal_mask
 
 import chunkfuse
-from chunkfuse.decoder import _causal_mask
 from chunkfuse.encoder import (
     ModelConfig,
     _attention,
@@ -154,21 +153,29 @@ def test_attention_rows_sum_to_one_every_layer():
 def test_attention_is_bitwise_the_scale_after_product_oracle(d_head, n_heads, lead, n_keys,
                                                              data, seed):
     # seeded weights over layer-normed rows: the encoder's and decoder's domain.
-    # Causal self-attention, or fewer query rows than keys, as in cross-attention
-    # and in the top block's kept rows
+    # The decoder's causal self-attention (row i over a cache of rows 0..i), or
+    # fewer query rows than keys, as in cross-attention and the top block's kept rows
     d = d_head * n_heads
     w = _draw_attention(SeededRng(seed), d)
     rng = np.random.default_rng(seed)
     source = _layer_norm(rng.normal(size=(*lead, n_keys, d)))
-    if data.draw(st.booleans(), label="causal"):
-        x, mask = source, _causal_mask(n_keys)
+    kv = _keys_values(source, w, n_heads)
+    causal = data.draw(st.booleans(), label="causal")
+    if causal:
+        i = data.draw(st.integers(0, n_keys - 1), label="i")
+        x, cache = source[..., i:i + 1, :], np.stack(kv)[..., :i + 1, :]
     else:
         n_queries = data.draw(st.integers(1, n_keys), label="n_queries")
-        x, mask = _layer_norm(rng.normal(size=(*lead, n_queries, d))), None
-    kv = _keys_values(source, w, n_heads)
-    got = _attention(x, kv, w, n_heads, mask)
-    want = attention_scaled_after(x, kv, w, n_heads, mask)
+        x, cache = _layer_norm(rng.normal(size=(*lead, n_queries, d))), kv
+    got = _attention(x, cache, w, n_heads)
+    want = attention_scaled_after(x, cache, w, n_heads)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    if causal:
+        # the oracle's masked full form sums and multiplies in other shapes
+        out, probs = attention_scaled_after(source, kv, w, n_heads, causal_mask(n_keys))
+        np.testing.assert_allclose(got[0], out[..., i:i + 1, :], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], probs[..., i:i + 1, :i + 1], rtol=0, atol=1e-12)
+        assert not probs[..., i, i + 1:].any()
 
 
 def pipeline_config() -> PipelineConfig:

@@ -9,7 +9,7 @@ the memory's ``flattened`` and ``provenance``, ``numerics.save_matrix``,
 ``PipelineConfig`` and its methods. One short small-window run, in its own
 process, must check every document it ran and find its run directory
 byte-identical to ``chunkfuse pipeline``'s. The artifact sha256 is not
-pinned: it depends on the BLAS thread count.
+pinned: it depends on the numpy and BLAS build.
 """
 
 import json

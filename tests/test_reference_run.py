@@ -4,8 +4,6 @@ A hypothesis test draws a config of windows of at most 64 tokens and a
 corpus of 1 to 4 token documents with odd ids, each from shorter than
 two boundary blocks to several windows long. It runs ``cli.main`` and
 compares every file of the run directory with ``reference_run``'s.
-Memories stay at a few hundred rows, where the thread count has not
-been seen to change a product.
 """
 
 import json
