@@ -28,13 +28,7 @@ from .metrics import (
     rouge_l,
     rouge_n,
 )
-from .numerics import (
-    SeededRng,
-    load_matrix,
-    matrix_from_text,
-    matrix_to_text,
-    save_matrix,
-)
+from .numerics import SeededRng, load_matrix, save_matrix
 from .pipeline import (
     DocumentRun,
     PipelineConfig,

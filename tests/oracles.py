@@ -71,7 +71,7 @@ from chunkfuse.encoder import (
     sinusoidal_positions,
 )
 from chunkfuse.errors import ConfigError, InputError
-from chunkfuse.numerics import SeededRng, as_matrix, check_finite
+from chunkfuse.numerics import SeededRng, check_finite
 from chunkfuse.pipeline import encode_document, middle_rng_for, sample_document_middles
 from chunkfuse.segmenter import segment
 
@@ -80,8 +80,10 @@ def mean_of(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Element-wise arithmetic mean of equally shaped matrices."""
     if len(matrices) == 0:
         raise ValueError("mean_of requires a non-empty list")
-    mats = [as_matrix(m) for m in matrices]
+    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
     shape = mats[0].shape
+    if len(shape) != 2:  # the others must match it
+        raise ConfigError(f"mean_of expects 2-D matrices, got ndim={len(shape)}")
     for m in mats[1:]:
         if m.shape != shape:
             raise ConfigError(
@@ -391,7 +393,7 @@ def sweep_per_variant(docs, variants, weights):
 
 
 def matrix_to_text_per_value(a: np.ndarray) -> str:
-    """``matrix_to_text`` one entry at a time: ``repr(float(v))`` of each value."""
+    """``save_matrix``'s text one entry at a time: ``repr(float(v))`` of each value."""
     lines = [f"{a.shape[0]} {a.shape[1]}"]
     for row in a:
         lines.append(" ".join(repr(float(v)) for v in row))
@@ -399,7 +401,7 @@ def matrix_to_text_per_value(a: np.ndarray) -> str:
 
 
 def matrix_from_text_per_value(text: str) -> np.ndarray:
-    """``matrix_from_text`` on well-formed text, one ``float()`` per entry."""
+    """``load_matrix`` on well-formed text, one ``float()`` per entry."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     rows, cols = (int(v) for v in lines[0].split())
     data = np.empty((rows, cols), dtype=np.float64)

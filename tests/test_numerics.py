@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,15 +22,7 @@ from oracles import (
 from chunkfuse.encoder import _layer_norm as layer_norm
 from chunkfuse.encoder import _softmax_last as row_softmax
 from chunkfuse.errors import ConfigError, InputError
-from chunkfuse.numerics import (
-    SeededRng,
-    as_matrix,
-    fnv1a64,
-    load_matrix,
-    matrix_from_text,
-    matrix_to_text,
-    save_matrix,
-)
+from chunkfuse.numerics import SeededRng, fnv1a64, load_matrix, save_matrix
 
 
 class TestMatmul:
@@ -37,16 +30,12 @@ class TestMatmul:
 
     def test_identity(self):
         a = np.array([[1.5, -2.0], [0.25, 7.0]])
-        np.testing.assert_array_equal(as_matrix(np.eye(2)) @ a, a)
-
-    def test_one_dimensional_array_is_not_a_matrix(self):
-        with pytest.raises(ConfigError, match="ndim=1"):
-            as_matrix(np.ones(3))
+        np.testing.assert_array_equal(np.eye(2) @ a, a)
 
     def test_hand_product(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[5.0], [6.0]])
-        np.testing.assert_array_equal(as_matrix(a) @ as_matrix(b), [[17.0], [39.0]])
+        np.testing.assert_array_equal(a @ b, [[17.0], [39.0]])
 
     def test_associativity(self):
         rng = np.random.default_rng(0)
@@ -169,39 +158,77 @@ class TestLayerNorm:
         assert a.tobytes() == before
 
 
+def write_text(tmp_path, text: str):
+    """``text`` in a file as it stands, line endings untranslated."""
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode("ascii"))
+    return path
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs; an ``InputError`` is allowed."""
+    tracemalloc.start()
+    try:
+        fn()
+    except InputError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
 class TestSerialization:
-    def test_round_trip_exact(self):
+    def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 3)) * np.array([1e-30, 1.0, 1e30])
         a[0, 0] = 0.1
         a[1, 1] = -0.0
-        b = matrix_from_text(matrix_to_text(a))
-        np.testing.assert_array_equal(a, b)
+        save_matrix(a, tmp_path / "m.txt")
+        np.testing.assert_array_equal(a, load_matrix(tmp_path / "m.txt"))
 
-    def test_header(self):
-        text = matrix_to_text(np.zeros((2, 3)))
-        assert text.splitlines()[0] == "2 3"
+    def test_header(self, tmp_path):
+        save_matrix(np.zeros((2, 3)), tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_text().splitlines()[0] == "2 3"
 
-    def test_empty_rows(self):
-        a = np.empty((0, 5))
-        assert matrix_from_text(matrix_to_text(a)).shape == (0, 5)
+    def test_empty_rows(self, tmp_path):
+        save_matrix(np.empty((0, 5)), tmp_path / "m.txt")
+        assert load_matrix(tmp_path / "m.txt").shape == (0, 5)
 
-    def test_rejects_bad_header(self):
+    def test_rejects_bad_header(self, tmp_path):
         with pytest.raises(InputError):
-            matrix_from_text("not a header\n")
+            load_matrix(write_text(tmp_path, "not a header\n"))
 
-    def test_rejects_ragged_rows(self):
+    def test_rejects_ragged_rows(self, tmp_path):
         with pytest.raises(InputError):
-            matrix_from_text("1 3\n1.0 2.0\n")
+            load_matrix(write_text(tmp_path, "1 3\n1.0 2.0\n"))
 
-    def test_rejects_non_finite(self):
+    def test_rejects_non_finite(self, tmp_path):
         with pytest.raises(InputError):
-            matrix_from_text("1 1\ninf\n")
+            load_matrix(write_text(tmp_path, "1 1\ninf\n"))
 
-    def test_writing_non_finite_is_a_numeric_fault(self):
+    def test_writing_non_finite_is_a_numeric_fault(self, tmp_path):
         # the writer only sees values the program computed: not the caller's fault
         with pytest.raises(FloatingPointError, match="serialized matrix"):
-            matrix_to_text(np.array([[1.0, np.nan]]))
+            save_matrix(np.array([[1.0, np.nan]]), tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("a, error, message", [
+        (np.array([[1.0, np.nan]]), FloatingPointError, "serialized matrix"),
+        (np.array([[np.inf], [1.0]]), FloatingPointError, "serialized matrix"),
+        (np.ones(3), ConfigError, "ndim=1"),
+        (np.ones((1, 2, 2)), ConfigError, "ndim=3"),
+        (np.ones((2, 2), dtype=np.float32), ConfigError, "float32"),
+    ], ids=["nan", "inf", "one-dimensional", "three-dimensional", "float32"])
+    def test_a_refused_matrix_leaves_the_file_as_it_was(self, tmp_path, a, error, message):
+        existing = tmp_path / "existing.txt"
+        save_matrix(np.array([[1.5], [-2.0]]), existing)
+        before = existing.read_bytes()
+        with pytest.raises(error, match=message):
+            save_matrix(a, existing)
+        assert existing.read_bytes() == before
+        with pytest.raises(error, match=message):
+            save_matrix(a, tmp_path / "absent.txt")
+        assert not (tmp_path / "absent.txt").exists()
 
     def test_non_ascii_file_names_the_path(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -218,9 +245,67 @@ class TestSerialization:
         ("1 1\n1.0\n2.0\n", "expected 1 rows, found 2"),
         ("1 2\n1.0 abc\n", "row 0 has a non-numeric entry"),
     ])
-    def test_rejects_empty_text_negative_shape_and_row_count(self, text, message):
+    def test_rejects_empty_text_negative_shape_and_row_count(self, tmp_path, text, message):
         with pytest.raises(InputError, match=message):
-            matrix_from_text(text)
+            load_matrix(write_text(tmp_path, text))
+
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("2 2\r\n1.0 2.0\r\n3.0 4.0\r\n", [[1.0, 2.0], [3.0, 4.0]], id="crlf"),
+        pytest.param("2 2\r1.0 2.0\r3.0 4.0\r", [[1.0, 2.0], [3.0, 4.0]], id="cr"),
+        pytest.param("2 2\r\n1.0 2.0\r3.0 4.0\n", [[1.0, 2.0], [3.0, 4.0]], id="mixed endings"),
+        pytest.param("2 2\r\r1.0 2.0\r \r3.0 4.0\r\r", [[1.0, 2.0], [3.0, 4.0]],
+                     id="blank cr lines"),
+        pytest.param("2 2\n1.0 2.0\f3.0 4.0\n", [[1.0, 2.0], [3.0, 4.0]],
+                     id="form feed ends a row"),
+        pytest.param("2 2\n1.0 2.0\v3.0 4.0\n", [[1.0, 2.0], [3.0, 4.0]],
+                     id="vertical tab ends a row"),
+        pytest.param("2 2\n1.0 2.0\x1c3.0 4.0\n", [[1.0, 2.0], [3.0, 4.0]],
+                     id="file separator ends a row"),
+        pytest.param("1 2\n1.0\x1f2.0\n", [[1.0, 2.0]], id="unit separator splits entries"),
+        # two faults: two rows for one, and a short row; the bad row is named first
+        pytest.param("1 2\n1.0\f2.0\n", "row 0 has 1 entries, expected 2",
+                     id="form feed inside a row"),
+        pytest.param("\n  \n\t\n2 2\n1.0 2.0\n3.0 4.0\n", [[1.0, 2.0], [3.0, 4.0]],
+                     id="blank lines before the header"),
+        pytest.param("  \t 1 2\n1.0 2.0\n", [[1.0, 2.0]], id="indented header"),
+        pytest.param("2 2\n\n1.0 2.0\n   \n\t\n3.0 4.0\n", [[1.0, 2.0], [3.0, 4.0]],
+                     id="blank lines between rows"),
+        pytest.param("2 2\n1.0 2.0\n3.0 4.0\n\n\n  \n", [[1.0, 2.0], [3.0, 4.0]],
+                     id="trailing blank lines"),
+        pytest.param("1 2\n1.0 2.0", [[1.0, 2.0]], id="no final newline"),
+        pytest.param("0 5\n\n\n", np.empty((0, 5)), id="0x5 and blank lines"),
+        pytest.param("3 0\n\n\n\n", np.empty((3, 0)), id="3x0"),
+        pytest.param("3 0\n \n\t\n\n", np.empty((3, 0)), id="3x0 whitespace rows"),
+        pytest.param("3 0\n\n\n\n\n", "expected 3 rows, found 4", id="3x0 trailing blank line"),
+        pytest.param("3 0\n\n\n", "expected 3 rows, found 2", id="3x0 no final newline"),
+    ])
+    def test_line_endings_and_blank_lines(self, tmp_path, text, expected):
+        path = write_text(tmp_path, text)
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as exc:
+                load_matrix(path)
+            assert str(exc.value) == expected
+        else:
+            expected = np.array(expected, dtype=np.float64)
+            b = load_matrix(path)
+            assert b.shape == expected.shape and b.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "1 1000000000000\n1.0\n",
+        "100 20000\n" + "1.0\n" * 100,
+    ], ids=["huge", "modest"])
+    def test_the_header_shape_is_never_allocated(self, tmp_path, text):
+        # 7.3 TiB and 16 MB claimed: only the rows read may be allocated
+        path = write_text(tmp_path, text)
+        with pytest.raises(InputError, match="row 0 has 1 entries"):
+            load_matrix(path)
+        assert traced_peak(lambda: load_matrix(path)) < 1 << 20
+
+    def test_the_reader_holds_about_one_matrix_not_the_text(self, tmp_path):
+        a = np.random.default_rng(6).normal(size=(20000, 32))
+        save_matrix(a, tmp_path / "m.txt")
+        # the whole text and its line list, held at once, read 6.3x
+        assert traced_peak(lambda: load_matrix(tmp_path / "m.txt")) < 3 * a.nbytes
 
     @pytest.mark.parametrize("shape", [(4, 3), (0, 5), (3, 0)])
     def test_save_load_round_trip_bit_exact(self, tmp_path, shape):
@@ -236,27 +321,32 @@ class TestSerialization:
         assert b.tobytes() == a.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 5), (4, 6), (0, 3)])
-    def test_matches_per_value_oracle(self, shape):
+    def test_matches_per_value_oracle(self, tmp_path, shape):
         rng = np.random.default_rng(5)
         a = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
-        text = matrix_to_text(a)
+        path = tmp_path / "m.txt"
+        save_matrix(a, path)
+        text = path.read_text()
         assert text == matrix_to_text_per_value(a)
-        parsed = matrix_from_text(text)
+        parsed = load_matrix(path)
         assert parsed.shape == shape
         assert parsed.tobytes() == matrix_from_text_per_value(text).tobytes() == a.tobytes()
 
-    def test_edge_values_match_per_value_oracle(self):
+    def test_edge_values_match_per_value_oracle(self, tmp_path):
         edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, float(2**53 + 2),
                  1.7976931348623157e308, -1.7976931348623157e308]
         a = np.array([edges, edges[::-1], [-v for v in edges]])
-        text = matrix_to_text(a)
+        path = tmp_path / "m.txt"
+        save_matrix(a, path)
+        text = path.read_text()
         assert text == matrix_to_text_per_value(a)
-        parsed = matrix_from_text(text)
+        parsed = load_matrix(path)
         assert parsed.tobytes() == matrix_from_text_per_value(text).tobytes() == a.tobytes()
         # spellings the writer never emits parse as float() reads them
         odd = ("1 8\n.5 5. +2.5 1E-3 -0 2.4703282292062328e-324 1.7976931348623158e308 "
                "0.1000000000000000055511151231257827\n")
-        assert matrix_from_text(odd).tobytes() == matrix_from_text_per_value(odd).tobytes()
+        assert load_matrix(write_text(tmp_path, odd)).tobytes() == \
+            matrix_from_text_per_value(odd).tobytes()
 
 
 def stream(rng: SeededRng, count: int) -> list[int]:
