@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import re
+import resource
 import sys
 import tempfile
 import traceback
@@ -148,22 +149,34 @@ def _config_values(args: argparse.Namespace) -> dict:
     return values
 
 
-def _check_memory(cfg: PipelineConfig, n_tokens: int) -> None:
+def _check_memory(cfg: PipelineConfig, n_tokens: int, longest: int) -> None:
     """Reject, before any draw, a run of ``n_tokens`` document tokens that passes memory.
 
     The price is a lower bound in float64 and int64 words: both weight stacks as
     ``pipeline`` draws them (two embeddings, the output projection, and a layer's 12
-    attention and 4 feed-forward matrices), one window's scores and the tokens.
+    attention and 4 feed-forward matrices), one window's scores, the tokens, and what
+    ``pipeline`` holds for its ``longest``-token document: the memory's rows of
+    ``d_model``, each layer's cross keys and values of them, the decode's cross row per
+    position and one pass's cross scores. The limit is physical memory, or the address
+    space ``RLIMIT_AS`` leaves the process where that is smaller.
     """
-    d = cfg.d_model
+    d, k = cfg.d_model, cfg.boundary_width
+    middles = min(cfg.middle_count, max(min(cfg.chunk_len, longest) - 2 * k, 0))
+    rows = segment_count(longest, cfg.chunk_len, cfg.overlap) * (2 * k + middles)
     nbytes = 8 * (3 * cfg.vocab_size * d + cfg.n_layers * (12 * d * d + 4 * d * cfg.d_ff)
-                  + cfg.n_heads * cfg.chunk_len ** 2 + n_tokens)
+                  + cfg.n_heads * cfg.chunk_len ** 2 + n_tokens
+                  + rows * ((1 + 2 * cfg.n_layers) * d + len(_DECODE_PREFIX) + _DECODE_STEPS
+                            + cfg.n_heads))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = f"the machine's {memory} bytes of physical memory"
+    address_space = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if address_space != resource.RLIM_INFINITY and address_space < memory:
+        memory, limit = address_space, f"the process's {address_space}-byte address space limit"
     if nbytes > memory:
         sizes = ", ".join(f"{name} {getattr(cfg, name)}" for name in
                           ("vocab_size", "d_model", "n_layers", "d_ff", "n_heads", "chunk_len"))
         raise ConfigError(f"{sizes} and {n_tokens} document tokens need at least {nbytes} "
-                          f"bytes, more than the machine's {memory} bytes of physical memory")
+                          f"bytes, more than {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +383,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(f"warning: corpus {args.corpus} holds no documents; "
               "nothing to do", file=sys.stderr)
         return 0
-    _check_memory(cfg, sum(len(tokens) for _, tokens in docs))
+    lengths = [len(tokens) for _, tokens in docs]
+    _check_memory(cfg, sum(lengths), max(lengths))
 
     with _published(args.out_dir or Path("chunkfuse-run")) as run_dir:
         _write_json(run_dir / "config.json", asdict(cfg))
@@ -425,7 +439,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     variants, docs, _ = _load_checked(args.corpus, labelled, PROBE_MIN_CHUNKS)
     if not docs:
         raise InputError(f"corpus {args.corpus} holds no documents; the probe needs one")
-    _check_memory(variants[0], sum(len(tokens) for _, tokens in docs))
+    lengths = [len(tokens) for _, tokens in docs]
+    _check_memory(variants[0], sum(lengths), max(lengths))
     with _published(args.out_dir) as out_dir:
         rows = list(_sweep_table(docs, variants, args.axis))
         _write_csv(out_dir / "ablation.csv" if out_dir else None, rows)
@@ -445,7 +460,7 @@ def _sweep_table(docs: list, variants: list[PipelineConfig], axis: str) -> Itera
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     lengths = _parse_list("--lengths", args.lengths, _at_least(1))
-    _check_memory(cfg, sum(bench_mod.check_lengths(lengths, cfg)))
+    _check_memory(cfg, sum(bench_mod.check_lengths(lengths, cfg)), lengths[-1])
     with _published(args.out_dir) as out_dir:
         report = bench_mod.run_scaling(lengths, cfg, repeats=args.repeats)
         if not report.reliable:
@@ -489,7 +504,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
         raise ConfigError(f"--doc-seed {args.doc_seed}: the document seeds --doc-seed + i, "
                           f"i < {args.n_docs}, must lie in [0, 2**64)")
     cfg = variants[0]
-    _check_memory(cfg, args.n_docs * (args.n_chunks * (cfg.chunk_len - cfg.overlap) + cfg.overlap))
+    doc = args.n_chunks * (cfg.chunk_len - cfg.overlap) + cfg.overlap
+    _check_memory(cfg, args.n_docs * doc, doc)
     docs = [(f"synthetic-{i}",
              make_repeated_chunk_doc(args.n_chunks, cfg.chunk_len, cfg.overlap,
                                      cfg.vocab_size, args.doc_seed + i))

@@ -155,6 +155,7 @@ def _attention(
     kv: tuple[np.ndarray, np.ndarray],
     w: AttentionWeights,
     n_heads: int,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head attention of the rows of ``x`` over ``kv``, the ``_keys_values`` of a source.
 
@@ -166,7 +167,9 @@ def _attention(
     ``1/sqrt(d_head)`` scale unless that root is a power of two. Then it
     divides the queries, bitwise the same since scaling by 2**j is exact,
     except for a term or partial sum below 2**-1022 (subnormal), which
-    layer-normed rows and seeded weights stay far above.
+    layer-normed rows and seeded weights stay far above. Given ``work``, the
+    scores are computed in it (:func:`_in`), and the probabilities returned
+    are a view of it.
     """
     q = x @ w.wq
     root = math.sqrt(x.shape[-1] // n_heads)
@@ -174,7 +177,8 @@ def _attention(
     if fold:
         q /= root
     k, v = kv
-    scores = _split_heads(q, n_heads) @ k.swapaxes(-1, -2)
+    q, kt = _split_heads(q, n_heads), k.swapaxes(-1, -2)
+    scores = np.matmul(q, kt, out=_in(work, (*q.shape[:-1], kt.shape[-1])))
     if not fold:
         scores /= root
     attn = _softmax_last(scores)
@@ -193,13 +197,27 @@ def _token_ids(tokens, cfg: ModelConfig, what: str) -> np.ndarray:
     return ids
 
 
-def _feed_forward(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
-    hidden = x @ lw.w1
+def _in(work: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The leading entries of the flat ``work`` as a ``shape`` array, or None: numpy allocates.
+
+    A product written there rounds as one numpy allocates: it is the same BLAS call.
+    """
+    return None if work is None else work[:math.prod(shape)].reshape(shape)
+
+
+def _feed_forward(x: np.ndarray, lw: LayerWeights, work: np.ndarray | None = None) -> np.ndarray:
+    """The feed-forward sublayer of ``x``; given ``work``, its hidden rows are computed in it."""
+    hidden = np.matmul(x, lw.w1, out=_in(work, (*x.shape[:-1], lw.w1.shape[1])))
     np.maximum(hidden, 0.0, out=hidden)
     return hidden @ lw.w2
 
 
-def encode(tokens: np.ndarray, weights: EncoderWeights, keep: np.ndarray) -> np.ndarray:
+def encode(
+    tokens: np.ndarray,
+    weights: EncoderWeights,
+    keep: np.ndarray,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Encode (g x n) windows to the top-layer hidden states of their (g x r) ``keep`` rows.
 
     Pure function of (tokens, weights), each window on its own and
@@ -211,16 +229,25 @@ def encode(tokens: np.ndarray, weights: EncoderWeights, keep: np.ndarray) -> np.
     bitwise the full encoding's unless BLAS picks another kernel for the
     smaller products: OpenBLAS does for at most 100**3 multiply-adds over a
     long inner dimension, as when under 62 kept rows attend over a
-    1024-token window with 16-wide heads.
+    1024-token window with 16-wide heads. Residuals are added in place,
+    which rounds as ``h + x`` does.
+
+    ``work``, a flat float64 array of at least ``g · max(n, r) ·
+    max(n_heads · n, d_ff)`` entries, holds each layer's scores and then its
+    feed-forward hidden rows, so a caller that encodes group after group does
+    not grow and trim the heap by a window's working set each call
+    (``numerics.save_matrix`` says what that cost).
     """
     cfg = weights.cfg
     ids = _token_ids(tokens, cfg, "window")
-    h = weights.embedding[ids] + sinusoidal_positions(ids.shape[-1], cfg.d_model)
+    h = weights.embedding[ids]  # a copy: the residual stream is this call's own array
+    h += sinusoidal_positions(ids.shape[-1], cfg.d_model)
     kept = (np.arange(len(keep))[:, None], keep)  # the top block updates these rows only
     for li, lw in enumerate(weights.layers, 1):
         rows = kept if li == len(weights.layers) else slice(None)
         x = _layer_norm(h)
-        h = h[rows] + _attention(x[rows], _keys_values(x, lw.attn, cfg.n_heads),
-                                 lw.attn, cfg.n_heads)[0]
-        h = h + _feed_forward(_layer_norm(h), lw)
+        h = h[rows]  # the kept rows' copy in the top block, ``h`` itself below it
+        h += _attention(x[rows], _keys_values(x, lw.attn, cfg.n_heads), lw.attn, cfg.n_heads,
+                        work)[0]
+        h += _feed_forward(_layer_norm(h), lw, work)
     return check_finite(_layer_norm(h), "window encoding")

@@ -4,8 +4,9 @@ Matrices are plain 2-D float64 ``numpy.ndarray`` values. ``save_matrix``
 and ``load_matrix`` are their whole text format: first line
 ``"rows cols"``, then one line per row with entries written as shortest
 round-trip decimals. The writer refuses a matrix before it opens the
-file; the reader parses one line at a time and holds only the rows it
-has read, never a shape the header merely claims.
+file, then writes one block of rows at a time; the reader parses one
+line at a time and holds only the rows it has read, never a shape the
+header merely claims.
 
 Randomness comes from :class:`SeededRng`, a SplitMix64 generator whose
 integer stream is identical on every platform and run for a given seed.
@@ -28,6 +29,7 @@ _MASK64 = (1 << 64) - 1
 # SplitMix64: the golden-ratio increment and the finalizer's multipliers
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _BLOCK = 1 << 15  # draws per numpy block: bounds the temporaries of a large draw
+_WRITE_ENTRIES = 1 << 13  # matrix entries per write: 256 rows of 32, 32 rows of 256
 
 
 def as_token_ids(tokens) -> np.ndarray:
@@ -60,13 +62,16 @@ def save_matrix(a: np.ndarray, path: str | os.PathLike) -> None:
     if a.ndim != 2 or a.dtype != np.float64:
         raise ConfigError(f"expected a 2-D float64 matrix, got ndim={a.ndim} {a.dtype}")
     check_finite(a, "serialized matrix")
+    # one block of rows at a time: the writer holds one block's text, never the file's.
+    # The whole-file string it once freed per document raised glibc's dynamic mmap
+    # threshold, and the heap trim threshold (twice it) with it, above an encode call's
+    # working set. Without that string, wide-corpus heaps were trimmed after every window
+    # and faulted in again, 16k faults a document, until ``encode`` reused one work array.
+    rows = max(1, _WRITE_ENTRIES // max(a.shape[1], 1))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        # one string, not streamed rows: streaming them slowed wide-corpus memory_s_p50 by 16%;
-        # row by row, as the whole matrix as Python floats at once raised peak RSS
-        lines = [f"{a.shape[0]} {a.shape[1]}", *(" ".join(map(repr, row.tolist())) for row in a)]
-        text = "\n".join(lines) + "\n"
-        del lines  # the row strings are freed before the write makes its encoded copy
-        fh.write(text)
+        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
+        for i in range(0, a.shape[0], rows):
+            fh.write("".join(" ".join(map(repr, row)) + "\n" for row in a[i:i + rows].tolist()))
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:

@@ -152,9 +152,10 @@ def encode_document(
     any encode, and no array holds a row nobody reads. Chunks shorter than 2k
     keep some rows twice; chunks shorter than k cannot be represented at all.
     Each ``encoder.encode`` call takes as many windows as keep their scores in
-    one fixed byte budget. ``weights`` must have been drawn for
-    ``cfg.encoder_config()``. Returns the windows, the (C, 2k + t, d) kept
-    rows and their (C, 2k + t) document positions.
+    one fixed byte budget and computes them in the one work array that every
+    call reuses. ``weights`` must have been drawn for ``cfg.encoder_config()``.
+    Returns the windows, the (C, 2k + t, d) kept rows and their (C, 2k + t)
+    document positions.
     """
     if weights.cfg != cfg.encoder_config():
         raise ConfigError(f"weights drawn for {weights.cfg} cannot encode under "
@@ -167,8 +168,9 @@ def encode_document(
     lead = np.broadcast_to(np.arange(k), (c, k))
     middles = sample_document_middles(segs, cfg, middle_rng_for(cfg, doc_id))
     keep = np.concatenate([lead, middles, lead + (n - k)], axis=1)
-    g = max(1, _SCORES_BUDGET // (8 * cfg.n_heads * n * n))
-    rows = np.concatenate([encoder.encode(segs.tokens[i:i + g], weights, keep[i:i + g])
+    g = min(c, max(1, _SCORES_BUDGET // (8 * cfg.n_heads * n * n)))
+    work = np.empty(g * max(n, keep.shape[1]) * max(cfg.n_heads * n, cfg.d_ff))
+    rows = np.concatenate([encoder.encode(segs.tokens[i:i + g], weights, keep[i:i + g], work)
                            for i in range(0, c, g)])
     return segs, rows, keep + segs.starts[:, None]
 

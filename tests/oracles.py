@@ -499,9 +499,14 @@ def attention_scaled_after(
     kv: tuple[np.ndarray, np.ndarray],
     w: AttentionWeights,
     n_heads: int,
+    work: np.ndarray | None = None,
+    *,
     mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``encoder._attention`` with the ``1/sqrt(d_head)`` scale always after ``q @ kᵀ``."""
+    """``encoder._attention`` with the ``1/sqrt(d_head)`` scale always after ``q @ kᵀ``.
+
+    ``work`` is taken and left unused: the scores are always a fresh array.
+    """
     q = _split_heads(x @ w.wq, n_heads)
     k, v = kv
     scores = q @ k.swapaxes(-1, -2)
@@ -533,7 +538,7 @@ def decode_uncached(
     for lw in weights.layers:
         x = _layer_norm(h)
         h = h + attention_scaled_after(x, _keys_values(x, lw.block.attn, cfg.n_heads),
-                                       lw.block.attn, cfg.n_heads, mask)[0]
+                                       lw.block.attn, cfg.n_heads, mask=mask)[0]
         out, cross = attention_scaled_after(_layer_norm(h),
                                             _keys_values(memory.flattened, lw.cross,
                                                          cfg.n_heads),

@@ -1149,11 +1149,69 @@ def run_tokens(command: str, chunk_len: int) -> int:
     return {"ablate": 2 * 26, "bench": 16 + 32 + 64 + 128, "pipeline": 10 + 8}[command]
 
 
+def run_longest(command: str, values: dict) -> int:
+    """The tokens of the longest document of an ``OUT_DIR_RUNS`` run with flag ``values``."""
+    chunk_len = int(values["--chunk-len"])
+    if command == "probe":  # 4 windows unless --n-chunks says otherwise, overlap 2
+        return chunk_len + (int(values.get("--n-chunks", 4)) - 1) * (chunk_len - 2)
+    if command == "bench":
+        return int(values.get("--lengths", "128").split(",")[-1])
+    return {"ablate": 26, "pipeline": 10}[command]
+
+
+def document_words(values: dict, longest: int) -> int:
+    """What ``pipeline`` holds for a ``longest``-token document under the ``values`` flags.
+
+    Boundary width 1 and 2 middles keep 2 + min(2, n - 2) rows a window; each row
+    has ``d_model`` words, two per layer in the cross keys and values, one cross
+    weight per decode position (17) and one cross score per head.
+    """
+    from chunkfuse.segmenter import segment_count
+
+    d, layers, heads, chunk_len = (int(values[flag]) for flag in
+                                   ("--d-model", "--n-layers", "--n-heads", "--chunk-len"))
+    rows = segment_count(longest, chunk_len, 2) * (2 + min(2, max(min(chunk_len, longest) - 2, 0)))
+    return rows * ((1 + 2 * layers) * d + 17 + heads)
+
+
+def drawn_bytes(cfg) -> int:
+    """The bytes of the arrays in both weight stacks ``pipeline`` draws for ``cfg``."""
+    import dataclasses
+
+    import numpy as np
+
+    from chunkfuse.decoder import init_decoder_weights
+    from chunkfuse.encoder import ModelConfig, init_weights
+
+    def array_bytes(record) -> int:
+        if isinstance(record, np.ndarray):
+            return record.nbytes
+        if isinstance(record, ModelConfig):  # the config a stack carries holds no array
+            return 0
+        if isinstance(record, tuple):
+            return sum(map(array_bytes, record))
+        return sum(array_bytes(getattr(record, f.name)) for f in dataclasses.fields(record))
+
+    return (array_bytes(init_weights(cfg.encoder_config()))
+            + array_bytes(init_decoder_weights(cfg.decoder_config(17))))
+
+
+def priced_bytes(monkeypatch, cfg, n_tokens: int, longest: int) -> int:
+    """``cli._check_memory``'s price of a run, read from its refusal under one byte of memory."""
+    from chunkfuse import cli
+
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: 1)  # one byte: every run is refused
+    with pytest.raises(cli.ConfigError, match=r"need at least (\d+) bytes") as refused:
+        cli._check_memory(cfg, n_tokens, longest)
+    return int(refused.value.args[0].split("need at least ")[1].split()[0])
+
+
 class TestSizeCliff:
     """A run whose weights, window scores and documents pass memory exits 1 before any draw."""
 
     def assert_refused(self, tmp_path, capsys, monkeypatch, command, flags, tokens, words):
-        """``command`` with ``flags`` prints one line: its sizes, ``tokens``, model ``words``."""
+        """``command`` with ``flags`` prints one line: its sizes, ``tokens``, model ``words``
+        and what its longest document holds."""
         from chunkfuse.numerics import SeededRng
 
         def no_draw(*args, **kwargs):
@@ -1169,8 +1227,9 @@ class TestSizeCliff:
         values = dict(zip(pairs[::2], pairs[1::2]))  # a later flag wins, as in argparse
         sizes = ", ".join(f"{name} {values['--' + name.replace('_', '-')]}"
                           for name in SIZE_FIELDS)
+        price = 8 * (words + tokens + document_words(values, run_longest(command, values)))
         assert capsys.readouterr().err == (
-            f"error: {sizes} and {tokens} document tokens need at least {8 * (words + tokens)} "
+            f"error: {sizes} and {tokens} document tokens need at least {price} "
             f"bytes, more than the machine's {memory} bytes of physical memory\n")
         assert not out.exists()
 
@@ -1209,33 +1268,81 @@ class TestSizeCliff:
         dict(vocab_size=13, d_model=8, n_heads=4, n_layers=3, d_ff=20),
     ])
     def test_weight_price_is_the_drawn_bytes(self, monkeypatch, sizes):
-        import dataclasses
-
-        import numpy as np
-
-        from chunkfuse import cli
-        from chunkfuse.decoder import init_decoder_weights
-        from chunkfuse.encoder import ModelConfig, init_weights
         from chunkfuse.pipeline import PipelineConfig
 
-        def array_bytes(record) -> int:
-            if isinstance(record, np.ndarray):
-                return record.nbytes
-            if isinstance(record, ModelConfig):  # the config a stack carries holds no array
-                return 0
-            if isinstance(record, tuple):
-                return sum(map(array_bytes, record))
-            return sum(array_bytes(getattr(record, f.name)) for f in dataclasses.fields(record))
+        cfg = PipelineConfig(**sizes)
+        # a one-token document keeps that token twice, as both boundary rows
+        document = 8 * 2 * ((1 + 2 * cfg.n_layers) * cfg.d_model + 17 + cfg.n_heads)
+        price = priced_bytes(monkeypatch, cfg, 0, 1)
+        assert price - 8 * cfg.n_heads * cfg.chunk_len ** 2 - document == drawn_bytes(cfg)
+
+    # windows of full and of short interiors, heads that divide and that scale their scores
+    @pytest.mark.parametrize("sizes, n_tokens", [
+        (dict(chunk_len=16, overlap=4, boundary_width=2, middle_count=5, d_model=8,
+              n_heads=2, n_layers=1, d_ff=12, vocab_size=32), 100),
+        (dict(chunk_len=12, overlap=0, boundary_width=1, middle_count=10, d_model=12,
+              n_heads=3, n_layers=3, d_ff=8, vocab_size=16), 90),
+        (dict(chunk_len=64, overlap=16, boundary_width=3, middle_count=50, d_model=16,
+              n_heads=4, n_layers=2, d_ff=20, vocab_size=40), 40),
+    ])
+    def test_document_price_is_the_arrays_a_run_holds(self, monkeypatch, sizes, n_tokens):
+        from chunkfuse import cli, decoder
+        from chunkfuse.encoder import init_weights
+        from chunkfuse.metrics import make_random_doc
+        from chunkfuse.pipeline import PipelineConfig, encode_document, run_document
 
         cfg = PipelineConfig(**sizes)
-        drawn = (array_bytes(init_weights(cfg.encoder_config()))
-                 + array_bytes(init_decoder_weights(cfg.decoder_config(17))))
-        monkeypatch.setattr(cli.os, "sysconf", lambda name: 1)  # one byte: every run is refused
-        with pytest.raises(cli.ConfigError, match=r"need at least (\d+) bytes") as refused:
-            cli._check_memory(cfg, 0)
-        price = int(refused.value.args[0].split("need at least ")[1].split()[0])
-        assert price - 8 * cfg.n_heads * cfg.chunk_len ** 2 == drawn
+        tokens = make_random_doc(n_tokens, cfg.vocab_size, 9)
+        weights = init_weights(cfg.encoder_config())
+        kept = encode_document(tokens, cfg, weights, "doc")[1]
+        memory = run_document(tokens, cfg, weights=weights, doc_id="doc").fused
+        assert memory.rows > len(cli._DECODE_PREFIX) + cli._DECODE_STEPS  # no self-attention
+        dec_cfg = cfg.decoder_config(len(cli._DECODE_PREFIX) + cli._DECODE_STEPS)
+        cross = decoder.DecoderMemory(memory, dec_cfg).keys_values
+        scores, real = set(), decoder._attention
 
+        def recorded(*args):
+            out = real(*args)
+            if out[1].shape[-1] == memory.rows:  # a cross pass reads every memory row
+                scores.add(out[1].nbytes)
+            return out
+
+        monkeypatch.setattr(decoder, "_attention", recorded)
+        positions = decoder.decode(cli._DECODE_PREFIX, memory, dec_cfg, cli._DECODE_STEPS)[2]
+        held = (kept.nbytes + sum(a.nbytes for kv in cross for a in kv) + positions.nbytes
+                + scores.pop())
+        assert not scores  # every pass's cross scores have one size
+        price = priced_bytes(monkeypatch, cfg, n_tokens, n_tokens)
+        assert price - drawn_bytes(cfg) - 8 * (cfg.n_heads * cfg.chunk_len ** 2 + n_tokens) == held
+
+
+    def test_run_past_the_address_space_limit_exits_one(self, tmp_path):
+        # one BLAS thread keeps numpy's import near 110 MB of address space, under the
+        # 320 MB limit; the weights and tokens price 27 MB, the document's 60000 kept
+        # rows of 512 words and their cross keys and values about 745 MB more
+        import resource
+        from chunkfuse.metrics import make_random_doc
+
+        limit = 320 << 20
+        corpus = write_corpus(tmp_path / "wide.jsonl",
+                              [{"id": "wide", "tokens": list(make_random_doc(60_000, 64, 4))}])
+        out = tmp_path / "run"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "chunkfuse.cli", "pipeline", str(corpus), "--out-dir", str(out),
+             "--chunk-len", "16", "--overlap", "0", "--boundary-width", "1", "--middle-count", "14",
+             "--d-model", "512", "--n-heads", "1", "--n-layers", "1", "--d-ff", "16",
+             "--vocab-size", "64"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+        assert proc.returncode == 1, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and line.endswith(
+            f"more than the process's {limit}-byte address space limit")
+        assert not out.exists()
 
     # int() once read 0_3, +3 and the Arabic-Indic 3; argparse's own message named no JSON
     @pytest.mark.parametrize("flag", ["--n-chunks", "--n-docs", "--doc-seed", "--lengths"])

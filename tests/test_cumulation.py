@@ -62,7 +62,7 @@ def run_on_encodings(segs, encs: np.ndarray, cfg: PipelineConfig, doc_id: str):
     windows = iter(encs)
     stack = SimpleNamespace(cfg=cfg.encoder_config())
     with mock.patch.object(pipeline, "segment", lambda *_: segs), \
-            mock.patch.object(encoder, "encode", lambda _t, _w, keep:
+            mock.patch.object(encoder, "encode", lambda _t, _w, keep, _work:
                               np.stack([next(windows)[kept] for kept in keep])):
         return run_document([], cfg, weights=stack, doc_id=doc_id).fused
 

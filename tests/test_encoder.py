@@ -172,7 +172,7 @@ def test_attention_is_bitwise_the_scale_after_product_oracle(d_head, n_heads, le
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     if causal:
         # the oracle's masked full form sums and multiplies in other shapes
-        out, probs = attention_scaled_after(source, kv, w, n_heads, causal_mask(n_keys))
+        out, probs = attention_scaled_after(source, kv, w, n_heads, mask=causal_mask(n_keys))
         np.testing.assert_allclose(got[0], out[..., i:i + 1, :], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[1], probs[..., i:i + 1, :i + 1], rtol=0, atol=1e-12)
         assert not probs[..., i, i + 1:].any()
