@@ -156,17 +156,17 @@ def _check_memory(cfg: PipelineConfig, n_tokens: int, longest: int) -> None:
     ``pipeline`` draws them (two embeddings, the output projection, and a layer's 12
     attention and 4 feed-forward matrices), one window's scores, the tokens, and what
     ``pipeline`` holds for its ``longest``-token document: the memory's rows of
-    ``d_model``, each layer's cross keys and values of them, the decode's cross row per
-    position and one pass's cross scores. The limit is physical memory, or the address
-    space ``RLIMIT_AS`` leaves the process where that is smaller.
+    ``d_model``, the decode's cross row per position and one pass's cross scores, a row
+    per head. The decoder's cross-attention reads the memory itself, so nothing per
+    layer is priced. The limit is physical memory, or the address space ``RLIMIT_AS``
+    leaves the process where that is smaller.
     """
     d, k = cfg.d_model, cfg.boundary_width
     middles = min(cfg.middle_count, max(min(cfg.chunk_len, longest) - 2 * k, 0))
     rows = segment_count(longest, cfg.chunk_len, cfg.overlap) * (2 * k + middles)
     nbytes = 8 * (3 * cfg.vocab_size * d + cfg.n_layers * (12 * d * d + 4 * d * cfg.d_ff)
                   + cfg.n_heads * cfg.chunk_len ** 2 + n_tokens
-                  + rows * ((1 + 2 * cfg.n_layers) * d + len(_DECODE_PREFIX) + _DECODE_STEPS
-                            + cfg.n_heads))
+                  + rows * (d + len(_DECODE_PREFIX) + _DECODE_STEPS + cfg.n_heads))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     limit = f"the machine's {memory} bytes of physical memory"
     address_space = resource.getrlimit(resource.RLIMIT_AS)[0]

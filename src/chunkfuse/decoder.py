@@ -6,10 +6,11 @@ feed-forward, all with frozen seeded weights. The stack is the encoder's
 config, routine and draws: a layer is an encoder block plus a cross record
 over the memory, in one fixed draw order, and the stack carries the config
 it was drawn for. :func:`decode` runs one position per pass over a per-layer
-key/value cache, as incremental decoding does, with a :class:`DecoderMemory`
-(the one cached, read-only stack of a config and the memory's keys and
-values, projected once); ``pipeline.greedy_decode`` and :func:`decode_step`
-are its two views.
+self-attention key/value cache, as incremental decoding does, with the one
+cached, read-only stack of its config. Its cross-attention reads the memory
+rows themselves, through absorbed queries and slice-summed values
+(``encoder._attention``), so no key or value of the memory is ever projected
+or held. ``pipeline.greedy_decode`` and :func:`decode_step` are its two views.
 """
 
 from __future__ import annotations
@@ -77,17 +78,6 @@ def _cached_weights(cfg: ModelConfig) -> DecoderWeights:
     return init_decoder_weights(cfg)
 
 
-class DecoderMemory:
-    """The decoder weights for ``cfg`` and each layer's cross ``_keys_values`` of a memory."""
-
-    def __init__(self, memory: FusedSequence, cfg: ModelConfig):
-        if memory.width != cfg.d_model:
-            raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
-        self.weights = _cached_weights(cfg)
-        self.keys_values = tuple(_keys_values(memory.flattened, lw.cross, cfg.n_heads)
-                                 for lw in self.weights.layers)
-
-
 def decode(
     prefix: list[int] | tuple[int, ...],
     memory: FusedSequence,
@@ -98,8 +88,9 @@ def decode(
 
     Per layer, a pass appends its position's self-attention keys and values
     to a cache and attends over the filled part with no mask, so a position
-    reads only the tokens up to it; its cross-attention reads the memory,
-    bound once, with one query row. Returns the tokens (the prefix, then each
+    reads only the tokens up to it; its cross-attention reads the memory
+    itself with one query row, and no key or value of it is projected
+    (``encoder._attention``). Returns the tokens (the prefix, then each
     argmax from its last position on), the (positions x vocab) logits and each
     position's last-layer cross-attention averaged over heads (positions x rows).
     """
@@ -107,22 +98,24 @@ def decode(
     if not 0 <= steps <= cfg.max_len - len(tokens):
         raise InputError(f"steps must lie in [0, {cfg.max_len - len(tokens)}] after a "
                          f"{len(tokens)}-token prefix under max_len {cfg.max_len}, got {steps}")
+    if memory.width != cfg.d_model:
+        raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
     n = len(tokens) + steps
-    rows = np.empty((n, memory.rows))  # before binding, so the kept rows do not pin the heap top
-    bound = DecoderMemory(memory, cfg)
-    weights = bound.weights
+    rows = np.empty((n, memory.rows))
+    weights = _cached_weights(cfg)
+    source = memory.flattened
     # per layer, the self-attention keys [0] and values [1] of every position
     caches = [np.empty((2, cfg.n_heads, n, cfg.d_model // cfg.n_heads)) for _ in weights.layers]
     positions = sinusoidal_positions(cfg.max_len, cfg.d_model)
     logits = np.empty((n, cfg.vocab_size))
     for i in range(n):
         h = weights.embedding[tokens[i]:tokens[i] + 1] + positions[i:i + 1]
-        for lw, kv, cache in zip(weights.layers, bound.keys_values, caches):
+        for lw, cache in zip(weights.layers, caches):
             x = _layer_norm(h)
             cache[:, :, i:i + 1] = _keys_values(x, lw.block.attn, cfg.n_heads)
             h = h + _attention(x, cache[:, :, :i + 1], lw.block.attn, cfg.n_heads)[0]
             cross = None  # frees the last probabilities before these scores exist
-            out, cross = _attention(_layer_norm(h), kv, lw.cross, cfg.n_heads)
+            out, cross = _attention(_layer_norm(h), source, lw.cross, cfg.n_heads)
             h = h + out
             h = h + _feed_forward(_layer_norm(h), lw.block)
         logits[i] = _layer_norm(h) @ weights.out_proj

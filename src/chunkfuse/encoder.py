@@ -24,6 +24,9 @@ from .errors import ConfigError, InputError
 from .numerics import SeededRng, as_token_ids, check_finite
 
 _LN_EPS = 1e-5
+# rows of the memory per product in cross-attention's value sum: one (heads x rows) @
+# (rows x d) product rounds differently at 1 and 2 BLAS threads for some row counts
+_VALUE_SLICE = 2048
 
 
 @dataclass(frozen=True)
@@ -152,18 +155,25 @@ def _keys_values(source: np.ndarray, w: AttentionWeights, n_heads: int) -> tuple
 
 def _attention(
     x: np.ndarray,
-    kv: tuple[np.ndarray, np.ndarray],
+    kv: tuple[np.ndarray, np.ndarray] | np.ndarray,
     w: AttentionWeights,
     n_heads: int,
     work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head attention of the rows of ``x`` over ``kv``, the ``_keys_values`` of a source.
+    """Multi-head attention of the (queries x d) rows of ``x`` over a source.
 
-    Self-attention passes those of ``x`` (the decoder, those of the
-    positions so far); cross-attention those of the memory. Returns the
-    projected output and the (heads x queries x keys) probabilities.
-    ``x`` and ``kv`` are left unchanged: the softmax runs in the one
-    scores array this call allocates, and so does the
+    ``kv`` is the ``_keys_values`` of the source, or the (rows x d) source
+    itself. Self-attention passes those of ``x`` (the decoder, those of the
+    positions so far); cross-attention passes the memory, and then no key or
+    value of it is projected. Per head, ``q·(M W_k)ᵀ = (q W_kᵀ)·Mᵀ`` and
+    ``p·(M W_v) = (p·M)·W_v``: each head's query goes through ``W_kᵀ`` and
+    scores the memory rows themselves, and its context ``p·M`` is summed in
+    order over ``_VALUE_SLICE``-row slices of the memory, whose products round
+    alike at any BLAS thread count, before it goes through ``W_v``.
+
+    Returns the projected output and the (heads x queries x keys)
+    probabilities. ``x`` and ``kv`` are left unchanged: the softmax runs in
+    the one scores array this call allocates, and so does the
     ``1/sqrt(d_head)`` scale unless that root is a power of two. Then it
     divides the queries, bitwise the same since scaling by 2**j is exact,
     except for a term or partial sum below 2**-1022 (subnormal), which
@@ -176,13 +186,27 @@ def _attention(
     fold = math.frexp(root)[0] == 0.5  # root is 2**j: scaling the queries is exact
     if fold:
         q /= root
-    k, v = kv
-    q, kt = _split_heads(q, n_heads), k.swapaxes(-1, -2)
+    q = _split_heads(q, n_heads)
+    source = kv if isinstance(kv, np.ndarray) and kv.ndim == 2 else None
+    if source is None:
+        k, v = kv
+        kt = k.swapaxes(-1, -2)
+    else:  # each head's query through W_k,hᵀ, as (heads · queries) rows of width d
+        q = (q @ _split_heads(w.wk, n_heads).swapaxes(-1, -2)).reshape(-1, source.shape[1])
+        kt = source.T
     scores = np.matmul(q, kt, out=_in(work, (*q.shape[:-1], kt.shape[-1])))
     if not fold:
         scores /= root
     attn = _softmax_last(scores)
-    return (attn @ v).swapaxes(-3, -2).reshape(x.shape) @ w.wo, attn
+    if source is None:
+        heads = attn @ v
+    else:
+        context = attn[:, :_VALUE_SLICE] @ source[:_VALUE_SLICE]
+        for start in range(_VALUE_SLICE, len(source), _VALUE_SLICE):
+            context += attn[:, start:start + _VALUE_SLICE] @ source[start:start + _VALUE_SLICE]
+        attn = attn.reshape(n_heads, -1, len(source))
+        heads = context.reshape(n_heads, -1, source.shape[1]) @ _split_heads(w.wv, n_heads)
+    return heads.swapaxes(-3, -2).reshape(x.shape) @ w.wo, attn
 
 
 def _token_ids(tokens, cfg: ModelConfig, what: str) -> np.ndarray:

@@ -37,13 +37,26 @@ def as_token_ids(tokens) -> np.ndarray:
 
     numpy infers the dtype, so floats, strings and a list of bools are refused
     rather than truncated, parsed or read as 0 and 1, as are ids past int64
-    (inferred as uint64, float64 or object). An empty ``tokens`` is left to the
-    caller to refuse.
+    (inferred as uint64, float64 or object). A bool among ints is inferred as
+    int64, so a ``tokens`` that is not an array is searched for one. An empty
+    ``tokens`` is left to the caller to refuse.
     """
     ids = np.asarray(tokens)
     if ids.size and (ids.dtype.kind not in "iu" or ids.dtype.kind == "u" and ids.max() >= 1 << 63):
         raise InputError(f"token ids must be integers in int64's range, got {ids.dtype} values")
+    if ids.size and not isinstance(tokens, np.ndarray) and _holds_a_bool(tokens, ids.ndim):
+        raise InputError(f"token ids must be integers, got a bool among {ids.dtype} values")
     return ids.astype(np.int64, copy=False)
+
+
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def _holds_a_bool(tokens, depth: int) -> bool:
+    """Whether the ``depth``-deep nested sequence ``tokens`` holds a Python or numpy bool."""
+    if depth == 1:
+        return not _BOOLS.isdisjoint(map(type, tokens))
+    return any(_holds_a_bool(row, depth - 1) for row in tokens)
 
 
 def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -24,19 +24,24 @@ encoded afresh under every variant,
 parser, and ``next_u64``, ``randint_below``, ``uniform``, ``gaussian``,
 ``normal_matrix_per_value``, ``token_ids_per_value`` and
 ``sample_indices_per_value`` the draw-at-a-time forms of ``SeededRng``'s
-block-wise streams. ``softmax_out_of_place`` and ``layer_norm_mean_var``
-are the textbook forms of the encoder's in-place softmax and one-pass
-layer norm, each step in a new array. ``attention_scaled_after`` is the
+block-wise streams. ``textbook_encode`` is one window's pre-norm encoder
+written from the weight arrays alone, with ``textbook_positions`` and
+``textbook_layer_norm`` its own. ``softmax_out_of_place`` and
+``layer_norm_mean_var`` are the textbook forms of the encoder's in-place
+softmax and one-pass layer norm, each step in a new array. ``attention_scaled_after`` is the
 attention routine that always scales the scores, never the queries,
-and takes an additive ``causal_mask``. ``decode_per_position`` is the
-textbook incremental decoder: one position at a time, with that routine,
-each layer's keys and values kept in lists. ``decode_uncached`` is the
-full decoder pass over a prefix under the causal mask, projecting the
-memory's keys and values afresh, and ``greedy_decode_uncached`` repeats it.
+and takes an additive ``causal_mask``; over the memory rows themselves it
+is ``absorbed_scaled_after``, one head at a time. ``decode_per_position``
+is the textbook incremental decoder: one position at a time, with that
+routine, each layer's keys and values kept in lists, and cross-attention
+read off the memory. ``decode_uncached`` is the full decoder pass over a
+prefix under the causal mask, projecting the memory's keys and values
+afresh, and ``greedy_decode_uncached`` repeats it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -494,19 +499,29 @@ def causal_mask(n: int) -> np.ndarray:
     return mask
 
 
+# rows of the memory per product in the value sum of cross-attention read off the memory
+VALUE_SLICE = 2048
+
+
 def attention_scaled_after(
     x: np.ndarray,
-    kv: tuple[np.ndarray, np.ndarray],
+    kv: tuple[np.ndarray, np.ndarray] | np.ndarray,
     w: AttentionWeights,
     n_heads: int,
     work: np.ndarray | None = None,
     *,
     mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``encoder._attention`` with the ``1/sqrt(d_head)`` scale always after ``q @ kᵀ``.
+    """``encoder._attention`` with the ``1/sqrt(d_head)`` scale always after the scores.
 
-    ``work`` is taken and left unused: the scores are always a fresh array.
+    Given the (rows x d) memory ``M`` itself as ``kv``, it reads it one head
+    at a time: the head's query times ``W_k,hᵀ`` scores ``M``'s rows, its
+    context ``p·M`` is the in-order sum of one product per ``VALUE_SLICE``
+    rows, and that context times ``W_v,h`` is the head's output. ``work`` is
+    taken and left unused: the scores are always a fresh array.
     """
+    if isinstance(kv, np.ndarray) and kv.ndim == 2:
+        return absorbed_scaled_after(x, kv, w, n_heads)
     q = _split_heads(x @ w.wq, n_heads)
     k, v = kv
     scores = q @ k.swapaxes(-1, -2)
@@ -515,6 +530,74 @@ def attention_scaled_after(
         scores += mask
     attn = _softmax_last(scores)
     return (attn @ v).swapaxes(-3, -2).reshape(x.shape) @ w.wo, attn
+
+
+def absorbed_scaled_after(x: np.ndarray, memory: np.ndarray, w: AttentionWeights,
+                          n_heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`attention_scaled_after` of the (queries x d) ``x`` over the memory rows."""
+    d = x.shape[-1]
+    dh = d // n_heads
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
+    q = x @ w.wq
+    absorbed = np.concatenate([q[:, c] @ w.wk[:, c].T for c in cols])  # (heads · queries) x d
+    scores = absorbed @ memory.T
+    scores /= math.sqrt(dh)
+    attn = _softmax_last(scores)
+    parts = [attn[:, s:s + VALUE_SLICE] @ memory[s:s + VALUE_SLICE]
+             for s in range(0, len(memory), VALUE_SLICE)]
+    context = functools.reduce(np.add, parts)
+    n = len(x)
+    heads = [context[h * n:(h + 1) * n] @ w.wv[:, c] for h, c in enumerate(cols)]
+    return np.concatenate(heads, axis=1) @ w.wo, attn.reshape(n_heads, n, len(memory))
+
+
+def textbook_positions(n: int, d: int) -> np.ndarray:
+    """Vaswani et al. 2017 §3.5: PE(pos, 2i) = sin(pos / 10000^(2i/d)) and
+    PE(pos, 2i + 1) = cos(pos / 10000^(2i/d)), one entry at a time."""
+    table = np.zeros((n, d))
+    for pos in range(n):
+        for i in range(0, d, 2):
+            angle = pos / 10000.0 ** (i / d)
+            table[pos, i] = math.sin(angle)
+            if i + 1 < d:
+                table[pos, i + 1] = math.cos(angle)
+    return table
+
+
+def textbook_layer_norm(x: np.ndarray) -> np.ndarray:
+    """Each row minus its mean, over the root of its population variance plus 1e-5."""
+    out = np.empty_like(x)
+    for r, row in enumerate(x):
+        mean = sum(row) / len(row)
+        var = sum((v - mean) ** 2 for v in row) / len(row)
+        out[r] = (row - mean) / math.sqrt(var + 1e-5)
+    return out
+
+
+def textbook_encode(window: Sequence[int], weights: EncoderWeights) -> np.ndarray:
+    """Every row's top-layer state of one window, as a textbook pre-norm encoder computes it.
+
+    It reads the weight arrays and the head count only: the embedding rows
+    plus :func:`textbook_positions`, then per layer ``h + attention(LN(h))``
+    with one loop over the heads, each softmax written out, and ``h +
+    relu(LN(h) W1) W2``, and a final :func:`textbook_layer_norm`.
+    """
+    n_heads = weights.cfg.n_heads
+    h = np.array([weights.embedding[t] for t in window])
+    h = h + textbook_positions(*h.shape)
+    dh = h.shape[1] // n_heads
+    for lw in weights.layers:
+        x = textbook_layer_norm(h)
+        heads = []
+        for c in (slice(j * dh, (j + 1) * dh) for j in range(n_heads)):
+            q, k, v = x @ lw.attn.wq[:, c], x @ lw.attn.wk[:, c], x @ lw.attn.wv[:, c]
+            scores = q @ k.T / math.sqrt(dh)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            heads.append(e / e.sum(axis=1, keepdims=True) @ v)
+        h = h + np.concatenate(heads, axis=1) @ lw.attn.wo
+        hidden = textbook_layer_norm(h) @ lw.w1
+        h = h + np.where(hidden > 0.0, hidden, 0.0) @ lw.w2
+    return textbook_layer_norm(h)
 
 
 def decode_uncached(
@@ -556,7 +639,8 @@ def decode_per_position(prefix: Sequence[int], memory: FusedSequence, cfg: Model
 
     Each layer keeps a list of every position's self-attention keys and
     one of its values; position i appends its own, then attends, with
-    :func:`attention_scaled_after`, over the lists joined. Returns the
+    :func:`attention_scaled_after`, over the lists joined, and over the
+    memory rows themselves, one head at a time. Returns the
     tokens, each position's next-token logits (positions x vocab), and its
     last-layer cross-attention averaged over heads (positions x memory rows).
     """
@@ -564,7 +648,6 @@ def decode_per_position(prefix: Sequence[int], memory: FusedSequence, cfg: Model
         raise ConfigError(f"memory width {memory.width} does not match d_model {cfg.d_model}")
     weights = _cached_weights(cfg)
     tokens = _token_ids(prefix, cfg, "prefix").tolist()
-    memory_kv = [_keys_values(memory.flattened, lw.cross, cfg.n_heads) for lw in weights.layers]
     keys = [[] for _ in weights.layers]
     values = [[] for _ in weights.layers]
     logits, rows = [], []
@@ -579,7 +662,7 @@ def decode_per_position(prefix: Sequence[int], memory: FusedSequence, cfg: Model
             values[layer].append(v)
             kv = np.concatenate(keys[layer], axis=-2), np.concatenate(values[layer], axis=-2)
             h = h + attention_scaled_after(x, kv, lw.block.attn, cfg.n_heads)[0]
-            out, cross = attention_scaled_after(_layer_norm(h), memory_kv[layer], lw.cross,
+            out, cross = attention_scaled_after(_layer_norm(h), memory.flattened, lw.cross,
                                                 cfg.n_heads)
             h = h + out
             h = h + _feed_forward(_layer_norm(h), lw.block)

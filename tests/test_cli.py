@@ -1163,15 +1163,14 @@ def document_words(values: dict, longest: int) -> int:
     """What ``pipeline`` holds for a ``longest``-token document under the ``values`` flags.
 
     Boundary width 1 and 2 middles keep 2 + min(2, n - 2) rows a window; each row
-    has ``d_model`` words, two per layer in the cross keys and values, one cross
-    weight per decode position (17) and one cross score per head.
+    has ``d_model`` words, one cross weight per decode position (17) and one cross
+    score per head.
     """
     from chunkfuse.segmenter import segment_count
 
-    d, layers, heads, chunk_len = (int(values[flag]) for flag in
-                                   ("--d-model", "--n-layers", "--n-heads", "--chunk-len"))
+    d, heads, chunk_len = (int(values[flag]) for flag in ("--d-model", "--n-heads", "--chunk-len"))
     rows = segment_count(longest, chunk_len, 2) * (2 + min(2, max(min(chunk_len, longest) - 2, 0)))
-    return rows * ((1 + 2 * layers) * d + 17 + heads)
+    return rows * (d + 17 + heads)
 
 
 def drawn_bytes(cfg) -> int:
@@ -1272,7 +1271,7 @@ class TestSizeCliff:
 
         cfg = PipelineConfig(**sizes)
         # a one-token document keeps that token twice, as both boundary rows
-        document = 8 * 2 * ((1 + 2 * cfg.n_layers) * cfg.d_model + 17 + cfg.n_heads)
+        document = 8 * 2 * (cfg.d_model + 17 + cfg.n_heads)
         price = priced_bytes(monkeypatch, cfg, 0, 1)
         assert price - 8 * cfg.n_heads * cfg.chunk_len ** 2 - document == drawn_bytes(cfg)
 
@@ -1298,7 +1297,6 @@ class TestSizeCliff:
         memory = run_document(tokens, cfg, weights=weights, doc_id="doc").fused
         assert memory.rows > len(cli._DECODE_PREFIX) + cli._DECODE_STEPS  # no self-attention
         dec_cfg = cfg.decoder_config(len(cli._DECODE_PREFIX) + cli._DECODE_STEPS)
-        cross = decoder.DecoderMemory(memory, dec_cfg).keys_values
         scores, real = set(), decoder._attention
 
         def recorded(*args):
@@ -1309,8 +1307,7 @@ class TestSizeCliff:
 
         monkeypatch.setattr(decoder, "_attention", recorded)
         positions = decoder.decode(cli._DECODE_PREFIX, memory, dec_cfg, cli._DECODE_STEPS)[2]
-        held = (kept.nbytes + sum(a.nbytes for kv in cross for a in kv) + positions.nbytes
-                + scores.pop())
+        held = kept.nbytes + positions.nbytes + scores.pop()
         assert not scores  # every pass's cross scores have one size
         price = priced_bytes(monkeypatch, cfg, n_tokens, n_tokens)
         assert price - drawn_bytes(cfg) - 8 * (cfg.n_heads * cfg.chunk_len ** 2 + n_tokens) == held
@@ -1318,14 +1315,14 @@ class TestSizeCliff:
 
     def test_run_past_the_address_space_limit_exits_one(self, tmp_path):
         # one BLAS thread keeps numpy's import near 110 MB of address space, under the
-        # 320 MB limit; the weights and tokens price 27 MB, the document's 60000 kept
-        # rows of 512 words and their cross keys and values about 745 MB more
+        # 320 MB limit; the weights and tokens price 27 MB, the document's 100000 kept
+        # rows of 512 words and the decode's cross rows and scores over them 424 MB more
         import resource
         from chunkfuse.metrics import make_random_doc
 
         limit = 320 << 20
         corpus = write_corpus(tmp_path / "wide.jsonl",
-                              [{"id": "wide", "tokens": list(make_random_doc(60_000, 64, 4))}])
+                              [{"id": "wide", "tokens": list(make_random_doc(100_000, 64, 4))}])
         out = tmp_path / "run"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",

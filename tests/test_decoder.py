@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from oracles import (
 from chunkfuse import decoder, encoder
 from chunkfuse.cumulation import MIDDLE, assemble
 from chunkfuse.decoder import (
-    DecoderMemory,
     attention_mass_by_chunk,
     decode,
     decode_step,
@@ -131,6 +130,15 @@ def test_both_stacks_check_their_token_ids_alike(tokens, message):
         decode_step(tokens, memory, cfg)
 
 
+def test_a_bool_among_the_ids_is_refused_by_both_stacks():
+    cfg = decoder_config()
+    *_, memory = make_memory(np.random.default_rng(8))
+    with pytest.raises(InputError, match="got a bool among int64 values"):
+        decode([1, True], memory, cfg, 2)
+    with pytest.raises(InputError, match="got a bool among int64 values"):
+        encoder.encode([[1, 2], [3, np.True_]], encoder.init_weights(cfg), np.arange(2)[None])
+
+
 def test_decoder_weights_deterministic():
     cfg = decoder_config()
     a, b = init_decoder_weights(cfg), init_decoder_weights(cfg)
@@ -149,7 +157,7 @@ def test_greedy_decode_refuses_a_float_prefix():
 
 @pytest.mark.parametrize("stack", ["cached decoder", "encoder"])
 def test_weight_stacks_are_read_only(stack):
-    # every DecoderMemory of one config shares the cached stack: an edit would reach them all
+    # every decode of one config shares the cached stack: an edit would reach them all
     cfg = decoder_config()
     weights = decoder._cached_weights(cfg) if stack == "cached decoder" else init_weights(cfg)
     arrays = [weights.embedding, weights.layers[0].attn.wq if stack == "encoder"
@@ -169,7 +177,6 @@ def test_weight_stacks_carry_the_config_they_were_drawn_for():
     assert init_weights(cfg).cfg == cfg
     assert init_decoder_weights(cfg).cfg == cfg
     assert decoder._cached_weights(cfg).cfg == cfg
-    assert not hasattr(DecoderMemory(make_memory(np.random.default_rng(10))[2], cfg), "cfg")
 
 
 @pytest.mark.parametrize("kind", ["causal self-attention", "cross-attention", "masked oracle"])
@@ -186,9 +193,9 @@ def test_attention_leaves_its_inputs_unchanged(kind):
     w = lw.cross if kind == "cross-attention" else lw.block.attn
     weights = [getattr(w, f.name) for f in fields(w)]
     assert len(weights) == 4  # q, k, v and o
-    if kind == "cross-attention":
-        kv = _keys_values(memory.flattened, w, cfg.n_heads)
-        arrays, call = [x, memory.flattened, *kv], partial(_attention, x, kv, w, cfg.n_heads)
+    if kind == "cross-attention":  # the memory rows themselves, as the decoder passes them
+        source = memory.flattened
+        arrays, call = [x, source], partial(_attention, x, source, w, cfg.n_heads)
     elif kind == "causal self-attention":
         cache = np.stack(_keys_values(x, w, cfg.n_heads))
         arrays, call = [x, cache], partial(_attention, x[-1:], cache, w, cfg.n_heads)
@@ -429,17 +436,8 @@ def test_cached_passes_match_the_oracle_at_two_blas_threads():
     assert run_at("2", ORACLE_SCRIPT) == ["True"] * len(STACK_CONFIGS)
 
 
-def test_a_bound_memory_never_reads_the_memory_again():
-    tokens, memory, cfg = stack_memory(STACK_CONFIGS["small-window"])
-    copy = replace(memory, blocks=memory.blocks.copy())
-    bound = DecoderMemory(memory, cfg)
-    memory.blocks[...] = np.nan
-    fresh = DecoderMemory(copy, cfg)
-    assert ([a.tobytes() for kv in bound.keys_values for a in kv]
-            == [a.tobytes() for kv in fresh.keys_values for a in kv])
-
-
-def test_decode_projects_the_memory_once_per_layer(monkeypatch):
+def test_decode_projects_only_its_own_positions(monkeypatch):
+    # cross-attention reads the memory rows themselves: no key or value of them is projected
     *_, memory = make_memory(np.random.default_rng(12))
     cfg = decoder_config(max_len=17)
     sources = []
@@ -450,21 +448,19 @@ def test_decode_projects_the_memory_once_per_layer(monkeypatch):
 
     monkeypatch.setattr(decoder, "_keys_values", counted)
     decode([0], memory, cfg, 16)
-    assert sources.count(memory.rows) == cfg.n_layers
-    assert sources.count(1) == 17 * cfg.n_layers  # each pass projects its own position
+    assert sources == [1] * 17 * cfg.n_layers  # each pass projects its own position
 
 
-def test_a_pass_holds_the_cache_and_one_scores_array():
-    # several thousand memory rows, so the memory's keys and values, the
-    # (heads x 1 x rows) scores of a pass, its head mean and the (positions x rows)
-    # output dwarf every other array; the previous probabilities kept alive, or a
-    # full pass's (heads x positions x rows) scores, would pass the bound
+def test_a_pass_holds_one_scores_array():
+    # several thousand memory rows, so the (heads x 1 x rows) scores of a pass, its head
+    # mean and the (positions x rows) output dwarf every other array; the previous
+    # probabilities kept alive, a (rows x d) projection of the memory or a full pass's
+    # (heads x positions x rows) scores would pass the bound
     cfg = decoder_config(max_len=17)
     *_, memory = make_memory(np.random.default_rng(9), n_chunks=400, width=1, middle=8)
     scores = cfg.n_heads * memory.rows * 8
     rows_out = 17 * memory.rows * 8
     decode_step([0], memory, cfg)  # draws the weights, fills position tables
-    cache = sum(k.nbytes + v.nbytes for k, v in DecoderMemory(memory, cfg).keys_values)
     peaks = []
     tracemalloc.start()
     try:
@@ -475,7 +471,33 @@ def test_a_pass_holds_the_cache_and_one_scores_array():
     finally:
         tracemalloc.stop()
     assert memory.rows == 4000
-    assert max(peaks) < cache + rows_out + 2 * scores, (peaks, cache, rows_out, scores)
+    assert max(peaks) < rows_out + 2 * scores, (peaks, rows_out, scores)
+
+
+# prints, per row count, one hash of a cross-attention pass read off a memory of that
+# many rows: one product per 2048 rows; a single (heads x rows) @ (rows x d) product
+# rounded differently at 1 and 2 BLAS threads for these counts
+VALUE_SUM_SCRIPT = """
+import hashlib
+import numpy as np
+from test_decoder import decoder_config
+from chunkfuse.decoder import init_decoder_weights
+from chunkfuse.encoder import _attention
+
+cfg = decoder_config(d_model=32)
+w = init_decoder_weights(cfg).layers[0].cross
+for rows in (10470, 10390, 10000):
+    rng = np.random.default_rng(rows)
+    out, attn = _attention(rng.normal(size=(1, 32)), rng.normal(size=(rows, 32)), w, cfg.n_heads)
+    print(hashlib.sha256(out.tobytes() + attn.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((CORES or 1) < 2, reason="one core runs one BLAS thread")
+def test_the_slice_summed_values_do_not_depend_on_the_blas_thread_count():
+    one, two = run_at("1", VALUE_SUM_SCRIPT), run_at("2", VALUE_SUM_SCRIPT)
+    assert len(one) == 3
+    assert one == two
 
 
 class TestAttentionMass:

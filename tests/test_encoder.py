@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import attention_scaled_after, causal_mask
+from oracles import attention_scaled_after, causal_mask, textbook_encode
+from test_decoder import STACK_CONFIGS
 
 import chunkfuse
 from chunkfuse.encoder import (
@@ -176,6 +178,62 @@ def test_attention_is_bitwise_the_scale_after_product_oracle(d_head, n_heads, le
         np.testing.assert_allclose(got[0], out[..., i:i + 1, :], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[1], probs[..., i:i + 1, :i + 1], rtol=0, atol=1e-12)
         assert not probs[..., i, i + 1:].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d_head=st.sampled_from([1, 2, 3, 4, 8, 16, 64]), n_heads=st.integers(1, 3),
+       n_queries=st.integers(1, 3), rows=st.integers(1, 5000), seed=st.integers(0, 2**64 - 1))
+@example(d_head=8, n_heads=4, n_queries=1, rows=10470, seed=3)
+@example(d_head=16, n_heads=2, n_queries=3, rows=4097, seed=5)
+def test_attention_read_off_the_memory_is_bitwise_the_per_head_oracle(d_head, n_heads, n_queries,
+                                                                      rows, seed):
+    # cross-attention given the memory rows themselves, over one to three value slices;
+    # the projected keys and values take other products and sums
+    d = d_head * n_heads
+    w = _draw_attention(SeededRng(seed), d)
+    rng = np.random.default_rng(seed)
+    x, memory = _layer_norm(rng.normal(size=(n_queries, d))), rng.normal(size=(rows, d))
+    got = _attention(x, memory, w, n_heads)
+    assert got[1].shape == (n_heads, n_queries, rows)
+    want = attention_scaled_after(x, memory, w, n_heads)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    projected = _attention(x, _keys_values(memory, w, n_heads), w, n_heads)
+    for a, b in zip(got, projected):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+# the textbook encoder sums in other orders and shapes. Measured gaps on states of
+# magnitude about 3: 5e-15 on the workload windows, and at most 4e-13 over 2300 random
+# small configs, at d_model 2, where a layer norm can divide a row's rounding by as
+# little as sqrt(1e-5). A position base of 1000, a reversed position table, a leaky
+# ReLU or a feed-forward that reads ``h`` for its layer norm each move a workload
+# window's states by 0.018 or more
+TEXTBOOK_BOUND = 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+def test_encode_is_the_textbook_encoder_within_a_bound(name):
+    # each workload's model on one window of its perfbench chunk length
+    cfg = STACK_CONFIGS[name].encoder_config()
+    n = {"long-doc": 1024, "small-window": 64, "wide-corpus": 256}[name]
+    window = [(37 * i + 11) % cfg.vocab_size for i in range(n)]
+    weights = init_weights(replace(cfg, max_len=n))
+    got = encode_full(window, weights)
+    assert np.abs(got - textbook_encode(window, weights)).max() <= TEXTBOOK_BOUND
+
+
+@settings(max_examples=40, deadline=None)
+@given(d_head=st.sampled_from([1, 2, 3, 4, 8]), n_heads=st.integers(1, 3),
+       n_layers=st.integers(1, 2), d_ff=st.integers(1, 16), vocab=st.integers(2, 20),
+       data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_encode_is_the_textbook_encoder_on_small_configs(d_head, n_heads, n_layers, d_ff, vocab,
+                                                         data, seed):
+    cfg = ModelConfig(vocab_size=vocab, d_model=d_head * n_heads, n_heads=n_heads,
+                      n_layers=n_layers, d_ff=d_ff, max_len=16, seed=seed)
+    window = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=16))
+    weights = init_weights(cfg)
+    got = encode_full(window, weights)
+    assert np.abs(got - textbook_encode(window, weights)).max() <= TEXTBOOK_BOUND
 
 
 def pipeline_config() -> PipelineConfig:

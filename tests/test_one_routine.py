@@ -4,8 +4,8 @@ The encoder and the decoder share ``_attention``, ``_layer_norm`` and
 ``_softmax_last``. Each is defined once in ``src/chunkfuse``, and only the
 softmax and the attention routine call ``exp`` or the softmax, so a second
 softmax written out anywhere else fails here. Weight products outside
-``_attention`` stay allowed: a cache of the memory's cross-attention keys
-and values computes them.
+``_attention`` stay allowed: the decoder's cache of each position's
+self-attention keys and values computes them.
 """
 
 import ast

@@ -91,6 +91,14 @@ def test_bools_and_ids_past_int64_are_refused(tokens, dtype):
         segment(tokens, 2, 0)
 
 
+# numpy infers int64 for each of these, so only the element types show the bool
+@pytest.mark.parametrize("tokens", [[True, 1, 2], [3, 4, np.False_], (5, 6, 7, True)])
+def test_a_bool_among_ints_is_refused(tokens):
+    assert np.asarray(tokens).dtype == np.int64
+    with pytest.raises(InputError, match="got a bool among int64 values"):
+        segment(tokens, 2, 0)
+
+
 def test_integer_arrays_of_any_width_segment_alike():
     want = segment(list(range(9)), 4, 1).tokens
     for dtype in (np.uint8, np.int32, np.uint64):
